@@ -324,9 +324,7 @@ def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int
 def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[str]:
     lines = [CSV_HEADER]
     for rec in result.records:
-        e_train = coeffs.c_train * rec.samples_trained
-        e_agg = coeffs.c_agg * result.param_count * rec.models_aggregated
-        e_comm = coeffs.c_comm * rec.bytes_sent
+        e_train, e_agg, e_comm = metrics.record_energy(rec, result.param_count, coeffs)
         lines.append(
             f"{rec.round},{rec.client},{rec.f1!r},{rec.bytes_sent},{rec.bytes_received},"
             f"{rec.action},{e_train!r},{e_agg!r},{e_comm!r},{rec.work_units}"

@@ -81,20 +81,32 @@ def macro_f1(predictions, truth, num_classes: int) -> float:
         raise MetricError("empty prediction or truth sequence")
     if predictions.shape != truth.shape:
         raise MetricError("predictions/truth length mismatch")
-    scores = []
-    for c in range(num_classes):
-        in_truth = bool(np.any(truth == c))
-        in_pred = bool(np.any(predictions == c))
-        if not in_truth and not in_pred:
-            continue
-        tp = int(np.sum((predictions == c) & (truth == c)))
-        fp = int(np.sum((predictions == c) & (truth != c)))
-        fn = int(np.sum((predictions != c) & (truth == c)))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    if not scores:
+    confusion = np.bincount(
+        _class_index(truth, num_classes) * (num_classes + 1) + _class_index(predictions, num_classes),
+        minlength=(num_classes + 1) ** 2,
+    ).reshape(num_classes + 1, num_classes + 1)
+    tp = np.diag(confusion)[:num_classes]
+    true_count = confusion[:num_classes, :].sum(axis=1)
+    pred_count = confusion[:, :num_classes].sum(axis=0)
+    present = (true_count > 0) | (pred_count > 0)
+    if not present.any():
         raise MetricError("no class present in truth or predictions")
+    # 2tp + fp + fn, with fp = pred_count - tp and fn = true_count - tp: positive
+    # for every present class
+    scores = 2 * tp[present] / (true_count + pred_count)[present]
     return float(np.mean(scores))
+
+
+def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Class id of each label; `num_classes` for a label that names no class.
+
+    Such labels (out of range, or not integral) only ever count as misses.
+    """
+    labels = labels.ravel()
+    names_class = (labels >= 0) & (labels < num_classes)
+    if labels.dtype.kind == "f":
+        names_class &= labels == np.floor(labels)
+    return np.where(names_class, labels, num_classes).astype(np.intp)
 
 
 def final_round_f1(result: RunResult) -> list[float]:
@@ -112,15 +124,22 @@ def federation_summary(result: RunResult) -> tuple[float, float, list[float]]:
     return float(arr.mean()), float(arr.std()), per_client
 
 
+def record_energy(rec: MetricsRecord, param_count: int, coeffs: EnergyCoeffs) -> tuple[float, float, float]:
+    """(train, agg, comm) kWh of one record under the three-phase linear model."""
+    return (
+        coeffs.c_train * rec.samples_trained,
+        coeffs.c_agg * param_count * rec.models_aggregated,
+        coeffs.c_comm * rec.bytes_sent,
+    )
+
+
 def energy(result: RunResult, coeffs: EnergyCoeffs) -> EnergyReport:
     """Three-phase linear energy model over a run's records."""
     report = EnergyReport()
     for c in range(result.num_clients):
         report.per_client[c] = {"train": 0.0, "agg": 0.0, "comm": 0.0}
     for rec in result.records:
-        e_train = coeffs.c_train * rec.samples_trained
-        e_agg = coeffs.c_agg * result.param_count * rec.models_aggregated
-        e_comm = coeffs.c_comm * rec.bytes_sent
+        e_train, e_agg, e_comm = record_energy(rec, result.param_count, coeffs)
         cell = report.per_client[rec.client]
         cell["train"] += e_train
         cell["agg"] += e_agg

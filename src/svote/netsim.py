@@ -1,12 +1,16 @@
 """Topologies, deterministic message delivery, byte-exact traffic accounting.
 
 Synchronous-round model: messages sent during a phase are invisible until the
-next phase boundary (bus.flush). Delivery order is canonical, sorted by
-(sender, receiver), so replaying a seed reproduces the ledger bit-exactly.
+next phase boundary (bus.flush). One message names all of its receivers (a
+broadcast is one message to every neighbor); delivery order is canonical,
+sorted by sender, so every inbox is in (sender, send) order and replaying a
+seed reproduces the ledger bit-exactly.
 
-Wire-format accounting: every message costs a 32-byte header; a model update
-adds 4 bytes per carried parameter (32-bit reals), votes and no-update
-notices are header-only.
+Wire-format accounting: every copy a receiver gets costs a 32-byte header; a
+model update adds 4 bytes per carried parameter (32-bit reals), votes and
+no-update notices are header-only. The ledger books a message once per
+receiver, so its totals equal those of one point-to-point message per
+(sender, receiver) pair.
 """
 
 from __future__ import annotations
@@ -58,9 +62,6 @@ class Topology:
     def degree(self, client: int) -> int:
         return len(self._adj[client])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
 
 def _is_connected(n: int, adj: dict[int, list[int]]) -> bool:
     seen = {0}
@@ -107,8 +108,10 @@ def message_byte_size(payload: tuple[np.ndarray, ...] | None) -> int:
 
 @dataclass(frozen=True)
 class RoundMessage:
+    """One message from `sender` to each of `receivers`; `byte_size` is per copy."""
+
     sender: int
-    receiver: int
+    receivers: tuple[int, ...]
     kind: MessageKind
     round: int
     byte_size: int
@@ -128,13 +131,17 @@ class TrafficLedger:
         self.round_kind_bytes: dict[tuple[int, MessageKind], int] = defaultdict(int)
 
     def record(self, msg: RoundMessage):
-        self.bytes_sent[msg.sender] += msg.byte_size
-        self.bytes_received[msg.receiver] += msg.byte_size
-        self.round_sent[(msg.round, msg.sender)] += msg.byte_size
-        self.round_received[(msg.round, msg.receiver)] += msg.byte_size
-        self.kind_bytes[msg.kind] += msg.byte_size
-        self.kind_count[msg.kind] += 1
-        self.round_kind_bytes[(msg.round, msg.kind)] += msg.byte_size
+        """Book one copy of the message per receiver."""
+        size, rnd = msg.byte_size, msg.round
+        fanout = len(msg.receivers)
+        self.bytes_sent[msg.sender] += size * fanout
+        self.round_sent[(rnd, msg.sender)] += size * fanout
+        self.kind_bytes[msg.kind] += size * fanout
+        self.kind_count[msg.kind] += fanout
+        self.round_kind_bytes[(rnd, msg.kind)] += size * fanout
+        for receiver in msg.receivers:
+            self.bytes_received[receiver] += size
+            self.round_received[(rnd, receiver)] += size
 
     def total_sent(self) -> int:
         return sum(self.bytes_sent.values())
@@ -162,16 +169,19 @@ class MessageBus:
     _inboxes: dict[int, list[RoundMessage]] = field(default_factory=lambda: defaultdict(list))
 
     def send(self, msg: RoundMessage):
-        if not self.topo.has_edge(msg.sender, msg.receiver):
-            raise ProtocolError(f"send from {msg.sender} to non-neighbor {msg.receiver}")
+        """Queue one message; nothing is recorded unless every receiver is a neighbor."""
+        strays = set(msg.receivers).difference(self.topo.neighbors(msg.sender))
+        if strays:
+            raise ProtocolError(f"send from {msg.sender} to non-neighbor {min(strays)}")
         self.ledger.record(msg)
         self._pending.append(msg)
 
     def flush(self):
-        """Phase boundary: deliver pending messages in (sender, receiver) order."""
-        self._pending.sort(key=lambda m: (m.sender, m.receiver))
+        """Phase boundary: deliver pending messages in sender order to each receiver."""
+        self._pending.sort(key=lambda m: m.sender)
         for msg in self._pending:
-            self._inboxes[msg.receiver].append(msg)
+            for receiver in msg.receivers:
+                self._inboxes[receiver].append(msg)
         self._pending = []
 
     def take_inbox(self, client: int) -> list[RoundMessage]:
@@ -187,9 +197,7 @@ def broadcast(
     payload: tuple[np.ndarray, ...] | None,
     rnd: int,
 ) -> int:
-    """One message per neighbor; returns the neighbor count."""
-    size = message_byte_size(payload)
+    """One message to every neighbor; returns the neighbor count."""
     neighbors = bus.topo.neighbors(sender)
-    for peer in neighbors:
-        bus.send(RoundMessage(sender, peer, kind, rnd, size, payload))
+    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(payload), payload))
     return len(neighbors)

@@ -115,7 +115,25 @@ def aggregate(models: list[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack(models), axis=0)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+def cosine_similarity(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
+    """Cosine of two vectors, or of every pair of rows of one n x P matrix.
+
+    The vector form raises SimilarityError for a zero-norm vector. The matrix
+    form (b omitted) returns the n x n cosines of one Gram matrix, and ranks a
+    zero-norm row at -1 against every row: the engine floors models whose
+    similarity is undefined below everything.
+    """
+    if b is None:
+        if a.ndim != 2:
+            raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
+        gram = a @ a.T
+        norms = np.sqrt(np.diag(gram))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+        zero = norms == 0.0
+        sims[zero, :] = -1.0
+        sims[:, zero] = -1.0
+        return sims
     if a.shape != b.shape:
         raise ProtocolError("cosine similarity needs equal-length vectors")
     na = np.linalg.norm(a)
@@ -123,14 +141,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise SimilarityError("cosine similarity undefined for zero-norm vector")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def _similarity_or_floor(a: np.ndarray, b: np.ndarray) -> float:
-    """Engine-side similarity: zero-norm models rank below everything."""
-    try:
-        return cosine_similarity(a, b)
-    except SimilarityError:
-        return -1.0
 
 
 def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
@@ -150,10 +160,9 @@ def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
 
 
 def cast_votes(bus: MessageBus, local: int, selected: set[int], rnd: int) -> int:
-    """One vote message per selected peer; delivered at the next phase boundary."""
-    size = message_byte_size(None)
-    for peer in sorted(selected):
-        bus.send(RoundMessage(local, peer, MessageKind.VOTE, rnd, size))
+    """One vote to every selected peer, as one message; delivered at the next phase boundary."""
+    if selected:
+        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, rnd, message_byte_size(None)))
     return len(selected)
 
 
@@ -246,6 +255,7 @@ def _evaluate(c: _Client, model_spec: ModelSpec) -> float:
 
 
 def _model_payload(c: _Client, method: str) -> tuple[np.ndarray, ...]:
+    """A baseline's MODEL_UPDATE payload: the model, plus SCAFFOLD's control variate."""
     if method == SCAFFOLD:
         return (c.state.w.copy(), c.state.cv.local_c.copy())
     return (c.state.w.copy(),)
@@ -350,6 +360,48 @@ def run_baseline(
     return _finalize(kind, clients, topo, rounds, model_spec, records, ledger, trace)
 
 
+def _share_and_aggregate(
+    bus: MessageBus,
+    clients: list[_Client],
+    cfg: SVoteConfig,
+    rnd: int,
+    models_agg: dict[int, int],
+):
+    """Share phase and aggregation of one vote-protocol round.
+
+    Initial federated rounds average every arrival. The selection round, and
+    each gated round when refresh_selection is on, select peers from the
+    round's arrivals and vote for them; other gated rounds keep the last
+    selection. Models are stacked once into an n x P matrix whose rows are
+    the MODEL_UPDATE payloads, and one cosine matrix of it holds every
+    similarity of the round. Both die when this returns, before the next
+    round stacks its models.
+    """
+    models = np.stack([c.state.w for c in clients])
+    for c, row in zip(clients, models):
+        if c.state.trained_this_round or not cfg.suppress_nontrainer_updates:
+            broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, (row,), rnd)
+        else:
+            broadcast(bus, c.state.id, MessageKind.NO_UPDATE, None, rnd)
+    bus.flush()
+    average_all = rnd <= cfg.t_init
+    reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
+    sims = cosine_similarity(models) if reselect else None
+    for c in clients:
+        updates = [m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE]
+        if not average_all:
+            if reselect:
+                row = sims[c.state.id].tolist()
+                scores = {m.sender: row[m.sender] for m in updates}
+                c.state.selected_peers = select_peers(c.state.id, scores, cfg.tau) if scores else set()
+                cast_votes(bus, c.state.id, c.state.selected_peers, rnd)
+            updates = [m for m in updates if m.sender in c.state.selected_peers]
+        stack = [c.state.w] + [m.payload[0] for m in updates]
+        c.state.w = aggregate(stack)
+        models_agg[c.state.id] = len(stack)
+    bus.flush()  # votes become visible to the next round's gate
+
+
 def run_svote(
     cfg: SVoteConfig,
     model_spec: ModelSpec,
@@ -371,53 +423,14 @@ def run_svote(
         samples: dict[int, int] = {c.state.id: 0 for c in clients}
         models_agg: dict[int, int] = {c.state.id: 0 for c in clients}
 
-        if rnd <= cfg.t_init:
-            # initial federated rounds: plain averaging over the neighborhood
+        if rnd <= cfg.selection_round:
+            # initial federated rounds, divergence rounds and the selection round
+            # all train unconditionally
             for c in clients:
                 actions[c.state.id] = Action.TRAIN_LOCAL
                 samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
-            for c in clients:
-                broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, _model_payload(c, SVOTE), rnd)
-            bus.flush()
-            for c in clients:
-                updates = [
-                    m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE
-                ]
-                stack = [c.state.w] + [m.payload[0] for m in updates]
-                c.state.w = aggregate(stack)
-                models_agg[c.state.id] = len(stack)
-            bus.flush()
-
-        elif rnd <= cfg.t_init + cfg.n_diverge:
-            # divergence: local-only rounds, zero traffic
-            for c in clients:
-                actions[c.state.id] = Action.TRAIN_LOCAL
-                samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
-
-        elif rnd == cfg.selection_round:
-            # last divergence training flows into share / similarity / select /
-            # vote / aggregate-selected
-            for c in clients:
-                actions[c.state.id] = Action.TRAIN_LOCAL
-                samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
-            for c in clients:
-                broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, _model_payload(c, SVOTE), rnd)
-            bus.flush()
-            for c in clients:
-                updates = [
-                    m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE
-                ]
-                sims = {m.sender: _similarity_or_floor(c.state.w, m.payload[0]) for m in updates}
-                selected = select_peers(c.state.id, sims, cfg.tau) if sims else set()
-                c.state.selected_peers = selected
-                cast_votes(bus, c.state.id, selected, rnd)
-                stack = [c.state.w] + [m.payload[0] for m in updates if m.sender in selected]
-                c.state.w = aggregate(stack)
-                models_agg[c.state.id] = len(stack)
-            bus.flush()  # votes become visible to the first gated round
-
         else:
-            # gated rounds: conditional training, then share/select/aggregate
+            # gated rounds: votes from the previous round decide who trains
             for c in clients:
                 inbox = bus.take_inbox(c.state.id)
                 vote_count = sum(1 for m in inbox if m.kind is MessageKind.VOTE)
@@ -430,29 +443,10 @@ def run_svote(
                     c.state.trained_this_round = False
                 else:
                     samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
-            for c in clients:
-                if c.state.trained_this_round or not cfg.suppress_nontrainer_updates:
-                    broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, _model_payload(c, SVOTE), rnd)
-                else:
-                    broadcast(bus, c.state.id, MessageKind.NO_UPDATE, None, rnd)
-            bus.flush()
-            for c in clients:
-                updates = [
-                    m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE
-                ]
-                if cfg.refresh_selection:
-                    sims = {
-                        m.sender: _similarity_or_floor(c.state.w, m.payload[0]) for m in updates
-                    }
-                    selected = select_peers(c.state.id, sims, cfg.tau) if sims else set()
-                    c.state.selected_peers = selected
-                    cast_votes(bus, c.state.id, selected, rnd)
-                else:
-                    selected = c.state.selected_peers
-                stack = [c.state.w] + [m.payload[0] for m in updates if m.sender in selected]
-                c.state.w = aggregate(stack)
-                models_agg[c.state.id] = len(stack)
-            bus.flush()
+
+        # divergence rounds are local-only, with zero traffic
+        if rnd <= cfg.t_init or rnd >= cfg.selection_round:
+            _share_and_aggregate(bus, clients, cfg, rnd, models_agg)
 
         _record_round(records, clients, ledger, model_spec, rnd, actions, samples, models_agg)
         if trace is not None:

@@ -12,6 +12,26 @@ from svote.learner import HyperParams
 from svote.metrics import EnergyCoeffs, MetricsRecord, macro_f1
 
 
+def _macro_f1_per_class_loop(predictions, truth, num_classes):
+    """Reference macro-F1: one pass over the arrays per class."""
+    predictions = np.asarray(predictions)
+    truth = np.asarray(truth)
+    scores = []
+    for c in range(num_classes):
+        in_truth = bool(np.any(truth == c))
+        in_pred = bool(np.any(predictions == c))
+        if not in_truth and not in_pred:
+            continue
+        tp = int(np.sum((predictions == c) & (truth == c)))
+        fp = int(np.sum((predictions == c) & (truth != c)))
+        fn = int(np.sum((predictions != c) & (truth == c)))
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom else 0.0)
+    if not scores:
+        raise MetricError("no class present in truth or predictions")
+    return float(np.mean(scores))
+
+
 class TestMacroF1:
     def test_perfect(self):
         assert macro_f1([0, 1, 2, 1], [0, 1, 2, 1], 3) == 1.0
@@ -49,6 +69,27 @@ class TestMacroF1:
         before = macro_f1(preds, truth, 4)
         after = macro_f1(preds[perm], np.asarray(truth)[perm], 4)
         assert before == pytest.approx(after, abs=1e-12)
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.tuples(st.integers(-2, k + 1), st.integers(-2, k + 1)), min_size=1, max_size=60),
+    )))
+    @settings(max_examples=200)
+    def test_matches_per_class_loop(self, case):
+        # labels outside [0, k) name no class and count only as misses
+        k, pairs = case
+        preds, truth = (np.array(side) for side in zip(*pairs))
+        try:
+            expected = _macro_f1_per_class_loop(preds, truth, k)
+        except MetricError:
+            with pytest.raises(MetricError):
+                macro_f1(preds, truth, k)
+            return
+        assert macro_f1(preds, truth, k) == expected
+
+    def test_non_integral_float_labels_count_as_misses(self):
+        preds, truth = np.array([0.0, 1.5, 1.0, 2.0]), np.array([0.0, 1.0, 1.5, 1.0])
+        assert macro_f1(preds, truth, 3) == _macro_f1_per_class_loop(preds, truth, 3)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(12)

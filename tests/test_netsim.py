@@ -1,7 +1,11 @@
 """Topology generation, message delivery, and byte accounting."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svote import netsim
 from svote.errors import ConfigError, ProtocolError
@@ -80,23 +84,23 @@ class TestBusAndLedger:
     def test_non_neighbor_send_rejected(self):
         topo = Topology(3, frozenset({(0, 1)}))
         bus = MessageBus(topo, TrafficLedger())
-        msg = RoundMessage(0, 2, MessageKind.VOTE, 1, 32)
+        msg = RoundMessage(0, (2,), MessageKind.VOTE, 1, 32)
         with pytest.raises(ProtocolError):
             bus.send(msg)
 
     def test_message_invisible_until_flush(self):
         bus, _ = _bus()
-        bus.send(RoundMessage(0, 1, MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 1, 32))
         assert bus.take_inbox(1) == []
-        bus.send(RoundMessage(0, 1, MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 1, 32))
         bus.flush()
         assert len(bus.take_inbox(1)) == 2
 
     def test_delivery_sorted_by_sender_receiver(self):
         bus, _ = _bus()
-        bus.send(RoundMessage(2, 0, MessageKind.VOTE, 1, 32))
-        bus.send(RoundMessage(1, 0, MessageKind.VOTE, 1, 32))
-        bus.send(RoundMessage(3, 0, MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(2, (0,), MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(1, (0,), MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(3, (0,), MessageKind.VOTE, 1, 32))
         bus.flush()
         assert [m.sender for m in bus.take_inbox(0)] == [1, 2, 3]
 
@@ -137,3 +141,77 @@ class TestBusAndLedger:
         assert dict(a.bytes_sent) == dict(b.bytes_sent)
         assert dict(a.round_sent) == dict(b.round_sent)
         assert dict(a.kind_bytes) == dict(b.kind_bytes)
+
+
+LEDGER_FIELDS = (
+    "bytes_sent",
+    "bytes_received",
+    "round_sent",
+    "round_received",
+    "kind_bytes",
+    "kind_count",
+    "round_kind_bytes",
+)
+
+
+def _ledger_fields(ledger):
+    return {name: dict(getattr(ledger, name)) for name in LEDGER_FIELDS}
+
+
+class TestMulticast:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_ledger_and_delivery_match_per_receiver_oracle(self, data):
+        n = data.draw(st.integers(2, 7), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        topo = Topology(n, frozenset(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges")))
+        ledger = TrafficLedger()
+        bus = MessageBus(topo, ledger)
+        oracle = {name: defaultdict(int) for name in LEDGER_FIELDS}
+        delivered = defaultdict(list)  # receiver -> (sender, send index) per copy
+        senders = [c for c in range(n) if topo.degree(c)]
+        sends = st.tuples(
+            st.sampled_from(senders), st.sampled_from(list(MessageKind)), st.integers(1, 3), st.integers(0, 5000)
+        )
+        for index, (sender, kind, rnd, size) in enumerate(data.draw(st.lists(sends, max_size=12), label="sends")):
+            receivers = data.draw(st.lists(st.sampled_from(topo.neighbors(sender)), min_size=1, unique=True))
+            bus.send(RoundMessage(sender, tuple(receivers), kind, rnd, size))
+            for receiver in receivers:
+                oracle["bytes_sent"][sender] += size
+                oracle["bytes_received"][receiver] += size
+                oracle["round_sent"][(rnd, sender)] += size
+                oracle["round_received"][(rnd, receiver)] += size
+                oracle["kind_bytes"][kind] += size
+                oracle["kind_count"][kind] += 1
+                oracle["round_kind_bytes"][(rnd, kind)] += size
+                delivered[receiver].append((sender, index))
+        assert _ledger_fields(ledger) == {name: dict(field) for name, field in oracle.items()}
+        assert ledger.total_sent() == ledger.total_received()
+        bus.flush()
+        for receiver in range(n):
+            expected = [sender for sender, _ in sorted(delivered[receiver])]
+            assert [m.sender for m in bus.take_inbox(receiver)] == expected
+
+    def test_one_non_neighbor_rejects_whole_message(self):
+        topo = Topology(4, frozenset({(0, 1), (0, 2), (2, 3)}))
+        ledger = TrafficLedger()
+        bus = MessageBus(topo, ledger)
+        bus.send(RoundMessage(0, (1, 2), MessageKind.MODEL_UPDATE, 1, 432))
+        before = _ledger_fields(ledger)
+        for receivers in ((1, 3, 2), (0,)):
+            with pytest.raises(ProtocolError):
+                bus.send(RoundMessage(0, receivers, MessageKind.MODEL_UPDATE, 1, 432))
+        assert _ledger_fields(ledger) == before
+        bus.flush()
+        assert [len(bus.take_inbox(c)) for c in range(4)] == [0, 1, 1, 0]
+
+    def test_broadcast_is_one_message_to_every_neighbor(self):
+        bus, ledger = _bus(5)
+        netsim.broadcast(bus, 2, MessageKind.MODEL_UPDATE, (np.zeros(10),), 1)
+        bus.flush()
+        inboxes = [bus.take_inbox(c) for c in range(5)]
+        assert inboxes[2] == []
+        msgs = {id(box[0]) for box in inboxes if box}
+        assert len(msgs) == 1
+        assert ledger.kind_count[MessageKind.MODEL_UPDATE] == 4
+        assert ledger.bytes_sent[2] == 4 * 72

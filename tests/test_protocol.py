@@ -82,6 +82,31 @@ class TestCosineSimilarity:
             a, b = rng.normal(size=8), rng.normal(size=8)
             assert -1.0 <= cosine_similarity(a, b) <= 1.0
 
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_matrix_form_matches_vector_form(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        models = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        if n > 2:  # parallel and antiparallel rows sit on the clip bounds
+            models[1] = 3.0 * models[0]
+            models[2] = -models[0]
+        sims = cosine_similarity(models)
+        assert sims.shape == (n, n)
+        assert np.all((sims >= -1.0) & (sims <= 1.0))
+        for i in range(n):
+            for j in range(n):
+                assert abs(sims[i, j] - cosine_similarity(models[i], models[j])) <= 1e-12
+
+    def test_matrix_form_floors_zero_norm_rows(self):
+        models = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, -1.0], [3.0, 1.0]])
+        sims = cosine_similarity(models)
+        assert np.all(sims[1, :] == -1.0) and np.all(sims[:, 1] == -1.0)
+        assert sims[0, 3] == pytest.approx(cosine_similarity(models[0], models[3]), abs=1e-12)
+
+    def test_matrix_form_needs_a_matrix(self):
+        with pytest.raises(ProtocolError):
+            cosine_similarity(np.ones(3))
+
 
 class TestSelectPeers:
     def test_threshold_example(self):
@@ -286,6 +311,34 @@ class TestEngines:
             run_svote(SVoteConfig(total_rounds=8, t_init=2, n_diverge=1), spec, hp, topo, shards, 2),
         ):
             assert res.ledger.total_sent() == res.ledger.total_received()
+
+    def test_zero_norm_arrival_ranks_at_floor(self, monkeypatch):
+        data, shards, topo, spec = small_problem()
+        zero_client = 2
+        zero_X = shards[zero_client][0].features
+        real_train, real_select = protocol.local_train, protocol.select_peers
+
+        def train(w, X, *args):
+            w, steps = real_train(w, X, *args)
+            return (np.zeros_like(w) if X is zero_X else w), steps
+
+        seen = []
+
+        def select(local, sims, tau):
+            seen.append((local, dict(sims)))
+            return real_select(local, sims, tau)
+
+        monkeypatch.setattr(protocol, "local_train", train)
+        monkeypatch.setattr(protocol, "select_peers", select)
+        cfg = SVoteConfig(total_rounds=6, t_init=2, n_diverge=1, tau=0.0)
+        run_svote(cfg, spec, HyperParams(lr=0.1, local_epochs=1, batch_size=16), topo, shards, 5)
+        selection_round = seen[: topo.num_clients]  # every client trained, so every model arrived
+        for local, sims in selection_round:
+            if local == zero_client:
+                assert set(sims.values()) == {-1.0}
+            else:
+                assert sims[zero_client] == -1.0
+                assert all(s > -1.0 for peer, s in sims.items() if peer != zero_client)
 
     def test_aggregation_includes_own_model_everywhere(self):
         data, shards, topo, spec = small_problem()
