@@ -23,7 +23,6 @@ from .learner import (
     init_params,
     local_train,
     loss_and_grad,
-    predict,
     predict_batch,
     prox_grad,
     scaffold_grad,

@@ -91,7 +91,9 @@ def _open_binary(path: str):
 def load_idx(images_path: str, labels_path: str, limit: int) -> LabeledDataset:
     """Load an IDX image/label file pair, keeping the first `limit` samples.
 
-    Pixels are scaled to [0, 1] and images flattened row-major.
+    Pixels are scaled to [0, 1] and images flattened row-major. The class
+    count comes from the whole label file, so a prefix that misses the top
+    class still gives the model every output of the full data set.
     """
     if limit < 1:
         raise ConfigError("limit must be >= 1")
@@ -111,8 +113,9 @@ def load_idx(images_path: str, labels_path: str, limit: int) -> LabeledDataset:
         raise FormatError(f"{labels_path}: {label_count} labels for {count} images in {images_path}")
     take = min(limit, count)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)[:take]
-    labels = np.frombuffer(raw_labels, dtype=np.uint8)[:take].astype(np.int64)
-    return LabeledDataset(images / 255.0, labels, int(labels.max()) + 1 if take else 1)
+    all_labels = np.frombuffer(raw_labels, dtype=np.uint8)
+    num_classes = int(all_labels.max()) + 1 if count else 1
+    return LabeledDataset(images / 255.0, all_labels[:take].astype(np.int64), num_classes)
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:

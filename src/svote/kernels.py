@@ -1,11 +1,14 @@
 """Hot numeric kernels: cross-entropy forward/backward for both model kinds.
 
 Two interchangeable implementations live here. The numba ``@njit`` kernels are
-the default; a pure-numpy path exists for environments without a working JIT
-and for benchmarking. Selection happens once at import via the
+the default when numba (the optional ``jit`` extra) imports; the pure-numpy
+path runs otherwise. Selection happens once at import via the
 ``SVOTE_BACKEND`` env var ("numba" | "numpy"). Both paths agree to float
 round-off; bit-level determinism is guaranteed within a backend, not across
 backends.
+
+Every kernel writes its gradients into the caller's arrays (views into one
+flat gradient vector) and allocates nothing of their size.
 """
 
 from __future__ import annotations
@@ -20,44 +23,57 @@ _ENV_VAR = "SVOTE_BACKEND"
 
 # ---------------------------------------------------------------- numpy path
 
+def _softmax_in_place(z):
+    """Row-wise softmax of the logits z, overwriting z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _loss_and_delta(p, y):
+    """Mean cross-entropy of the probabilities p; turns p into dL/dz in place."""
+    n = p.shape[0]
+    rows = np.arange(n)
+    loss = -np.log(p[rows, y]).mean()
+    p[rows, y] -= 1.0
+    p /= n
+    return loss
+
+
 def softmax_loss_grad_np(X, y, W, b, gW, gb):
     """Mean cross-entropy of softmax(X@W + b) against labels y.
 
-    Writes dL/dW into gW and dL/db into gb; returns the loss.
+    Writes dL/dW into gW and dL/db into gb, with no temporary of their size;
+    returns the loss.
     """
-    z = X @ W + b
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    n = X.shape[0]
-    rows = np.arange(n)
-    loss = -np.log(p[rows, y]).mean()
-    d = p
-    d[rows, y] -= 1.0
-    d /= n
-    gW[:] = X.T @ d
-    gb[:] = d.sum(axis=0)
+    z = X @ W
+    z += b
+    d = _softmax_in_place(z)
+    loss = _loss_and_delta(d, y)
+    np.matmul(X.T, d, out=gW)
+    np.sum(d, axis=0, out=gb)
     return loss
 
 
 def mlp_loss_grad_np(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2):
     """Same contract for the one-hidden-layer tanh MLP."""
-    H = np.tanh(X @ W1 + b1)
-    z = H @ W2 + b2
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    n = X.shape[0]
-    rows = np.arange(n)
-    loss = -np.log(p[rows, y]).mean()
-    d = p
-    d[rows, y] -= 1.0
-    d /= n
-    gW2[:] = H.T @ d
-    gb2[:] = d.sum(axis=0)
-    dH = (d @ W2.T) * (1.0 - H * H)
-    gW1[:] = X.T @ dH
-    gb1[:] = dH.sum(axis=0)
+    H = X @ W1
+    H += b1
+    np.tanh(H, out=H)
+    z = H @ W2
+    z += b2
+    d = _softmax_in_place(z)
+    loss = _loss_and_delta(d, y)
+    np.matmul(H.T, d, out=gW2)
+    np.sum(d, axis=0, out=gb2)
+    dH = d @ W2.T
+    # H is spent: turn it into the tanh derivative 1 - H^2
+    np.multiply(H, H, out=H)
+    np.subtract(1.0, H, out=H)
+    dH *= H
+    np.matmul(X.T, dH, out=gW1)
+    np.sum(dH, axis=0, out=gb1)
     return loss
 
 

@@ -102,12 +102,21 @@ def _check_batch(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec):
         raise ConfigError("feature/label count mismatch")
 
 
-def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec):
-    """Mean cross-entropy over the batch and its gradient w.r.t. w."""
+def loss_and_grad(
+    w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad: np.ndarray | None = None
+):
+    """Mean cross-entropy over the batch and its gradient w.r.t. w.
+
+    The gradient is written into `grad` when given (a float64 vector of w's
+    length that does not overlap w) and returned; otherwise into a new array.
+    """
     _check_batch(w, X, y, spec)
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
-    grad = np.empty_like(w)
+    if grad is None:
+        grad = np.empty_like(w)
+    elif grad.shape != w.shape or grad.dtype != np.float64:
+        raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
     if spec.kind == SOFTMAX:
         W, b = _views(w, spec)
         gW, gb = _views(grad, spec)
@@ -122,17 +131,37 @@ def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec):
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    return w - lr * grad
+    """One SGD step in place: w becomes w - lr * grad; returns w.
+
+    grad is the caller's scratch: it is left holding lr * grad.
+    """
+    grad *= lr
+    w -= grad
+    return w
 
 
-def prox_grad(grad: np.ndarray, w: np.ndarray, w_anchor: np.ndarray, prox_mu: float) -> np.ndarray:
-    """FedProx: pull the update toward the last aggregated model."""
-    return grad + prox_mu * (w - w_anchor)
+def prox_grad(
+    grad: np.ndarray, w: np.ndarray, w_anchor: np.ndarray, prox_mu: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """FedProx: pull the update toward the last aggregated model.
+
+    Returns grad + prox_mu * (w - w_anchor), written into `out` when given
+    (out must not overlap grad, w or w_anchor).
+    """
+    out = np.subtract(w, w_anchor, out=out)
+    out *= prox_mu
+    out += grad
+    return out
 
 
-def scaffold_grad(grad: np.ndarray, cv: ControlVariate) -> np.ndarray:
-    """SCAFFOLD drift-corrected direction."""
-    return grad - cv.local_c + cv.global_c
+def scaffold_grad(grad: np.ndarray, cv: ControlVariate, out: np.ndarray | None = None) -> np.ndarray:
+    """SCAFFOLD drift-corrected direction grad - c_local + c_global.
+
+    Written into `out` when given; out may be grad itself.
+    """
+    out = np.subtract(grad, cv.local_c, out=out)
+    out += cv.global_c
+    return out
 
 
 def scaffold_update_cv(
@@ -154,12 +183,8 @@ def logits(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.tanh(X @ W1 + b1) @ W2 + b2
 
 
-def predict(w: np.ndarray, features: np.ndarray, spec: ModelSpec) -> int:
-    """Argmax class score; ties broken toward the lowest class index."""
-    return int(np.argmax(logits(w, features.reshape(1, -1), spec)[0]))
-
-
 def predict_batch(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """Argmax class score per row; ties broken toward the lowest class index."""
     return np.argmax(logits(w, X, spec), axis=1)
 
 
@@ -179,17 +204,22 @@ def local_train(
 
     Batches are reshuffled each epoch from the caller's rng stream; the
     partial final batch is kept. grad_transform, when given, maps
-    (grad, current w) to the applied direction (FedProx / SCAFFOLD hooks).
+    (grad, current w) to the applied direction (FedProx / SCAFFOLD hooks); it
+    may overwrite grad and return it, and must not modify w. The caller's w
+    is never modified: training runs on one copy, returned as the new
+    weights, with one gradient buffer reused by every step.
     """
     n = y.shape[0]
+    w = w.copy()
+    grad = np.empty_like(w)
     steps = 0
     for _ in range(hp.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            _, g = loss_and_grad(w, X[idx], y[idx], spec)
+            _, g = loss_and_grad(w, X[idx], y[idx], spec, grad)
             if grad_transform is not None:
                 g = grad_transform(g, w)
-            w = sgd_step(w, g, hp.lr)
+            sgd_step(w, g, hp.lr)
             steps += 1
     return w, steps

@@ -19,6 +19,7 @@ Round layout for the voting protocol, with r total rounds:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -104,15 +105,24 @@ class ClientState:
 # --------------------------------------------------------------- operations
 
 
-def aggregate(models: list[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean."""
-    if not models:
+def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise arithmetic mean, as a new array.
+
+    The models are summed in sequence order into one output, which is then
+    divided once: the same float operations as a mean over a stacked k x P
+    matrix, without the matrix.
+    """
+    if not len(models):
         raise ProtocolError("cannot aggregate an empty model list")
     length = models[0].shape[0]
     for m in models[1:]:
         if m.shape[0] != length:
             raise ProtocolError("model length mismatch in aggregation")
-    return np.mean(np.stack(models), axis=0)
+    out = np.array(models[0], dtype=np.float64)
+    for m in models[1:]:
+        out += m
+    out /= len(models)
+    return out
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
@@ -233,13 +243,14 @@ def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: st
     state = c.state
     if method == FEDPROX:
         anchor = state.w_anchor
-        transform = lambda g, w: prox_grad(g, w, anchor, hp.prox_mu)
+        direction = np.empty_like(anchor)  # reused by every step of the pass
+        transform = lambda g, w: prox_grad(g, w, anchor, hp.prox_mu, out=direction)
     elif method == SCAFFOLD:
         cv = state.cv
-        transform = lambda g, w: scaffold_grad(g, cv)
+        transform = lambda g, w: scaffold_grad(g, cv, out=g)
     else:
         transform = None
-    w_before = state.w
+    w_before = state.w  # local_train leaves it untouched
     state.w, steps = local_train(
         state.w, c.train_X, c.train_y, model_spec, hp, c.train_rng, transform
     )
@@ -252,13 +263,6 @@ def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: st
 def _evaluate(c: _Client, model_spec: ModelSpec) -> float:
     preds = predict_batch(c.state.w, c.test_X, model_spec)
     return macro_f1(preds, c.test_y, model_spec.num_classes)
-
-
-def _model_payload(c: _Client, method: str) -> tuple[np.ndarray, ...]:
-    """A baseline's MODEL_UPDATE payload: the model, plus SCAFFOLD's control variate."""
-    if method == SCAFFOLD:
-        return (c.state.w.copy(), c.state.cv.local_c.copy())
-    return (c.state.w.copy(),)
 
 
 def _record_round(
@@ -313,6 +317,37 @@ def _finalize(
 # ------------------------------------------------------------------- engines
 
 
+def _baseline_share_and_aggregate(
+    bus: MessageBus, clients: list[_Client], kind: str, rnd: int
+) -> dict[int, int]:
+    """Share phase and aggregation of one baseline round; returns models averaged per client.
+
+    Every client sends its model (and, under SCAFFOLD, its control variate) to
+    every neighbour and averages all arrivals with its own. The payloads are
+    rows of one n x P matrix per vector kind, which die when this returns.
+    """
+    payloads = [np.stack([c.state.w for c in clients])]
+    if kind == SCAFFOLD:
+        payloads.append(np.stack([c.state.cv.local_c for c in clients]))
+    for c, payload in zip(clients, zip(*payloads)):
+        broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, payload, rnd)
+    bus.flush()
+    models_agg: dict[int, int] = {}
+    for c in clients:
+        updates = [m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE]
+        stack = [c.state.w] + [m.payload[0] for m in updates]
+        c.state.w = aggregate(stack)
+        models_agg[c.state.id] = len(stack)
+        if kind == SCAFFOLD:
+            c.state.cv.global_c = aggregate([c.state.cv.local_c] + [m.payload[1] for m in updates])
+        if kind == FEDPROX:
+            # aggregate and local_train return new arrays and mutate no model,
+            # so the anchor can share the aggregated array
+            c.state.w_anchor = c.state.w
+    bus.flush()
+    return models_agg
+
+
 def run_baseline(
     kind: str,
     model_spec: ModelSpec,
@@ -336,22 +371,7 @@ def run_baseline(
 
     for rnd in range(1, rounds + 1):
         samples = {c.state.id: _train_client(c, model_spec, hp, kind) for c in clients}
-        for c in clients:
-            broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, _model_payload(c, kind), rnd)
-        bus.flush()
-        models_agg: dict[int, int] = {}
-        for c in clients:
-            updates = [m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE]
-            stack = [c.state.w] + [m.payload[0] for m in updates]
-            c.state.w = aggregate(stack)
-            models_agg[c.state.id] = len(stack)
-            if kind == SCAFFOLD:
-                c.state.cv.global_c = aggregate(
-                    [c.state.cv.local_c] + [m.payload[1] for m in updates]
-                )
-            if kind == FEDPROX:
-                c.state.w_anchor = c.state.w.copy()
-        bus.flush()
+        models_agg = _baseline_share_and_aggregate(bus, clients, kind, rnd)
         actions = {c.state.id: Action.TRAIN_LOCAL for c in clients}
         _record_round(records, clients, ledger, model_spec, rnd, actions, samples, models_agg)
         if trace is not None:

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from svote import datahub, learner, netsim
@@ -38,3 +40,16 @@ def identical_models_check(w, peers):
     from svote.protocol import cosine_similarity
 
     return {p: cosine_similarity(w, w.copy()) for p in peers}
+
+
+def peak_traced_bytes(fn):
+    """Peak traced allocation while fn runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base

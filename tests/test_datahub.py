@@ -93,6 +93,15 @@ class TestLoadIdx:
         np.testing.assert_allclose(data.features[0], [0, 0, 0, 1.0, 0, 0])
         assert data.labels[0] == 7
 
+    def test_num_classes_from_the_full_label_file(self, tmp_path):
+        # the kept prefix holds classes 0..2 only; the file also holds class 4
+        images = np.zeros((6, 2, 2), dtype=np.uint8)
+        labels = np.array([0, 1, 2, 1, 4, 3], dtype=np.uint8)
+        img, lab = write_idx_pair(str(tmp_path), images, labels)
+        data = datahub.load_idx(img, lab, limit=4)
+        np.testing.assert_array_equal(data.labels, [0, 1, 2, 1])
+        assert data.num_classes == 5
+
     def test_bad_label_magic(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(str(tmp_path), images, np.zeros(2, dtype=np.uint8), label_magic=0xDEAD)

@@ -42,6 +42,31 @@ svote.tau = 0.5
 svote.v_min = half
 """
 
+# the one-hidden-layer MLP (P = 8,646): pins the MLP kernel and the gated rounds
+MLP_SVOTE = """\
+method = svote
+dataset = synthetic
+num_clients = 10
+seed = 3
+rounds = 25
+alpha = 0.3
+topology = erdos
+erdos.p = 0.5
+synthetic.num_classes = 6
+synthetic.input_dim = 128
+synthetic.per_class = 500
+synthetic.spread = 0.5
+model = mlp
+model.hidden_dim = 64
+lr = 0.2
+batch_size = 32
+local_epochs = 2
+svote.t_init = 4
+svote.n_diverge = 2
+svote.tau = 0.5
+svote.v_min = half
+"""
+
 
 GOLDEN = {  # name -> sha256 of metrics.csv, of summary.json
     "svote_noniid": (
@@ -60,17 +85,32 @@ GOLDEN = {  # name -> sha256 of metrics.csv, of summary.json
         "fc2e219d7ac12b0933c2be98e6977172cdf1dc31dc637eb92658e3e3dbaf67ba",
         "29fc15584c5b0f35f00b61a040617d56abd07ca2877dd0794c7f23e70773921d",
     ),
+    "svote_mlp": (
+        "7d6ebd946890983e12de870c2c5bab185dc33443245a08c6a51238f8f46c74b7",
+        "525df55e298eb321982656eedcd827f334f5627bc2dbed68cff44395a70f4768",
+    ),
+    "fedprox_noniid": (
+        "96fc399682602b04c15477a059eafd23330fdc5aa06863dcbc4c3edf3449ff7f",
+        "13ca77dc24b38ffd33e24082a9cf40f9b2e555852553d7c044131e21aa3d5cc5",
+    ),
 }
+
+# a baseline run on the FedAvg sample config under another method
+_BASELINE_TWINS = {"scaffold_noniid": "scaffold", "fedprox_noniid": "fedprox"}
 
 
 def _config_text(name):
     if name == "svote_full40":
         return DENSE_SVOTE
-    # SCAFFOLD on the FedAvg sample config: the two-vector payload path
-    source = "fedavg_noniid" if name == "scaffold_noniid" else name
+    if name == "svote_mlp":
+        return MLP_SVOTE
+    # SCAFFOLD (the two-vector payload path) and FedProx (the prox transform)
+    # on the FedAvg sample config
+    method = _BASELINE_TWINS.get(name)
+    source = "fedavg_noniid" if method else name
     with open(os.path.join(CONFIGS_DIR, f"{source}.cfg"), encoding="utf-8") as f:
         text = f.read()
-    return text.replace("method = fedavg", "method = scaffold") if name == "scaffold_noniid" else text
+    return text.replace("method = fedavg", f"method = {method}") if method else text
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

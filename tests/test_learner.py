@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient
+from conftest import fd_gradient, peak_traced_bytes
 from svote import learner
 from svote.errors import ConfigError
 from svote.learner import ControlVariate, HyperParams, ModelSpec
@@ -99,23 +99,33 @@ class TestLossAndGrad:
 
 
 class TestSgdStep:
+    # sgd_step updates w in place, so each check steps a fresh copy
     def test_arithmetic(self):
         np.testing.assert_allclose(learner.sgd_step(np.array([1.0]), np.array([2.0]), 0.1), [0.8])
 
     def test_zero_grad_fixed_point(self):
         w = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(learner.sgd_step(w, np.zeros(3), 0.5), w)
+        np.testing.assert_array_equal(learner.sgd_step(w.copy(), np.zeros(3), 0.5), w)
 
     def test_zero_lr_identity(self):
         w = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(learner.sgd_step(w, np.array([4.0, 5.0]), 0.0), w)
+        np.testing.assert_array_equal(learner.sgd_step(w.copy(), np.array([4.0, 5.0]), 0.0), w)
 
     @given(st.floats(-10, 10), st.floats(0, 2))
     def test_linear_in_grad_and_lr(self, g, lr):
         w = np.array([1.5])
-        one = learner.sgd_step(w, np.array([g]), lr)
-        two = learner.sgd_step(w, np.array([2 * g]), lr / 2)
+        one = learner.sgd_step(w.copy(), np.array([g]), lr)
+        two = learner.sgd_step(w.copy(), np.array([2 * g]), lr / 2)
         np.testing.assert_allclose(one, two, atol=1e-12)
+
+    @given(st.floats(-10, 10), st.floats(0, 2))
+    def test_in_place_and_bit_equal_to_the_expression(self, g, lr):
+        w = np.array([1.5, -0.25])
+        grad = np.array([g, -g])
+        expected = w - lr * grad
+        out = learner.sgd_step(w, grad, lr)
+        assert out is w
+        np.testing.assert_array_equal(w, expected)
 
 
 class TestProxGrad:
@@ -169,21 +179,24 @@ class TestScaffold:
 class TestPredict:
     def test_zero_weights_tie_breaks_to_class_zero(self):
         spec = ModelSpec(learner.SOFTMAX, 4, 3)
-        assert learner.predict(np.zeros(spec.param_count), np.ones(4), spec) == 0
+        X = np.random.default_rng(7).normal(size=(5, 4))
+        np.testing.assert_array_equal(learner.predict_batch(np.zeros(spec.param_count), X, spec), 0)
 
     def test_dominant_logit_wins(self):
         spec = ModelSpec(learner.SOFTMAX, 4, 3)
         w = np.zeros(spec.param_count)
         _, b = learner._views(w, spec)
         b[2] = 5.0
-        assert learner.predict(w, np.ones(4), spec) == 2
+        np.testing.assert_array_equal(learner.predict_batch(w, np.ones((3, 4)), spec), 2)
 
     def test_positive_scaling_invariance(self):
         spec = ModelSpec(learner.SOFTMAX, 4, 3)
         rng = np.random.default_rng(8)
         w = rng.normal(size=spec.param_count)
-        x = rng.normal(size=4)
-        assert learner.predict(w, x, spec) == learner.predict(3.0 * w, x, spec)
+        X = rng.normal(size=(20, 4))
+        np.testing.assert_array_equal(
+            learner.predict_batch(w, X, spec), learner.predict_batch(3.0 * w, X, spec)
+        )
 
     @given(st.floats(-5, 5))
     @settings(max_examples=30)
@@ -191,11 +204,13 @@ class TestPredict:
         spec = ModelSpec(learner.SOFTMAX, 4, 3)
         rng = np.random.default_rng(9)
         w = rng.normal(size=spec.param_count)
-        x = rng.normal(size=4)
+        X = rng.normal(size=(20, 4))
         shifted = w.copy()
         _, b = learner._views(shifted, spec)
         b += delta
-        assert learner.predict(w, x, spec) == learner.predict(shifted, x, spec)
+        np.testing.assert_array_equal(
+            learner.predict_batch(w, X, spec), learner.predict_batch(shifted, X, spec)
+        )
 
 
 class TestLocalTrain:
@@ -225,3 +240,86 @@ class TestLocalTrain:
             HyperParams(batch_size=0)
         with pytest.raises(ConfigError):
             HyperParams(prox_mu=-0.1)
+
+
+# the wide-mlp benchmark model: MNIST-shaped inputs, 64 hidden units, P = 50,890
+WIDE_MLP = ModelSpec(learner.MLP, 784, 10, hidden_dim=64)
+
+
+class TestBuffers:
+    """The buffer contract: kernels write into the caller's gradient, training copies w once."""
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec(learner.SOFTMAX, 7, 4), ModelSpec(learner.MLP, 7, 4, hidden_dim=5)]
+    )
+    def test_loss_and_grad_fills_and_returns_the_buffer(self, spec):
+        X, y = _batch(spec, n=11, seed=3)
+        w = np.random.default_rng(4).normal(scale=0.3, size=spec.param_count)
+        loss, fresh = learner.loss_and_grad(w, X, y, spec)
+        buf = np.full(spec.param_count, np.nan)
+        loss_buf, out = learner.loss_and_grad(w, X, y, spec, buf)
+        assert out is buf
+        assert loss_buf == loss
+        np.testing.assert_array_equal(buf, fresh)
+
+    def test_mismatched_buffer_is_config_error(self):
+        spec = ModelSpec(learner.SOFTMAX, 5, 3)
+        X, y = _batch(spec)
+        with pytest.raises(ConfigError):
+            learner.loss_and_grad(np.zeros(spec.param_count), X, y, spec, np.empty(spec.param_count + 1))
+
+    @pytest.mark.parametrize("method", ["plain", "fedprox", "scaffold"])
+    def test_local_train_matches_the_out_of_place_step_and_leaves_w(self, method):
+        # the reference recomputes every step with fresh arrays, in the
+        # operation order of w - lr * transform(grad, w); SCAFFOLD's variate
+        # refresh relies on the caller's w staying untouched
+        spec = ModelSpec(learner.MLP, 6, 3, hidden_dim=4)
+        X, y = _batch(spec, n=40, seed=6)
+        hp = HyperParams(lr=0.2, local_epochs=2, batch_size=16, prox_mu=0.3)
+        w0 = learner.init_params(spec, 8)
+        anchor = learner.init_params(spec, 9)
+        cv = ControlVariate(np.full(spec.param_count, 0.01), np.full(spec.param_count, -0.02))
+        fresh = {
+            "plain": lambda g, w: g,
+            "fedprox": lambda g, w: g + hp.prox_mu * (w - anchor),
+            "scaffold": lambda g, w: g - cv.local_c + cv.global_c,
+        }[method]
+        rng = np.random.default_rng(3)
+        w = w0
+        for _ in range(hp.local_epochs):
+            order = rng.permutation(40)
+            for start in range(0, 40, hp.batch_size):
+                idx = order[start : start + hp.batch_size]
+                _, g = learner.loss_and_grad(w, X[idx], y[idx], spec)
+                w = w - hp.lr * fresh(g, w)
+        direction = np.empty(spec.param_count)
+        transform = {
+            "plain": None,
+            "fedprox": lambda g, w: learner.prox_grad(g, w, anchor, hp.prox_mu, out=direction),
+            "scaffold": lambda g, w: learner.scaffold_grad(g, cv, out=g),
+        }[method]
+        w_in = w0.copy()
+        trained, steps = learner.local_train(w_in, X, y, spec, hp, np.random.default_rng(3), transform)
+        np.testing.assert_array_equal(trained, w)
+        np.testing.assert_array_equal(w_in, w0)
+        assert steps == 6 and not np.shares_memory(trained, w_in)
+
+    def test_wide_mlp_training_allocates_no_per_step_model_buffer(self):
+        # 10 steps; the copy of w and one gradient buffer are 2 P floats, the
+        # minibatch gathers and activations add under half a model
+        spec = WIDE_MLP
+        X, y = _batch(spec, n=320, seed=1)
+        w = learner.init_params(spec, 2)
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=32)
+        peak = peak_traced_bytes(lambda: learner.local_train(w, X, y, spec, hp, np.random.default_rng(0)))
+        assert peak < 3 * spec.param_count * 8
+
+    def test_transforms_write_into_the_given_buffer(self):
+        rng = np.random.default_rng(12)
+        g, w, anchor, local_c, global_c = rng.normal(size=(5, 9))
+        out = np.empty(9)
+        assert learner.prox_grad(g, w, anchor, 0.7, out=out) is out
+        np.testing.assert_array_equal(out, g + 0.7 * (w - anchor))
+        expected = g - local_c + global_c
+        assert learner.scaffold_grad(g, ControlVariate(local_c, global_c), out=g) is g
+        np.testing.assert_array_equal(g, expected)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_problem
+from conftest import peak_traced_bytes, small_problem
 from svote import netsim, protocol
 from svote.errors import ProtocolError, SimilarityError
 from svote.learner import HyperParams
@@ -54,6 +54,29 @@ class TestAggregate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             aggregate([np.zeros(3), np.zeros(4)])
+
+    def test_bit_equal_to_the_stacked_mean(self):
+        rng = np.random.default_rng(21)
+        models = list(rng.normal(size=(7, 1001)))
+        expected = np.mean(np.stack(models), axis=0)
+        before = [m.copy() for m in models]
+        out = aggregate(models)
+        np.testing.assert_array_equal(out, expected)
+        for m, b in zip(models, before):
+            np.testing.assert_array_equal(m, b)
+            assert not np.shares_memory(out, m)
+
+    def test_rows_of_a_matrix_are_a_model_sequence(self):
+        models = np.random.default_rng(22).normal(size=(4, 50))
+        np.testing.assert_array_equal(aggregate(models), np.mean(models, axis=0))
+
+    def test_peak_memory_is_one_model_not_the_stack(self):
+        k, length = 8, 50_000
+        models = [np.full(length, float(i)) for i in range(k)]
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(aggregate(models)))
+        assert peak < 1.25 * length * 8  # the output, not a k x P stack
+        np.testing.assert_array_equal(out[0], np.full(length, (k - 1) / 2))
 
 
 class TestCosineSimilarity:
