@@ -337,8 +337,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
     f1_mean, f1_std, per_client = metrics.federation_summary(result)
     report = metrics.energy(result, coeffs)
     units = metrics.work_units(result)
-    topo = build_topology(cfg)
-    equiv = fedavg_equivalent_bytes(topo, result.rounds, result.param_count)
+    equiv = fedavg_equivalent_bytes(result.topology, result.rounds, result.param_count)
     total_sent = result.ledger.total_sent()
     action_counts = {a.value: 0 for a in protocol.Action}
     for rec in result.records:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MetricError
-from .netsim import TrafficLedger
+from .netsim import Topology, TrafficLedger
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class RunResult:
     ledger: TrafficLedger
     final_models: list[np.ndarray]
     model_trace: list[list[np.ndarray]] | None = None  # [round][client] snapshots
+    topology: Topology | None = None  # the graph the engine ran on
 
 
 @dataclass(frozen=True)

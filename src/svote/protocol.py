@@ -1,12 +1,12 @@
-"""Round engines: the six-phase voting protocol and the three baselines.
+"""One round engine for the voting protocol and the three baselines.
 
-All engines run synchronous rounds over the same skeleton (train, share,
-aggregate) with canonical client-id ordering everywhere, so two runs with
-one seed are bit-identical, and the voting engine with all-permissive
-settings (tau -> -inf, fixed vote floor 0, suppression off, no divergence
-rounds) reproduces plain federated averaging exactly.
+Every method runs the same synchronous rounds (train, share, aggregate) with
+canonical client-id ordering everywhere, so two runs with one seed are
+bit-identical. A round schedule (SVoteConfig) decides which phases a round
+runs; the method only decides the gradient transform, what is shared
+(SCAFFOLD adds its control variate) and FedProx's anchor update.
 
-Round layout for the voting protocol, with r total rounds:
+Round layout, with r total rounds:
   1..t_init                     train + share + aggregate all received + own
   ..+n_diverge                  train only, zero traffic
   t_init+n_diverge+1            train + share + similarity/select/vote +
@@ -14,6 +14,11 @@ Round layout for the voting protocol, with r total rounds:
   remaining rounds until r      vote gate -> train per action, share per
                                 suppression rule, re-select/re-vote when
                                 refresh_selection, aggregate selected + own
+
+FedAvg, FedProx and SCAFFOLD run the schedule in which every round is an
+initial federated round, and the voting protocol with all-permissive
+settings (tau -> -inf, fixed vote floor 0, suppression off, no divergence
+rounds) reproduces plain federated averaging exactly.
 """
 
 from __future__ import annotations
@@ -260,147 +265,35 @@ def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: st
     return c.train_y.shape[0] * hp.local_epochs
 
 
-def _evaluate(c: _Client, model_spec: ModelSpec) -> float:
-    preds = predict_batch(c.state.w, c.test_X, model_spec)
-    return macro_f1(preds, c.test_y, model_spec.num_classes)
-
-
-def _record_round(
-    records: list[MetricsRecord],
-    clients: list[_Client],
-    ledger: TrafficLedger,
-    model_spec: ModelSpec,
-    rnd: int,
-    actions: dict[int, Action],
-    samples: dict[int, int],
-    models_agg: dict[int, int],
-):
-    for c in clients:
-        cid = c.state.id
-        sent, received = ledger.round_bytes(rnd, cid)
-        records.append(
-            MetricsRecord(
-                round=rnd,
-                client=cid,
-                f1=_evaluate(c, model_spec),
-                bytes_sent=sent,
-                bytes_received=received,
-                action=actions[cid].value,
-                samples_trained=samples[cid],
-                models_aggregated=models_agg[cid],
-            )
-        )
-
-
-def _finalize(
-    method: str,
-    clients: list[_Client],
-    topo: Topology,
-    rounds: int,
-    model_spec: ModelSpec,
-    records: list[MetricsRecord],
-    ledger: TrafficLedger,
-    trace: list[list[np.ndarray]] | None,
-) -> RunResult:
-    return RunResult(
-        method=method,
-        num_clients=topo.num_clients,
-        rounds=rounds,
-        param_count=model_spec.param_count,
-        records=records,
-        ledger=ledger,
-        final_models=[c.state.w.copy() for c in clients],
-        model_trace=trace,
-    )
-
-
-# ------------------------------------------------------------------- engines
-
-
-def _baseline_share_and_aggregate(
-    bus: MessageBus, clients: list[_Client], kind: str, rnd: int
-) -> dict[int, int]:
-    """Share phase and aggregation of one baseline round; returns models averaged per client.
-
-    Every client sends its model (and, under SCAFFOLD, its control variate) to
-    every neighbour and averages all arrivals with its own. The payloads are
-    rows of one n x P matrix per vector kind, which die when this returns.
-    """
-    payloads = [np.stack([c.state.w for c in clients])]
-    if kind == SCAFFOLD:
-        payloads.append(np.stack([c.state.cv.local_c for c in clients]))
-    for c, payload in zip(clients, zip(*payloads)):
-        broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, payload, rnd)
-    bus.flush()
-    models_agg: dict[int, int] = {}
-    for c in clients:
-        updates = [m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE]
-        stack = [c.state.w] + [m.payload[0] for m in updates]
-        c.state.w = aggregate(stack)
-        models_agg[c.state.id] = len(stack)
-        if kind == SCAFFOLD:
-            c.state.cv.global_c = aggregate([c.state.cv.local_c] + [m.payload[1] for m in updates])
-        if kind == FEDPROX:
-            # aggregate and local_train return new arrays and mutate no model,
-            # so the anchor can share the aggregated array
-            c.state.w_anchor = c.state.w
-    bus.flush()
-    return models_agg
-
-
-def run_baseline(
-    kind: str,
-    model_spec: ModelSpec,
-    hp: HyperParams,
-    topo: Topology,
-    shards,
-    seed: int,
-    rounds: int = 30,
-    trace_models: bool = False,
-) -> RunResult:
-    """FedAvg / FedProx / SCAFFOLD: every round trains, shares, aggregates."""
-    if kind not in BASELINES:
-        raise ConfigError(f"unknown baseline {kind!r}")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
-    clients = _setup_clients(model_spec, topo, shards, seed, kind)
-    ledger = TrafficLedger()
-    bus = MessageBus(topo, ledger)
-    records: list[MetricsRecord] = []
-    trace: list[list[np.ndarray]] | None = [] if trace_models else None
-
-    for rnd in range(1, rounds + 1):
-        samples = {c.state.id: _train_client(c, model_spec, hp, kind) for c in clients}
-        models_agg = _baseline_share_and_aggregate(bus, clients, kind, rnd)
-        actions = {c.state.id: Action.TRAIN_LOCAL for c in clients}
-        _record_round(records, clients, ledger, model_spec, rnd, actions, samples, models_agg)
-        if trace is not None:
-            trace.append([c.state.w.copy() for c in clients])
-
-    return _finalize(kind, clients, topo, rounds, model_spec, records, ledger, trace)
+# -------------------------------------------------------------------- engine
 
 
 def _share_and_aggregate(
     bus: MessageBus,
     clients: list[_Client],
+    method: str,
     cfg: SVoteConfig,
     rnd: int,
     models_agg: dict[int, int],
 ):
-    """Share phase and aggregation of one vote-protocol round.
+    """Share phase and aggregation of one round.
 
     Initial federated rounds average every arrival. The selection round, and
     each gated round when refresh_selection is on, select peers from the
     round's arrivals and vote for them; other gated rounds keep the last
     selection. Models are stacked once into an n x P matrix whose rows are
-    the MODEL_UPDATE payloads, and one cosine matrix of it holds every
-    similarity of the round. Both die when this returns, before the next
-    round stacks its models.
+    the MODEL_UPDATE payloads (SCAFFOLD adds a second matrix of control
+    variates), and one cosine matrix of it holds every similarity of the
+    round. They die when this returns, before the next round stacks its
+    models.
     """
     models = np.stack([c.state.w for c in clients])
-    for c, row in zip(clients, models):
+    payloads = [models]
+    if method == SCAFFOLD:
+        payloads.append(np.stack([c.state.cv.local_c for c in clients]))
+    for c, payload in zip(clients, zip(*payloads)):
         if c.state.trained_this_round or not cfg.suppress_nontrainer_updates:
-            broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, (row,), rnd)
+            broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, payload, rnd)
         else:
             broadcast(bus, c.state.id, MessageKind.NO_UPDATE, None, rnd)
     bus.flush()
@@ -419,26 +312,34 @@ def _share_and_aggregate(
         stack = [c.state.w] + [m.payload[0] for m in updates]
         c.state.w = aggregate(stack)
         models_agg[c.state.id] = len(stack)
+        if method == SCAFFOLD:
+            c.state.cv.global_c = aggregate([c.state.cv.local_c] + [m.payload[1] for m in updates])
+        if method == FEDPROX:
+            # aggregate and local_train return new arrays and mutate no model,
+            # so the anchor can share the aggregated array
+            c.state.w_anchor = c.state.w
     bus.flush()  # votes become visible to the next round's gate
 
 
-def run_svote(
+def _run(
+    method: str,
     cfg: SVoteConfig,
+    rounds: int,
     model_spec: ModelSpec,
     hp: HyperParams,
     topo: Topology,
     shards,
     seed: int,
-    trace_models: bool = False,
+    trace_models: bool,
 ) -> RunResult:
-    """The voting protocol over cfg.total_rounds synchronous rounds."""
-    clients = _setup_clients(model_spec, topo, shards, seed, SVOTE)
+    """Rounds 1..rounds of the round schedule cfg, training and sharing as method does."""
+    clients = _setup_clients(model_spec, topo, shards, seed, method)
     ledger = TrafficLedger()
     bus = MessageBus(topo, ledger)
     records: list[MetricsRecord] = []
     trace: list[list[np.ndarray]] | None = [] if trace_models else None
 
-    for rnd in range(1, cfg.total_rounds + 1):
+    for rnd in range(1, rounds + 1):
         actions: dict[int, Action] = {}
         samples: dict[int, int] = {c.state.id: 0 for c in clients}
         models_agg: dict[int, int] = {c.state.id: 0 for c in clients}
@@ -448,7 +349,7 @@ def run_svote(
             # all train unconditionally
             for c in clients:
                 actions[c.state.id] = Action.TRAIN_LOCAL
-                samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
+                samples[c.state.id] = _train_client(c, model_spec, hp, method)
         else:
             # gated rounds: votes from the previous round decide who trains
             for c in clients:
@@ -462,14 +363,72 @@ def run_svote(
                 if action is Action.SKIP:
                     c.state.trained_this_round = False
                 else:
-                    samples[c.state.id] = _train_client(c, model_spec, hp, SVOTE)
+                    samples[c.state.id] = _train_client(c, model_spec, hp, method)
 
         # divergence rounds are local-only, with zero traffic
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            _share_and_aggregate(bus, clients, cfg, rnd, models_agg)
+            _share_and_aggregate(bus, clients, method, cfg, rnd, models_agg)
 
-        _record_round(records, clients, ledger, model_spec, rnd, actions, samples, models_agg)
+        for c in clients:
+            cid = c.state.id
+            sent, received = ledger.round_bytes(rnd, cid)
+            preds = predict_batch(c.state.w, c.test_X, model_spec)
+            records.append(
+                MetricsRecord(
+                    round=rnd,
+                    client=cid,
+                    f1=macro_f1(preds, c.test_y, model_spec.num_classes),
+                    bytes_sent=sent,
+                    bytes_received=received,
+                    action=actions[cid].value,
+                    samples_trained=samples[cid],
+                    models_aggregated=models_agg[cid],
+                )
+            )
         if trace is not None:
             trace.append([c.state.w.copy() for c in clients])
 
-    return _finalize(SVOTE, clients, topo, cfg.total_rounds, model_spec, records, ledger, trace)
+    return RunResult(
+        method=method,
+        num_clients=topo.num_clients,
+        rounds=rounds,
+        param_count=model_spec.param_count,
+        records=records,
+        ledger=ledger,
+        final_models=[c.state.w.copy() for c in clients],
+        model_trace=trace,
+        topology=topo,
+    )
+
+
+def run_svote(
+    cfg: SVoteConfig,
+    model_spec: ModelSpec,
+    hp: HyperParams,
+    topo: Topology,
+    shards,
+    seed: int,
+    trace_models: bool = False,
+) -> RunResult:
+    """The voting protocol over cfg.total_rounds synchronous rounds."""
+    return _run(SVOTE, cfg, cfg.total_rounds, model_spec, hp, topo, shards, seed, trace_models)
+
+
+def run_baseline(
+    kind: str,
+    model_spec: ModelSpec,
+    hp: HyperParams,
+    topo: Topology,
+    shards,
+    seed: int,
+    rounds: int = 30,
+    trace_models: bool = False,
+) -> RunResult:
+    """FedAvg / FedProx / SCAFFOLD: the engine with every round an initial federated round."""
+    if kind not in BASELINES:
+        raise ConfigError(f"unknown baseline {kind!r}")
+    if rounds < 1:
+        raise ConfigError("rounds must be >= 1")
+    # the selection round (rounds + 1) lies past the last round run
+    schedule = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)
+    return _run(kind, schedule, rounds, model_spec, hp, topo, shards, seed, trace_models)

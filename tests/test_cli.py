@@ -107,6 +107,14 @@ class TestRunExperiment:
         assert summary["total_bytes_sent"] == summary["fedavg_equivalent_bytes"]
         assert summary["byte_reduction_pct"] == 0.0
 
+    def test_summary_uses_the_topology_the_run_used(self, monkeypatch):
+        cfg = cli.parse_config_text(FAST.format(method="fedavg", seed=4) + "topology = erdos\nerdos.p = 0.6\n")
+        result = cli.execute(cfg)
+        assert result.topology == cli.build_topology(cfg)
+        monkeypatch.setattr(cli, "build_topology", lambda cfg: pytest.fail("topology rebuilt"))
+        summary = cli.build_summary(cfg, result)
+        assert summary["fedavg_equivalent_bytes"] == summary["total_bytes_sent"]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = cli.parse_config_text(FAST.format(method="svote", seed=5))
         out1 = os.path.join(str(tmp_path), "a")

@@ -1,80 +1,7 @@
-"""Both kernel backends must agree; the env flag must select the fallback."""
-
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
+"""The kernel module reports the implementation it runs."""
 
 from svote import kernels
 
 
-def _random_case(rng, n, d, c):
-    X = rng.normal(size=(n, d))
-    y = rng.integers(0, c, size=n)
-    return X, y
-
-
 def test_active_backend_is_known():
     assert kernels.active_backend() in ("numba", "numpy")
-
-
-@pytest.mark.skipif(kernels.softmax_loss_grad_nb is None, reason="numba unavailable")
-@pytest.mark.parametrize("n,d,c", [(1, 1, 2), (7, 3, 4), (32, 16, 6), (50, 5, 3)])
-def test_softmax_backends_agree(n, d, c):
-    rng = np.random.default_rng(n * 100 + d)
-    X, y = _random_case(rng, n, d, c)
-    W = rng.normal(scale=0.3, size=(d, c))
-    b = rng.normal(scale=0.1, size=c)
-    gW1, gb1 = np.empty_like(W), np.empty_like(b)
-    gW2, gb2 = np.empty_like(W), np.empty_like(b)
-    l1 = kernels.softmax_loss_grad_np(X.copy(), y, W, b, gW1, gb1)
-    l2 = kernels.softmax_loss_grad_nb(X.copy(), y, W, b, gW2, gb2)
-    assert l1 == pytest.approx(l2, abs=1e-12)
-    np.testing.assert_allclose(gW1, gW2, atol=1e-12)
-    np.testing.assert_allclose(gb1, gb2, atol=1e-12)
-
-
-@pytest.mark.skipif(kernels.mlp_loss_grad_nb is None, reason="numba unavailable")
-@pytest.mark.parametrize("n,d,h,c", [(1, 2, 3, 2), (9, 4, 8, 3), (32, 16, 32, 6)])
-def test_mlp_backends_agree(n, d, h, c):
-    rng = np.random.default_rng(n * 1000 + h)
-    X, y = _random_case(rng, n, d, c)
-    W1 = rng.normal(scale=0.3, size=(d, h))
-    b1 = rng.normal(scale=0.1, size=h)
-    W2 = rng.normal(scale=0.3, size=(h, c))
-    b2 = rng.normal(scale=0.1, size=c)
-    outs = []
-    for fn in (kernels.mlp_loss_grad_np, kernels.mlp_loss_grad_nb):
-        gW1, gb1 = np.empty_like(W1), np.empty_like(b1)
-        gW2, gb2 = np.empty_like(W2), np.empty_like(b2)
-        loss = fn(X.copy(), y, W1, b1, W2, b2, gW1, gb1, gW2, gb2)
-        outs.append((loss, gW1, gb1, gW2, gb2))
-    assert outs[0][0] == pytest.approx(outs[1][0], abs=1e-12)
-    for a, b in zip(outs[0][1:], outs[1][1:]):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SVOTE_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from svote import kernels; print(kernels.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, SVOTE_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import svote.kernels"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "SVOTE_BACKEND" in out.stderr

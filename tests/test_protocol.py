@@ -263,7 +263,37 @@ def _run_pair(seed=42, rounds=8, **sv_over):
     return fed, sv
 
 
+@st.composite
+def _connected_topologies(draw, max_clients=6):
+    """A random spanning tree over 2..max_clients clients plus random extra edges."""
+    n = draw(st.integers(2, max_clients))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, kept in zip(pairs, keep) if kept}
+    return netsim.Topology(n, frozenset(edges))
+
+
 class TestEngines:
+    @given(_connected_topologies(), st.sampled_from(protocol.BASELINES), st.integers(1, 3),
+           st.integers(1, 2), st.integers(0, 2**16))
+    @settings(max_examples=50, deadline=None)
+    def test_baseline_rounds_never_reach_the_vote_branches(self, topo, kind, rounds, epochs, seed):
+        _, shards, _, spec = small_problem(seed=seed, num_clients=topo.num_clients)
+        hp = HyperParams(lr=0.1, local_epochs=epochs, batch_size=16)
+        res = run_baseline(kind, spec, hp, topo, shards, seed, rounds=rounds)
+        payload_vectors = 2 if kind == protocol.SCAFFOLD else 1
+        size = netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * payload_vectors * spec.param_count
+        assert len(res.records) == rounds * topo.num_clients
+        for rec in res.records:
+            degree = topo.degree(rec.client)
+            assert rec.action == Action.TRAIN_LOCAL.value
+            assert rec.models_aggregated == degree + 1
+            assert rec.samples_trained == shards[rec.client][0].labels.shape[0] * epochs
+            assert rec.bytes_sent == degree * size
+        assert res.ledger.kind_bytes.get(MessageKind.VOTE, 0) == 0
+        assert res.ledger.kind_bytes.get(MessageKind.NO_UPDATE, 0) == 0
+
     def test_degenerate_svote_equals_fedavg_bitwise(self):
         fed, sv = _run_pair()
         for rnd in range(len(fed.model_trace)):
