@@ -125,7 +125,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     short = total - int(counts.sum())
     if short > 0:
         # ties broken by client index for determinism
-        order = np.lexsort((np.arange(proportions.shape[0]), -(raw - counts)))
+        order = np.argsort(-(raw - counts), kind="stable")
         counts[order[:short]] += 1
     return counts
 
@@ -149,24 +149,26 @@ def dirichlet_partition(
         )
     rng = np.random.default_rng(seed)
     class_indices = [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
+    class_indices = [idx for idx in class_indices if idx.size]
+    concentration = np.full(num_clients, alpha)
     for _ in range(_MAX_PARTITION_ATTEMPTS):
-        buckets: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+        # a rejected plan costs only its draws: the shards are built once,
+        # for the plan that passes
+        draws = []
+        sizes = np.zeros(num_clients, dtype=np.int64)
         for idx in class_indices:
-            if idx.size == 0:
-                continue
             shuffled = rng.permutation(idx)
-            counts = _largest_remainder(rng.dirichlet(np.full(num_clients, alpha)), idx.size)
-            offset = 0
-            for client, k in enumerate(counts):
-                if k:
-                    buckets[client].append(shuffled[offset : offset + k])
-                offset += k
-        sizes = [sum(len(part) for part in parts) for parts in buckets]
-        if min(sizes) >= min_shard:
-            assignment = {
-                client: np.sort(np.concatenate(parts)) for client, parts in enumerate(buckets)
-            }
-            return PartitionPlan(alpha, num_clients, seed, assignment)
+            counts = _largest_remainder(rng.dirichlet(concentration), idx.size)
+            sizes += counts
+            draws.append((shuffled, counts))
+        if sizes.min() >= min_shard:
+            owner = np.empty(len(data), dtype=np.intp)
+            clients = np.arange(num_clients)
+            for shuffled, counts in draws:
+                owner[shuffled] = np.repeat(clients, counts)
+            # grouped by client, each shard in ascending sample order
+            shards = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
+            return PartitionPlan(alpha, num_clients, seed, dict(enumerate(shards)))
     raise ConfigError(
         f"could not satisfy min_shard={min_shard} for {num_clients} clients "
         f"after {_MAX_PARTITION_ATTEMPTS} draws; dataset too small or alpha too skewed"

@@ -1,7 +1,10 @@
 """Hot numeric kernels: cross-entropy forward/backward for both model kinds.
 
 Every kernel writes its gradients into the caller's arrays (views into one
-flat gradient vector) and allocates nothing of their size.
+flat gradient vector) and allocates nothing of their size. On desk-scale
+batches (32 x 6 logits) each numpy call costs more than its arithmetic, so
+reductions call the ufunc's `reduce` directly: `np.sum`, `ndarray.sum` and
+`ndarray.mean` run the same reduction behind 2-4 us of wrapper each.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ import numpy as np
 
 def _softmax_in_place(z):
     """Row-wise softmax of the logits z, overwriting z."""
-    z -= z.max(axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
 
 
@@ -21,8 +24,11 @@ def _loss_and_delta(p, y):
     """Mean cross-entropy of the probabilities p; turns p into dL/dz in place."""
     n = p.shape[0]
     rows = np.arange(n)
-    loss = -np.log(p[rows, y]).mean()
-    p[rows, y] -= 1.0
+    p_label = p[rows, y]
+    # the mean is the pairwise sum over n, as ndarray.mean computes it
+    loss = -np.add.reduce(np.log(p_label)) / n
+    p_label -= 1.0
+    p[rows, y] = p_label
     p /= n
     return loss
 
@@ -38,7 +44,7 @@ def softmax_loss_grad(X, y, W, b, gW, gb):
     d = _softmax_in_place(z)
     loss = _loss_and_delta(d, y)
     np.matmul(X.T, d, out=gW)
-    np.sum(d, axis=0, out=gb)
+    np.add.reduce(d, axis=0, out=gb)
     return loss
 
 
@@ -52,14 +58,14 @@ def mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2):
     d = _softmax_in_place(z)
     loss = _loss_and_delta(d, y)
     np.matmul(H.T, d, out=gW2)
-    np.sum(d, axis=0, out=gb2)
+    np.add.reduce(d, axis=0, out=gb2)
     dH = d @ W2.T
     # H is spent: turn it into the tanh derivative 1 - H^2
     np.multiply(H, H, out=H)
     np.subtract(1.0, H, out=H)
     dH *= H
     np.matmul(X.T, dH, out=gW1)
-    np.sum(dH, axis=0, out=gb1)
+    np.add.reduce(dH, axis=0, out=gb1)
     return loss
 
 

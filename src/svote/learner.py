@@ -7,6 +7,7 @@ softmax regression and a one-hidden-layer tanh MLP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,9 +126,10 @@ def loss_and_grad(
         W1, b1, W2, b2 = _views(w, spec)
         gW1, gb1, gW2, gb2 = _views(grad, spec)
         loss = kernels.mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2)
-    if not np.isfinite(loss):
+    loss = float(loss)
+    if not math.isfinite(loss):
         raise ProtocolError("non-finite loss: model diverged")
-    return float(loss), grad
+    return loss, grad
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

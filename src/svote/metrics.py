@@ -82,28 +82,34 @@ def macro_f1(predictions, truth, num_classes: int) -> float:
         raise MetricError("empty prediction or truth sequence")
     if predictions.shape != truth.shape:
         raise MetricError("predictions/truth length mismatch")
-    confusion = np.bincount(
-        _class_index(truth, num_classes) * (num_classes + 1) + _class_index(predictions, num_classes),
-        minlength=(num_classes + 1) ** 2,
-    ).reshape(num_classes + 1, num_classes + 1)
-    tp = np.diag(confusion)[:num_classes]
-    true_count = confusion[:num_classes, :].sum(axis=1)
-    pred_count = confusion[:, :num_classes].sum(axis=0)
+    cells = _class_index(truth, num_classes)
+    cells *= num_classes + 1
+    cells += _class_index(predictions, num_classes)
+    confusion = np.bincount(cells, minlength=(num_classes + 1) ** 2).reshape(num_classes + 1, num_classes + 1)
+    tp = confusion.diagonal()[:num_classes]
+    true_count = np.add.reduce(confusion[:num_classes, :], axis=1)
+    pred_count = np.add.reduce(confusion[:, :num_classes], axis=0)
     present = (true_count > 0) | (pred_count > 0)
     if not present.any():
         raise MetricError("no class present in truth or predictions")
     # 2tp + fp + fn, with fp = pred_count - tp and fn = true_count - tp: positive
     # for every present class
     scores = 2 * tp[present] / (true_count + pred_count)[present]
-    return float(np.mean(scores))
+    # the mean is the pairwise sum over the count, as np.mean computes it
+    return float(np.add.reduce(scores) / scores.size)
 
 
 def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Class id of each label; `num_classes` for a label that names no class.
+    """Class id of each label, in a new array; `num_classes` for a label that names no class.
 
     Such labels (out of range, or not integral) only ever count as misses.
     """
     labels = labels.ravel()
+    if labels.dtype.kind in "biu":
+        # a negative label wraps to a huge unsigned value, so one clamp
+        # catches both ends of the range
+        index = labels.astype(np.uintp)
+        return np.minimum(index, num_classes, out=index).view(np.intp)
     names_class = (labels >= 0) & (labels < num_classes)
     if labels.dtype.kind == "f":
         names_class &= labels == np.floor(labels)

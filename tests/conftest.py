@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -53,3 +55,21 @@ def peak_traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return peak - base
+
+
+@contextmanager
+def counted_class_splits():
+    """Record the sample count of every per-class split the partitioner makes.
+
+    Patches `datahub._largest_remainder`, the module attribute the
+    partitioner looks up once per non-empty class per attempt.
+    """
+    splits = []
+    split = datahub._largest_remainder
+
+    def counted(proportions, total):
+        splits.append(total)
+        return split(proportions, total)
+
+    with mock.patch.object(datahub, "_largest_remainder", counted):
+        yield splits

@@ -2,10 +2,14 @@
 
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import counted_class_splits
 from svote import datahub, learner
 from svote.errors import ConfigError, FormatError
 
@@ -212,6 +216,103 @@ class TestDirichletPartition:
             datahub.dirichlet_partition(data, 1, 0.5, seed=1)
         with pytest.raises(ConfigError):
             datahub.dirichlet_partition(data, 5, 0.0, seed=1)
+
+
+def _whole_plan_redraws(data, num_clients, alpha, seed, min_shard, max_attempts):
+    """Reference partitioner: every attempt slices its per-client buckets.
+
+    The largest-remainder tie break is a lexsort on an index key. The
+    partitioner must return the same plan, or fail with the same error,
+    from the same seeded stream.
+    """
+    rng = np.random.default_rng(seed)
+    class_indices = [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
+    for _ in range(max_attempts):
+        buckets = [[] for _ in range(num_clients)]
+        for idx in class_indices:
+            if idx.size == 0:
+                continue
+            shuffled = rng.permutation(idx)
+            proportions = rng.dirichlet(np.full(num_clients, alpha))
+            raw = proportions * idx.size
+            counts = np.floor(raw).astype(np.int64)
+            short = idx.size - int(counts.sum())
+            if short > 0:
+                order = np.lexsort((np.arange(num_clients), -(raw - counts)))
+                counts[order[:short]] += 1
+            offset = 0
+            for client, k in enumerate(counts):
+                if k:
+                    buckets[client].append(shuffled[offset : offset + k])
+                offset += k
+        sizes = [sum(len(part) for part in parts) for parts in buckets]
+        if min(sizes) >= min_shard:
+            return {client: np.sort(np.concatenate(parts)) for client, parts in enumerate(buckets)}
+    raise ConfigError(
+        f"could not satisfy min_shard={min_shard} for {num_clients} clients "
+        f"after {max_attempts} draws; dataset too small or alpha too skewed"
+    )
+
+
+@st.composite
+def _partition_case(draw):
+    num_classes = draw(st.integers(2, 5))
+    per_class = draw(st.lists(st.integers(1, 30), min_size=num_classes, max_size=num_classes))
+    empty = draw(st.integers(0, num_classes))  # == num_classes: no empty class
+    if empty < num_classes:
+        per_class[empty] = 0
+    num_clients = draw(st.integers(2, 6))
+    total = sum(per_class)
+    if total < num_clients:
+        per_class[-1] += num_clients - total
+        total = num_clients
+    # a floor near total / num_clients forces redraws, and sometimes exhausts them
+    return {
+        "per_class": per_class,
+        "num_clients": num_clients,
+        "alpha": draw(st.sampled_from([0.05, 0.3, 1.0, 5.0])),
+        "min_shard": draw(st.integers(1, total // num_clients)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestPartitionAgainstWholePlanRedraws:
+    @given(_partition_case())
+    @settings(max_examples=150, deadline=None)
+    def test_same_plan_or_same_error(self, case):
+        num_classes = len(case["per_class"])
+        labels = np.repeat(np.arange(num_classes), case["per_class"])
+        labels = np.random.default_rng(case["seed"]).permutation(labels)
+        data = datahub.LabeledDataset(np.zeros((labels.size, 1)), labels, num_classes)
+        args = (data, case["num_clients"], case["alpha"], case["seed"], case["min_shard"])
+        attempts = 25
+        with mock.patch.object(datahub, "_MAX_PARTITION_ATTEMPTS", attempts):
+            try:
+                expected = _whole_plan_redraws(*args, attempts)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    datahub.dirichlet_partition(*args)
+                assert str(got.value) == str(exc)
+                return
+            plan = datahub.dirichlet_partition(*args)
+        assert sorted(plan.assignment) == list(range(case["num_clients"]))
+        for client, shard in expected.items():
+            assert plan.assignment[client].dtype == shard.dtype
+            np.testing.assert_array_equal(plan.assignment[client], shard)
+
+    def test_exhausted_attempts_raise_the_same_config_error(self):
+        # 4 clients of exactly 5 samples each out of 20: at alpha 0.01 each class
+        # lands almost whole on one client, so no attempt passes
+        labels = np.repeat(np.arange(2), 10)
+        data = datahub.LabeledDataset(np.zeros((20, 1)), labels, 2)
+        with counted_class_splits() as splits, pytest.raises(ConfigError) as got:
+            datahub.dirichlet_partition(data, 4, 0.01, seed=2, min_shard=5)
+        assert str(got.value) == (
+            "could not satisfy min_shard=5 for 4 clients after 10000 draws; "
+            "dataset too small or alpha too skewed"
+        )
+        # every attempt splits both classes, through the module attribute
+        assert len(splits) == 2 * 10_000
 
 
 # -------------------------------------------------------------------- splits

@@ -14,9 +14,12 @@ BLAS threads.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
-from svote import cli
+from conftest import counted_class_splits
+from svote import cli, datahub
+from svote.seeding import derive_seed
 
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -121,3 +124,25 @@ def test_artifacts_match_golden_digests(name, tmp_path):
         with open(tmp_path / artifact, "rb") as f:
             digests.append(hashlib.sha256(f.read()).hexdigest())
     assert tuple(digests) == GOLDEN[name]
+
+
+# the dense-100 benchmark partition: 100 clients, 6 x 4,000 samples, alpha 0.5,
+# min_shard 64 (= 2 * batch_size 32), config seed 1; the plan depends on the
+# labels only
+DENSE100_PLAN = "a395427caec838ae5cf3fb08de9ec1249b0692ccf04409b32e4b314f8f28a41b"
+
+
+def test_dense100_partition_matches_golden_digest():
+    labels = np.repeat(np.arange(6), 4000)
+    data = datahub.LabeledDataset(np.zeros((labels.size, 1)), labels, 6)
+    with counted_class_splits() as splits:
+        plan = datahub.dirichlet_partition(data, 100, 0.5, derive_seed(1, "partition"), min_shard=64)
+    # 29 whole-plan draws of 6 class splits each; the 29th passes
+    assert len(splits) == 29 * 6
+    digest = hashlib.sha256()
+    for client in range(100):
+        shard = plan.assignment[client]
+        assert shard.dtype == np.int64
+        digest.update(np.int64(shard.size).tobytes())
+        digest.update(shard.tobytes())
+    assert digest.hexdigest() == DENSE100_PLAN

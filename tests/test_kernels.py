@@ -1,7 +1,111 @@
-"""The kernel module reports the implementation it runs."""
+"""The kernel module: its reported implementation, and bit-equality with a reference formulation."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svote import kernels
 
 
 def test_active_backend_is_known():
     assert kernels.active_backend() in ("numba", "numpy")
+
+
+# ---------------------------------------------------------------- oracle
+# Reference formulation through the numpy wrappers: ndarray.max, ndarray.sum,
+# ndarray.mean and np.sum, with a second label gather for the write-back. The
+# kernels must match it bit for bit: loss and every gradient entry.
+
+
+def _ref_softmax_in_place(z):
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _ref_loss_and_delta(p, y):
+    n = p.shape[0]
+    rows = np.arange(n)
+    loss = -np.log(p[rows, y]).mean()
+    p[rows, y] -= 1.0
+    p /= n
+    return loss
+
+
+def _ref_softmax_loss_grad(X, y, W, b):
+    z = X @ W
+    z += b
+    d = _ref_softmax_in_place(z)
+    loss = _ref_loss_and_delta(d, y)
+    return loss, X.T @ d, np.sum(d, axis=0)
+
+
+def _ref_mlp_loss_grad(X, y, W1, b1, W2, b2):
+    H = X @ W1
+    H += b1
+    np.tanh(H, out=H)
+    z = H @ W2
+    z += b2
+    d = _ref_softmax_in_place(z)
+    loss = _ref_loss_and_delta(d, y)
+    gW2 = H.T @ d
+    gb2 = np.sum(d, axis=0)
+    dH = d @ W2.T
+    np.multiply(H, H, out=H)
+    np.subtract(1.0, H, out=H)
+    dH *= H
+    return loss, X.T @ dH, np.sum(dH, axis=0), gW2, gb2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# batch sizes 1-40 cover the ragged last batch of every batch size the
+# configs use; a scale up to 1e4 drives label probabilities to 0 (infinite loss)
+_problem = st.fixed_dictionaries(
+    {
+        "n": st.integers(1, 40),
+        "d": st.integers(1, 6),
+        "c": st.integers(2, 5),
+        "h": st.integers(1, 6),
+        "scale": st.sampled_from([1e-3, 0.05, 1.0, 30.0, 1e4]),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+@given(_problem)
+@settings(max_examples=150, deadline=None)
+def test_softmax_kernel_is_bit_equal_to_the_reference(p):
+    rng = np.random.default_rng(p["seed"])
+    X = rng.normal(size=(p["n"], p["d"]))
+    y = rng.integers(0, p["c"], size=p["n"])
+    W = rng.normal(scale=p["scale"], size=(p["d"], p["c"]))
+    b = rng.normal(scale=p["scale"], size=p["c"])
+    gW, gb = np.full_like(W, np.nan), np.full_like(b, np.nan)
+    with np.errstate(all="ignore"):
+        expected = _ref_softmax_loss_grad(X, y, W, b)
+        loss = kernels.softmax_loss_grad(X, y, W, b, gW, gb)
+    for got, want in zip((loss, gW, gb), expected):
+        assert _same_bits(got, want)
+
+
+@given(_problem)
+@settings(max_examples=150, deadline=None)
+def test_mlp_kernel_is_bit_equal_to_the_reference(p):
+    rng = np.random.default_rng(p["seed"])
+    n, d, c, h = p["n"], p["d"], p["c"], p["h"]
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, c, size=n)
+    W1, b1 = rng.normal(scale=p["scale"], size=(d, h)), rng.normal(scale=p["scale"], size=h)
+    W2, b2 = rng.normal(scale=p["scale"], size=(h, c)), rng.normal(scale=p["scale"], size=c)
+    grads = [np.full_like(a, np.nan) for a in (W1, b1, W2, b2)]
+    with np.errstate(all="ignore"):
+        expected = _ref_mlp_loss_grad(X, y, W1, b1, W2, b2)
+        loss = kernels.mlp_loss_grad(X, y, W1, b1, W2, b2, *grads)
+    gW1, gb1, gW2, gb2 = grads
+    for got, want in zip((loss, gW1, gb1, gW2, gb2), expected):
+        assert _same_bits(got, want)

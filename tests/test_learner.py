@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient, peak_traced_bytes
 from svote import learner
-from svote.errors import ConfigError
+from svote.errors import ConfigError, ProtocolError
 from svote.learner import ControlVariate, HyperParams, ModelSpec
 
 
@@ -96,6 +96,54 @@ class TestLossAndGrad:
             learner.loss_and_grad(np.zeros(4), X, y, spec)
         with pytest.raises(ConfigError):
             learner.loss_and_grad(np.zeros(spec.param_count), X[:0], y[:0], spec)
+
+    def test_loss_is_a_python_float(self):
+        spec = ModelSpec(learner.MLP, 5, 3, hidden_dim=4)
+        X, y = _batch(spec)
+        loss, _ = learner.loss_and_grad(learner.init_params(spec, 1), X, y, spec)
+        assert type(loss) is float
+
+
+_DIVERGENCE_SPECS = [ModelSpec(learner.SOFTMAX, 5, 3), ModelSpec(learner.MLP, 5, 3, hidden_dim=4)]
+
+
+class TestDivergence:
+    """A non-finite loss stops the run with ProtocolError instead of spreading NaN models.
+
+    numpy's floating-point warnings are silenced here: the check must fire
+    whether or not the arithmetic warns on the way.
+    """
+
+    @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, spec, bad):
+        X, y = _batch(spec)
+        w = learner.init_params(spec, 2)
+        w[-1] = bad  # a bias of the output layer
+        with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
+            learner.loss_and_grad(w, X, y, spec)
+
+    @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
+    def test_label_probability_driven_to_zero(self, spec):
+        # finite weights whose logits put every label's probability below the
+        # smallest double: log(0) makes the loss infinite
+        X, y = _batch(spec)
+        y = np.zeros_like(y)
+        w = np.zeros(spec.param_count)
+        b_out = learner._views(w, spec)[-1]
+        b_out[:] = 1e4
+        b_out[0] = -1e4
+        with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
+            learner.loss_and_grad(w, X, y, spec)
+
+    @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
+    def test_local_train_stops_on_divergence(self, spec):
+        # a step size of 1e300 overflows the weights after the first step
+        X, y = _batch(spec, n=40)
+        hp = HyperParams(lr=1e300, local_epochs=2, batch_size=8)
+        w = learner.init_params(spec, 3)
+        with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
+            learner.local_train(w, X, y, spec, hp, np.random.default_rng(0))
 
 
 class TestSgdStep:

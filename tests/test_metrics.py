@@ -70,15 +70,24 @@ class TestMacroF1:
         after = macro_f1(preds[perm], np.asarray(truth)[perm], 4)
         assert before == pytest.approx(after, abs=1e-12)
 
-    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
-        st.just(k),
-        st.lists(st.tuples(st.integers(-2, k + 1), st.integers(-2, k + 1)), min_size=1, max_size=60),
-    )))
-    @settings(max_examples=200)
-    def test_matches_per_class_loop(self, case):
-        # labels outside [0, k) name no class and count only as misses
+    @given(
+        st.integers(1, 6).flatmap(lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.integers(-2, k + 1), st.integers(-2, k + 1)), min_size=1, max_size=60),
+        )),
+        st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, np.float64]),
+    )
+    @settings(max_examples=300)
+    def test_matches_per_class_loop(self, case, dtype):
+        # labels outside [0, k) name no class and count only as misses: the
+        # cast to an unsigned dtype wraps -1 and -2 to its two largest values,
+        # a float dtype also gets non-integral labels
         k, pairs = case
         preds, truth = (np.array(side) for side in zip(*pairs))
+        if np.dtype(dtype).kind == "f":
+            # a label of k + 1 becomes k - 0.5
+            preds, truth = (np.where(side == k + 1, k - 0.5, side) for side in (preds, truth))
+        preds, truth = preds.astype(dtype), truth.astype(dtype)
         try:
             expected = _macro_f1_per_class_loop(preds, truth, k)
         except MetricError:
