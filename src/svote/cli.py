@@ -268,14 +268,13 @@ def build_topology(cfg: ExperimentConfig) -> netsim.Topology:
 
 def build_shards(cfg: ExperimentConfig, data: datahub.LabeledDataset):
     min_shard = max(2 * cfg.batch_size, 2 * data.num_classes)
-    plan = datahub.dirichlet_partition(
+    indices = datahub.dirichlet_partition(
         data, cfg.num_clients, cfg.alpha, derive_seed(cfg.seed, "partition"), min_shard
     )
-    shards = []
-    for cid in range(cfg.num_clients):
-        shard = data.subset(plan.assignment[cid])
-        shards.append(datahub.split_train_test(shard, cfg.test_fraction, derive_seed(cfg.seed, "split", cid)))
-    return shards
+    return [
+        datahub.split_train_test(data.subset(idx), cfg.test_fraction, derive_seed(cfg.seed, "split", cid))
+        for cid, idx in enumerate(indices)
+    ]
 
 
 def model_spec_for(cfg: ExperimentConfig, data: datahub.LabeledDataset) -> learner.ModelSpec:
@@ -318,7 +317,7 @@ def execute(cfg: ExperimentConfig, trace_models: bool = False) -> metrics.RunRes
 def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int) -> int:
     """Bytes plain FedAvg would send on this topology: exact arithmetic."""
     per_round = sum(topo.degree(c) for c in range(topo.num_clients))
-    return rounds * per_round * (netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * param_count)
+    return rounds * per_round * netsim.message_byte_size(param_count)
 
 
 def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[str]:
@@ -401,15 +400,43 @@ _DATASET_KEYS = (
 )
 
 
+# label, key path of the compared number, its format spec, and the key of the
+# spread shown after it; every number compare reads from a summary is here
+_COMPARE_ROWS = (
+    ("final F1 (mean±std over clients)", ("final_f1_mean",), ".4f", "final_f1_std"),
+    ("total bytes sent", ("total_bytes_sent",), "", None),
+    ("total bytes received", ("total_bytes_received",), "", None),
+    ("total energy (kWh)", ("energy_kwh", "total"), ".6g", None),
+    ("work units", ("work_units_total",), "", None),
+)
+
+
+def _number(summary: dict, keys: tuple[str, ...]):
+    """The number at a key path of a summary, or None."""
+    value = summary
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+
+
 def _load_summary(run_dir: str) -> dict:
     path = os.path.join(run_dir, "summary.json")
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            summary = json.load(f)
     except OSError as exc:
         raise CompareError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CompareError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise CompareError(f"{path}: not a JSON object")
+    if not isinstance(summary.get("config"), dict) or not isinstance(summary.get("method"), str):
+        raise CompareError(f"{path}: needs a 'config' object and a 'method' string")
+    for _, keys, _, spread in _COMPARE_ROWS:
+        for needed in (keys, (spread,)) if spread else (keys,):
+            if _number(summary, needed) is None:
+                raise CompareError(f"{path}: no number at {'.'.join(needed)!r}")
+    return summary
 
 
 def _delta(value: float, base: float) -> str:
@@ -423,42 +450,24 @@ def compare_runs(run_dirs: list[str]) -> str:
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
     summaries = [_load_summary(d) for d in run_dirs]
-    base_cfg = summaries[0].get("config", {})
+    base_cfg = summaries[0]["config"]
     for d, s in zip(run_dirs[1:], summaries[1:]):
-        cfg = s.get("config", {})
+        cfg = s["config"]
         for key in _DATASET_KEYS:
             if base_cfg.get(key) != cfg.get(key):
                 raise CompareError(
                     f"incompatible runs: {run_dirs[0]} and {d} differ on {key!r} "
                     f"({base_cfg.get(key)} vs {cfg.get(key)})"
                 )
+    names = [s["method"] + " @ " + os.path.basename(os.path.normpath(d)) for d, s in zip(run_dirs, summaries)]
     rows: list[tuple[str, list[str]]] = []
-    names = [s.get("method", "?") + " @ " + os.path.basename(os.path.normpath(d)) for d, s in zip(run_dirs, summaries)]
-
-    def scalar_row(label: str, key: str, fmt):
-        base = summaries[0][key]
-        cells = [fmt(summaries[0][key])]
-        for s in summaries[1:]:
-            cells.append(f"{fmt(s[key])} ({_delta(s[key], base)})")
+    for label, keys, spec, spread in _COMPARE_ROWS:
+        values = [_number(s, keys) for s in summaries]
+        cells = []
+        for s, value in zip(summaries, values):
+            cell = format(value, spec) + (f"±{s[spread]:{spec}}" if spread else "")
+            cells.append(f"{cell} ({_delta(value, values[0])})" if cells else cell)
         rows.append((label, cells))
-
-    f1_cells = [f"{summaries[0]['final_f1_mean']:.4f}±{summaries[0]['final_f1_std']:.4f}"]
-    for s in summaries[1:]:
-        f1_cells.append(
-            f"{s['final_f1_mean']:.4f}±{s['final_f1_std']:.4f} "
-            f"({_delta(s['final_f1_mean'], summaries[0]['final_f1_mean'])})"
-        )
-    rows.append(("final F1 (mean±std over clients)", f1_cells))
-    scalar_row("total bytes sent", "total_bytes_sent", str)
-    scalar_row("total bytes received", "total_bytes_received", str)
-    energy_cells = [f"{summaries[0]['energy_kwh']['total']:.6g}"]
-    for s in summaries[1:]:
-        energy_cells.append(
-            f"{s['energy_kwh']['total']:.6g} "
-            f"({_delta(s['energy_kwh']['total'], summaries[0]['energy_kwh']['total'])})"
-        )
-    rows.append(("total energy (kWh)", energy_cells))
-    scalar_row("work units", "work_units_total", str)
 
     label_w = max(len(r[0]) for r in rows)
     col_ws = [max(len(names[i]), max(len(r[1][i]) for r in rows)) for i in range(len(names))]
@@ -477,7 +486,11 @@ def compare_runs(run_dirs: list[str]) -> str:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        _, parse = _KEYS["seed"]
+        try:
+            cfg = replace(cfg, seed=parse(args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     summary = run_experiment(cfg, args.out)
     print(
         f"{cfg.method}: {summary['rounds']} rounds, {summary['num_clients']} clients -> "
@@ -507,7 +520,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment and write metrics/summary")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", default=None, help="override the config seed (same rules as the seed key)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config file")

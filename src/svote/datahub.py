@@ -10,7 +10,7 @@ samples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +45,6 @@ class LabeledDataset:
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
-
-
-@dataclass
-class PartitionPlan:
-    alpha: float
-    num_clients: int
-    seed: int
-    assignment: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(self.assignment[c]) for c in range(self.num_clients)]
 
 
 def gen_synthetic(
@@ -132,8 +121,11 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def dirichlet_partition(
     data: LabeledDataset, num_clients: int, alpha: float, seed: int, min_shard: int = 2
-) -> PartitionPlan:
+) -> list[np.ndarray]:
     """Class-wise Dirichlet split of sample indices across clients.
+
+    Returns one array of sample indices per client, in client order, each in
+    ascending sample order.
 
     Whole plans violating the min_shard floor are redrawn from the same
     seeded stream; the caller picks min_shard (the experiment layer passes
@@ -167,8 +159,7 @@ def dirichlet_partition(
             for shuffled, counts in draws:
                 owner[shuffled] = np.repeat(clients, counts)
             # grouped by client, each shard in ascending sample order
-            shards = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
-            return PartitionPlan(alpha, num_clients, seed, dict(enumerate(shards)))
+            return np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
     raise ConfigError(
         f"could not satisfy min_shard={min_shard} for {num_clients} clients "
         f"after {_MAX_PARTITION_ATTEMPTS} draws; dataset too small or alpha too skewed"

@@ -17,10 +17,6 @@ class ProtocolError(SvoteError):
     """Round-engine contract violation (empty aggregation, length mismatch, non-neighbor send)."""
 
 
-class SimilarityError(SvoteError):
-    """Cosine similarity undefined (zero-norm operand)."""
-
-
 class GraphError(SvoteError):
     """Topology generation failed."""
 

@@ -7,7 +7,7 @@ c_comm per byte sent. Only ratios between runs are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class EnergyCoeffs:
 
 @dataclass
 class EnergyReport:
-    per_client: dict[int, dict[str, float]] = field(default_factory=dict)
     train: float = 0.0
     agg: float = 0.0
     comm: float = 0.0
@@ -116,17 +115,12 @@ def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.where(names_class, labels, num_classes).astype(np.intp)
 
 
-def final_round_f1(result: RunResult) -> list[float]:
-    last = result.rounds
-    by_client = {r.client: r.f1 for r in result.records if r.round == last}
-    return [by_client[c] for c in range(result.num_clients)]
-
-
 def federation_summary(result: RunResult) -> tuple[float, float, list[float]]:
-    """Mean and population std over clients' final-round F1."""
-    per_client = final_round_f1(result)
-    if not per_client:
-        raise MetricError("run has no final-round records")
+    """Mean and population std over clients' final-round F1, and the F1 of each client."""
+    by_client = {r.client: r.f1 for r in result.records if r.round == result.rounds}
+    if not by_client or by_client.keys() != set(range(result.num_clients)):
+        raise MetricError("run lacks a final-round record for some client")
+    per_client = [by_client[c] for c in range(result.num_clients)]
     arr = np.asarray(per_client)
     return float(arr.mean()), float(arr.std()), per_client
 
@@ -143,14 +137,8 @@ def record_energy(rec: MetricsRecord, param_count: int, coeffs: EnergyCoeffs) ->
 def energy(result: RunResult, coeffs: EnergyCoeffs) -> EnergyReport:
     """Three-phase linear energy model over a run's records."""
     report = EnergyReport()
-    for c in range(result.num_clients):
-        report.per_client[c] = {"train": 0.0, "agg": 0.0, "comm": 0.0}
     for rec in result.records:
         e_train, e_agg, e_comm = record_energy(rec, result.param_count, coeffs)
-        cell = report.per_client[rec.client]
-        cell["train"] += e_train
-        cell["agg"] += e_agg
-        cell["comm"] += e_comm
         report.train += e_train
         report.agg += e_agg
         report.comm += e_comm

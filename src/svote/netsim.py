@@ -63,15 +63,15 @@ class Topology:
         return len(self._adj[client])
 
 
-def _is_connected(n: int, adj: dict[int, list[int]]) -> bool:
+def _is_connected(topo: Topology) -> bool:
     seen = {0}
     stack = [0]
     while stack:
-        for peer in adj[stack.pop()]:
+        for peer in topo.neighbors(stack.pop()):
             if peer not in seen:
                 seen.add(peer)
                 stack.append(peer)
-    return len(seen) == n
+    return len(seen) == topo.num_clients
 
 
 def full_topology(n: int) -> Topology:
@@ -91,18 +91,14 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
     for attempt in range(_MAX_GRAPH_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, "erdos-attempt", attempt))
         mask = rng.random(len(pairs)) < p
-        edges = [pair for pair, keep in zip(pairs, mask) if keep]
-        adj: dict[int, list[int]] = {i: [] for i in range(n)}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        if _is_connected(n, adj):
-            return Topology(n, frozenset(edges))
+        topo = Topology(n, frozenset(pair for pair, keep in zip(pairs, mask) if keep))
+        if _is_connected(topo):
+            return topo
     raise GraphError(f"no connected graph in {_MAX_GRAPH_ATTEMPTS} draws (n={n}, p={p})")
 
 
-def message_byte_size(payload: tuple[np.ndarray, ...] | None) -> int:
-    params = sum(a.shape[0] for a in payload) if payload else 0
+def message_byte_size(params: int) -> int:
+    """Wire size of one copy of a message carrying `params` parameters."""
     return HEADER_BYTES + BYTES_PER_PARAM * params
 
 
@@ -119,44 +115,35 @@ class RoundMessage:
 
 
 class TrafficLedger:
-    """Byte counts per client, per round, and per message kind."""
+    """Byte counts per (round, client) and per message kind.
+
+    Run totals, per client or overall, are sums of the per-round counts.
+    """
 
     def __init__(self):
-        self.bytes_sent: dict[int, int] = defaultdict(int)
-        self.bytes_received: dict[int, int] = defaultdict(int)
         self.round_sent: dict[tuple[int, int], int] = defaultdict(int)  # (round, client)
         self.round_received: dict[tuple[int, int], int] = defaultdict(int)
         self.kind_bytes: dict[MessageKind, int] = defaultdict(int)
         self.kind_count: dict[MessageKind, int] = defaultdict(int)
-        self.round_kind_bytes: dict[tuple[int, MessageKind], int] = defaultdict(int)
 
     def record(self, msg: RoundMessage):
         """Book one copy of the message per receiver."""
         size, rnd = msg.byte_size, msg.round
         fanout = len(msg.receivers)
-        self.bytes_sent[msg.sender] += size * fanout
         self.round_sent[(rnd, msg.sender)] += size * fanout
         self.kind_bytes[msg.kind] += size * fanout
         self.kind_count[msg.kind] += fanout
-        self.round_kind_bytes[(rnd, msg.kind)] += size * fanout
         for receiver in msg.receivers:
-            self.bytes_received[receiver] += size
             self.round_received[(rnd, receiver)] += size
 
     def total_sent(self) -> int:
-        return sum(self.bytes_sent.values())
+        return sum(self.round_sent.values())
 
     def total_received(self) -> int:
-        return sum(self.bytes_received.values())
+        return sum(self.round_received.values())
 
     def round_bytes(self, rnd: int, client: int) -> tuple[int, int]:
         return self.round_sent.get((rnd, client), 0), self.round_received.get((rnd, client), 0)
-
-    def update_bytes_in_round(self, rnd: int) -> int:
-        """Model-carrying traffic (updates + no-update notices), votes excluded."""
-        return self.round_kind_bytes.get((rnd, MessageKind.MODEL_UPDATE), 0) + self.round_kind_bytes.get(
-            (rnd, MessageKind.NO_UPDATE), 0
-        )
 
 
 @dataclass
@@ -199,5 +186,6 @@ def broadcast(
 ) -> int:
     """One message to every neighbor; returns the neighbor count."""
     neighbors = bus.topo.neighbors(sender)
-    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(payload), payload))
+    params = sum(a.shape[0] for a in payload) if payload else 0
+    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(params), payload))
     return len(neighbors)

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, SimilarityError
+from .errors import ConfigError, ProtocolError
 from .learner import (
     ControlVariate,
     HyperParams,
@@ -104,7 +104,6 @@ class ClientState:
     p_escalation: float = P_ESCALATION_START
     cv: ControlVariate | None = None
     w_anchor: np.ndarray | None = None
-    trained_this_round: bool = False
 
 
 # --------------------------------------------------------------- operations
@@ -130,32 +129,22 @@ def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
-    """Cosine of two vectors, or of every pair of rows of one n x P matrix.
+def cosine_similarity(models: np.ndarray) -> np.ndarray:
+    """Cosine of every pair of rows of one n x P matrix, from one Gram matrix.
 
-    The vector form raises SimilarityError for a zero-norm vector. The matrix
-    form (b omitted) returns the n x n cosines of one Gram matrix, and ranks a
-    zero-norm row at -1 against every row: the engine floors models whose
-    similarity is undefined below everything.
+    A zero-norm row ranks at -1 against every row: the engine floors models
+    whose similarity is undefined below everything.
     """
-    if b is None:
-        if a.ndim != 2:
-            raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
-        gram = a @ a.T
-        norms = np.sqrt(np.diag(gram))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
-        zero = norms == 0.0
-        sims[zero, :] = -1.0
-        sims[:, zero] = -1.0
-        return sims
-    if a.shape != b.shape:
-        raise ProtocolError("cosine similarity needs equal-length vectors")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise SimilarityError("cosine similarity undefined for zero-norm vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    if models.ndim != 2:
+        raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
+    gram = models @ models.T
+    norms = np.sqrt(np.diag(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+    zero = norms == 0.0
+    sims[zero, :] = -1.0
+    sims[:, zero] = -1.0
+    return sims
 
 
 def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
@@ -177,7 +166,7 @@ def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
 def cast_votes(bus: MessageBus, local: int, selected: set[int], rnd: int) -> int:
     """One vote to every selected peer, as one message; delivered at the next phase boundary."""
     if selected:
-        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, rnd, message_byte_size(None)))
+        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, rnd, message_byte_size(0)))
     return len(selected)
 
 
@@ -261,7 +250,6 @@ def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: st
     )
     if method == SCAFFOLD:
         state.cv = scaffold_update_cv(state.cv, w_before, state.w, hp.lr, steps)
-    state.trained_this_round = True
     return c.train_y.shape[0] * hp.local_epochs
 
 
@@ -274,6 +262,7 @@ def _share_and_aggregate(
     method: str,
     cfg: SVoteConfig,
     rnd: int,
+    actions: dict[int, Action],
     models_agg: dict[int, int],
 ):
     """Share phase and aggregation of one round.
@@ -285,14 +274,15 @@ def _share_and_aggregate(
     the MODEL_UPDATE payloads (SCAFFOLD adds a second matrix of control
     variates), and one cosine matrix of it holds every similarity of the
     round. They die when this returns, before the next round stacks its
-    models.
+    models. A client whose action is SKIP sends a header-only NO_UPDATE
+    notice instead of its model when suppress_nontrainer_updates is on.
     """
     models = np.stack([c.state.w for c in clients])
     payloads = [models]
     if method == SCAFFOLD:
         payloads.append(np.stack([c.state.cv.local_c for c in clients]))
     for c, payload in zip(clients, zip(*payloads)):
-        if c.state.trained_this_round or not cfg.suppress_nontrainer_updates:
+        if actions[c.state.id] is not Action.SKIP or not cfg.suppress_nontrainer_updates:
             broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, payload, rnd)
         else:
             broadcast(bus, c.state.id, MessageKind.NO_UPDATE, None, rnd)
@@ -360,14 +350,12 @@ def _run(
                 degree = topo.degree(c.state.id)
                 action = vote_gate(c.state, cfg.v_min_for(degree), degree, c.gate_rng)
                 actions[c.state.id] = action
-                if action is Action.SKIP:
-                    c.state.trained_this_round = False
-                else:
+                if action is not Action.SKIP:
                     samples[c.state.id] = _train_client(c, model_spec, hp, method)
 
         # divergence rounds are local-only, with zero traffic
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            _share_and_aggregate(bus, clients, method, cfg, rnd, models_agg)
+            _share_and_aggregate(bus, clients, method, cfg, rnd, actions, models_agg)
 
         for c in clients:
             cid = c.state.id

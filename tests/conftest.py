@@ -15,7 +15,7 @@ def small_problem(seed=42, num_clients=6, num_classes=4, input_dim=8, per_class=
     data = datahub.gen_synthetic(num_classes, input_dim, per_class, spread, derive_seed(seed, "data"))
     plan = datahub.dirichlet_partition(data, num_clients, 0.5, derive_seed(seed, "partition"), min_shard=20)
     shards = [
-        datahub.split_train_test(data.subset(plan.assignment[c]), 0.2, derive_seed(seed, "split", c))
+        datahub.split_train_test(data.subset(plan[c]), 0.2, derive_seed(seed, "split", c))
         for c in range(num_clients)
     ]
     topo = netsim.full_topology(num_clients)
@@ -35,13 +35,6 @@ def fd_gradient(w, X, y, spec, coords, eps=1e-5):
         lm, _ = learner.loss_and_grad(wm, X, y, spec)
         out[i] = (lp - lm) / (2 * eps)
     return out
-
-
-def identical_models_check(w, peers):
-    """Similarity map of one model against copies of itself."""
-    from svote.protocol import cosine_similarity
-
-    return {p: cosine_similarity(w, w.copy()) for p in peers}
 
 
 def peak_traced_bytes(fn):

@@ -194,11 +194,11 @@ def test_criterion_8_conservation_and_partition_invariants():
         vals = []
         for seed in range(20):
             plan = datahub.dirichlet_partition(data, 10, alpha, seed=seed, min_shard=2)
-            merged = np.concatenate([plan.assignment[c] for c in range(10)])
+            merged = np.concatenate([plan[c] for c in range(10)])
             assert len(merged) == len(data) and len(np.unique(merged)) == len(data)
             shares = []
             for c in range(10):
-                hist = np.bincount(data.labels[plan.assignment[c]], minlength=6)
+                hist = np.bincount(data.labels[plan[c]], minlength=6)
                 shares.append(hist.max() / hist.sum())
             vals.append(np.mean(shares))
         return float(np.mean(vals))

@@ -212,6 +212,16 @@ class TestMainAndExitCodes:
         with open(os.path.join(out, "summary.json")) as f:
             assert json.load(f)["seed"] == 11
 
+    @pytest.mark.parametrize("seed, message", [("-1", "must be >= 0"), ("1.5", "expected an integer")])
+    def test_invalid_seed_override_exit_1_no_artifacts(self, tmp_path, capsys, seed, message):
+        # the override obeys the seed key's rules, so the config echo re-parses
+        path = write_config(tmp_path, FAST.format(method="fedavg", seed=3))
+        out = os.path.join(str(tmp_path), "out")
+        assert cli.main(["run", "--config", path, "--out", out, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and message in err
+        assert not os.path.exists(out)
+
     def test_malformed_idx_content_exit_2(self, tmp_path, capsys):
         # files exist (validation passes) but carry a bad magic: runtime error
         img = os.path.join(str(tmp_path), "img.idx")
@@ -270,6 +280,31 @@ class TestCompare:
             sv = json.load(f)
         assert sv["actions"]["skip"] > 0  # seed 5 exercises suppression
         assert sv["total_bytes_sent"] < fed["total_bytes_sent"]
+
+    @pytest.mark.parametrize(
+        "malform, message",
+        [
+            (lambda s: [s], "not a JSON object"),
+            (lambda s: {k: v for k, v in s.items() if k != "work_units_total"}, "work_units_total"),
+            (lambda s: {**s, "final_f1_std": "0.1"}, "final_f1_std"),
+            (lambda s: {**s, "energy_kwh": {}}, "energy_kwh.total"),
+            (lambda s: {k: v for k, v in s.items() if k != "config"}, "config"),
+        ],
+        ids=["list", "missing-key", "string-number", "missing-nested-key", "missing-config"],
+    )
+    def test_malformed_summary_rejected_exit_2(self, tmp_path, capsys, malform, message):
+        d1 = os.path.join(str(tmp_path), "r1")
+        cli.run_experiment(cli.parse_config_text(FAST.format(method="fedavg", seed=3)), d1)
+        with open(os.path.join(d1, "summary.json")) as f:
+            summary = json.load(f)
+        bad = os.path.join(str(tmp_path), "bad")
+        os.makedirs(bad)
+        with open(os.path.join(bad, "summary.json"), "w") as f:
+            json.dump(malform(summary), f)
+        with pytest.raises(CompareError, match=message):
+            cli.compare_runs([d1, bad])
+        assert cli.main(["compare", bad, d1]) == 2
+        assert message in capsys.readouterr().err
 
     def test_fewer_than_two_dirs_rejected(self):
         with pytest.raises(ConfigError):

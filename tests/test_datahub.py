@@ -161,7 +161,7 @@ def _mean_max_share(alpha, seeds=20):
         plan = datahub.dirichlet_partition(data, 10, alpha, seed=seed, min_shard=2)
         shares = []
         for c in range(10):
-            hist = np.bincount(data.labels[plan.assignment[c]], minlength=data.num_classes)
+            hist = np.bincount(data.labels[plan[c]], minlength=data.num_classes)
             shares.append(hist.max() / hist.sum())
         vals.append(np.mean(shares))
     return float(np.mean(vals))
@@ -172,14 +172,14 @@ class TestDirichletPartition:
         data = _balanced()
         for alpha in (0.1, 0.5, 1e6):
             plan = datahub.dirichlet_partition(data, 7, alpha, seed=3, min_shard=2)
-            merged = np.concatenate([plan.assignment[c] for c in range(7)])
+            merged = np.concatenate([plan[c] for c in range(7)])
             assert len(merged) == len(data)
             assert len(np.unique(merged)) == len(data)
 
     def test_min_shard_respected(self):
         data = _balanced()
         plan = datahub.dirichlet_partition(data, 10, 0.1, seed=5, min_shard=40)
-        assert min(plan.shard_sizes()) >= 40
+        assert min(len(shard) for shard in plan) >= 40
 
     def test_too_small_dataset_rejected(self):
         data = datahub.gen_synthetic(2, 4, 10, 0.5, seed=1)  # 20 samples
@@ -191,7 +191,7 @@ class TestDirichletPartition:
         for seed in range(20):
             plan = datahub.dirichlet_partition(data, 5, 1e6, seed=seed, min_shard=2)
             for c in range(5):
-                hist = np.bincount(data.labels[plan.assignment[c]], minlength=4)
+                hist = np.bincount(data.labels[plan[c]], minlength=4)
                 np.testing.assert_allclose(hist, 250 / 5, rtol=0.10)
 
     def test_small_alpha_is_skewed(self):
@@ -207,8 +207,8 @@ class TestDirichletPartition:
         b = datahub.dirichlet_partition(data, 6, 0.5, seed=11, min_shard=2)
         c = datahub.dirichlet_partition(data, 6, 0.5, seed=12, min_shard=2)
         for cid in range(6):
-            np.testing.assert_array_equal(a.assignment[cid], b.assignment[cid])
-        assert any(not np.array_equal(a.assignment[cid], c.assignment[cid]) for cid in range(6))
+            np.testing.assert_array_equal(a[cid], b[cid])
+        assert any(not np.array_equal(a[cid], c[cid]) for cid in range(6))
 
     def test_validation(self):
         data = _balanced()
@@ -295,10 +295,10 @@ class TestPartitionAgainstWholePlanRedraws:
                 assert str(got.value) == str(exc)
                 return
             plan = datahub.dirichlet_partition(*args)
-        assert sorted(plan.assignment) == list(range(case["num_clients"]))
+        assert len(plan) == case["num_clients"]
         for client, shard in expected.items():
-            assert plan.assignment[client].dtype == shard.dtype
-            np.testing.assert_array_equal(plan.assignment[client], shard)
+            assert plan[client].dtype == shard.dtype
+            np.testing.assert_array_equal(plan[client], shard)
 
     def test_exhausted_attempts_raise_the_same_config_error(self):
         # 4 clients of exactly 5 samples each out of 20: at alpha 0.01 each class

@@ -141,7 +141,7 @@ def test_dense100_partition_matches_golden_digest():
     assert len(splits) == 29 * 6
     digest = hashlib.sha256()
     for client in range(100):
-        shard = plan.assignment[client]
+        shard = plan[client]
         assert shard.dtype == np.int64
         digest.update(np.int64(shard.size).tobytes())
         digest.update(shard.tobytes())

@@ -151,6 +151,12 @@ class TestFederationSummary:
         assert mean == pytest.approx(0.9, abs=1e-12)
         assert std == pytest.approx(0.1, abs=1e-12)  # population std
 
+    def test_missing_final_round_record_rejected(self):
+        res = _result([0.5, 0.6, 0.7])
+        res.records = [r for r in res.records if (r.round, r.client) != (res.rounds, 1)]
+        with pytest.raises(MetricError):
+            metrics.federation_summary(res)
+
     def test_order_invariance(self):
         a = metrics.federation_summary(_result([0.2, 0.5, 0.9]))
         b = metrics.federation_summary(_result([0.9, 0.2, 0.5]))
@@ -224,7 +230,12 @@ class TestWorkUnits:
         data, shards, topo, spec = small_problem(seed=6)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         res = protocol.run_baseline("fedavg", spec, hp, topo, shards, 8, rounds=5)
-        per_client_sent = {c: 0 for c in range(res.num_clients)}
+        from_records = {c: [0, 0] for c in range(res.num_clients)}
         for r in res.records:
-            per_client_sent[r.client] += r.bytes_sent
-        assert per_client_sent == dict(res.ledger.bytes_sent)
+            from_records[r.client][0] += r.bytes_sent
+            from_records[r.client][1] += r.bytes_received
+        from_ledger = {c: [0, 0] for c in range(res.num_clients)}
+        for side, counts in enumerate((res.ledger.round_sent, res.ledger.round_received)):
+            for (_, client), size in counts.items():
+                from_ledger[client][side] += size
+        assert from_records == from_ledger

@@ -61,13 +61,20 @@ class TestErdosRenyi:
 class TestMessages:
     def test_model_update_byte_size(self):
         # header 32 + 4 bytes/param
-        assert netsim.message_byte_size((np.zeros(100),)) == 432
+        assert netsim.message_byte_size(100) == 432
 
     def test_vote_byte_size(self):
-        assert netsim.message_byte_size(None) == 32
+        assert netsim.message_byte_size(0) == 32
 
     def test_scaffold_payload_counts_both_vectors(self):
-        assert netsim.message_byte_size((np.zeros(100), np.zeros(100))) == 32 + 800
+        bus, ledger = _bus(3)
+        netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, (np.zeros(100), np.zeros(100)), 1)
+        assert ledger.round_bytes(1, 0) == (2 * (32 + 800), 0)
+
+    def test_no_update_notice_is_header_only(self):
+        bus, ledger = _bus(3)
+        netsim.broadcast(bus, 0, MessageKind.NO_UPDATE, None, 1)
+        assert ledger.round_bytes(1, 0) == (2 * 32, 0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,7 +124,7 @@ class TestBusAndLedger:
         bus, ledger = _bus(10)
         count = netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, (np.zeros(100),), 1)
         assert count == 9
-        assert ledger.bytes_sent[0] == 9 * 432
+        assert ledger.round_bytes(1, 0)[0] == 9 * 432
 
     def test_degree_limited_broadcast(self):
         topo = Topology(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}))
@@ -138,20 +145,12 @@ class TestBusAndLedger:
             return ledger
 
         a, b = run(), run()
-        assert dict(a.bytes_sent) == dict(b.bytes_sent)
+        assert dict(a.round_received) == dict(b.round_received)
         assert dict(a.round_sent) == dict(b.round_sent)
         assert dict(a.kind_bytes) == dict(b.kind_bytes)
 
 
-LEDGER_FIELDS = (
-    "bytes_sent",
-    "bytes_received",
-    "round_sent",
-    "round_received",
-    "kind_bytes",
-    "kind_count",
-    "round_kind_bytes",
-)
+LEDGER_FIELDS = ("round_sent", "round_received", "kind_bytes", "kind_count")
 
 
 def _ledger_fields(ledger):
@@ -177,13 +176,10 @@ class TestMulticast:
             receivers = data.draw(st.lists(st.sampled_from(topo.neighbors(sender)), min_size=1, unique=True))
             bus.send(RoundMessage(sender, tuple(receivers), kind, rnd, size))
             for receiver in receivers:
-                oracle["bytes_sent"][sender] += size
-                oracle["bytes_received"][receiver] += size
                 oracle["round_sent"][(rnd, sender)] += size
                 oracle["round_received"][(rnd, receiver)] += size
                 oracle["kind_bytes"][kind] += size
                 oracle["kind_count"][kind] += 1
-                oracle["round_kind_bytes"][(rnd, kind)] += size
                 delivered[receiver].append((sender, index))
         assert _ledger_fields(ledger) == {name: dict(field) for name, field in oracle.items()}
         assert ledger.total_sent() == ledger.total_received()
@@ -214,4 +210,4 @@ class TestMulticast:
         msgs = {id(box[0]) for box in inboxes if box}
         assert len(msgs) == 1
         assert ledger.kind_count[MessageKind.MODEL_UPDATE] == 4
-        assert ledger.bytes_sent[2] == 4 * 72
+        assert ledger.round_bytes(1, 2)[0] == 4 * 72

@@ -1,5 +1,8 @@
 """Protocol operations and round-engine behavior."""
 
+from collections import defaultdict
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes, small_problem
 from svote import netsim, protocol
-from svote.errors import ProtocolError, SimilarityError
+from svote.errors import ProtocolError
 from svote.learner import HyperParams
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
 from svote.protocol import (
@@ -79,31 +82,37 @@ class TestAggregate:
         np.testing.assert_array_equal(out[0], np.full(length, (k - 1) / 2))
 
 
+def _vector_cosine(a, b):
+    """The vector form of the cosine, kept as the reference for the matrix form."""
+    return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+def _cosine(a, b):
+    """The engine's cosine of two vectors: the off-diagonal of their 2 x P matrix."""
+    return cosine_similarity(np.stack([a, b]))[0, 1]
+
+
 class TestCosineSimilarity:
     def test_self_similarity(self):
         w = np.array([0.3, -1.2, 4.0])
-        assert cosine_similarity(w, w) == pytest.approx(1.0, abs=1e-9)
+        assert _cosine(w, w) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert _cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_half(self):
-        sim = cosine_similarity(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]))
+        sim = _cosine(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]))
         assert sim == pytest.approx(0.5, abs=1e-9)
 
     def test_scale_invariance(self):
-        sim = cosine_similarity(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]))
+        sim = _cosine(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]))
         assert sim == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(SimilarityError):
-            cosine_similarity(np.zeros(3), np.ones(3))
 
     def test_result_clipped_to_unit_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a, b = rng.normal(size=8), rng.normal(size=8)
-            assert -1.0 <= cosine_similarity(a, b) <= 1.0
+            sims = cosine_similarity(rng.normal(size=(3, 8)))
+            assert np.all((sims >= -1.0) & (sims <= 1.0))
 
     @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -118,13 +127,13 @@ class TestCosineSimilarity:
         assert np.all((sims >= -1.0) & (sims <= 1.0))
         for i in range(n):
             for j in range(n):
-                assert abs(sims[i, j] - cosine_similarity(models[i], models[j])) <= 1e-12
+                assert abs(sims[i, j] - _vector_cosine(models[i], models[j])) <= 1e-12
 
     def test_matrix_form_floors_zero_norm_rows(self):
         models = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, -1.0], [3.0, 1.0]])
         sims = cosine_similarity(models)
         assert np.all(sims[1, :] == -1.0) and np.all(sims[:, 1] == -1.0)
-        assert sims[0, 3] == pytest.approx(cosine_similarity(models[0], models[3]), abs=1e-12)
+        assert sims[0, 3] == pytest.approx(_vector_cosine(models[0], models[3]), abs=1e-12)
 
     def test_matrix_form_needs_a_matrix(self):
         with pytest.raises(ProtocolError):
@@ -158,10 +167,9 @@ class TestSelectPeers:
     def test_scale_invariance_via_cosine(self, scale):
         # cosine ignores positive rescaling, so the selected set does too
         rng = np.random.default_rng(21)
-        local = rng.normal(size=6)
-        peers = {p: rng.normal(size=6) for p in range(1, 6)}
-        sims = {p: cosine_similarity(local, w) for p, w in peers.items()}
-        scaled = {p: cosine_similarity(local * scale, w * scale) for p, w in peers.items()}
+        models = rng.normal(size=(6, 6))  # row 0 is the local model, rows 1..5 its peers
+        sims = dict(enumerate(cosine_similarity(models)[0, 1:].tolist(), start=1))
+        scaled = dict(enumerate(cosine_similarity(models * scale)[0, 1:].tolist(), start=1))
         assert select_peers(0, sims, 0.3) == select_peers(0, scaled, 0.3)
 
 
@@ -274,6 +282,20 @@ def _connected_topologies(draw, max_clients=6):
     return netsim.Topology(n, frozenset(edges))
 
 
+@pytest.fixture
+def round_kind_bytes(monkeypatch):
+    """Bytes the ledger books per (round, message kind), tallied at TrafficLedger.record."""
+    tally = defaultdict(int)
+    record = TrafficLedger.record
+
+    def tallied(ledger, msg):
+        tally[(msg.round, msg.kind)] += msg.byte_size * len(msg.receivers)
+        record(ledger, msg)
+
+    monkeypatch.setattr(TrafficLedger, "record", tallied)
+    return tally
+
+
 class TestEngines:
     @given(_connected_topologies(), st.sampled_from(protocol.BASELINES), st.integers(1, 3),
            st.integers(1, 2), st.integers(0, 2**16))
@@ -293,6 +315,57 @@ class TestEngines:
             assert rec.bytes_sent == degree * size
         assert res.ledger.kind_bytes.get(MessageKind.VOTE, 0) == 0
         assert res.ledger.kind_bytes.get(MessageKind.NO_UPDATE, 0) == 0
+
+    @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
+           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_svote_engine_invariants(self, topo, t_init, n_diverge, gated, tau, v_min, suppress, seed):
+        n = topo.num_clients
+        _, shards, _, spec = small_problem(seed=seed, num_clients=n)
+        cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
+                          tau=tau, v_min_fixed=v_min, suppress_nontrainer_updates=suppress)
+        selections = {}  # (round, client) -> the peers it voted for
+        gates = []  # (client, votes received, v_min, degree, action), in call order
+        real_cast, real_gate = protocol.cast_votes, protocol.vote_gate
+
+        def cast(bus, local, selected, rnd):
+            selections[(rnd, local)] = set(selected)
+            return real_cast(bus, local, selected, rnd)
+
+        def gate(state, v_min_, degree, rng):
+            action = real_gate(state, v_min_, degree, rng)
+            gates.append((state.id, state.votes_received, v_min_, degree, action))
+            return action
+
+        with mock.patch.object(protocol, "cast_votes", cast), mock.patch.object(protocol, "vote_gate", gate):
+            res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=1, batch_size=16), topo, shards, seed)
+
+        update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
+        # one gate call per client per gated round, in client order
+        assert [g[0] for g in gates] == list(range(n)) * gated
+        for k, (cid, votes, v_min_, degree, action) in enumerate(gates):
+            rnd = cfg.selection_round + 1 + k // n
+            assert votes == sum(cid in selections[(rnd - 1, voter)] for voter in range(n))
+            assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
+            assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
+        gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
+        for rec in res.records:
+            degree = topo.degree(rec.client)
+            if rec.round <= cfg.t_init:
+                assert rec.action == Action.TRAIN_LOCAL.value
+                assert (rec.bytes_sent, rec.models_aggregated) == (degree * update, degree + 1)
+            elif rec.round < cfg.selection_round:
+                assert (rec.bytes_sent, rec.bytes_received, rec.models_aggregated) == (0, 0, 0)
+            else:
+                assert rec.action == gate_actions.get((rec.round, rec.client), Action.TRAIN_LOCAL.value)
+                selected = selections[(rec.round, rec.client)]
+                assert rec.models_aggregated == 1 + len(selected)
+                size = notice if suppress and rec.action == Action.SKIP.value else update
+                assert rec.bytes_sent == degree * size + notice * len(selected)
+        for rnd in range(1, cfg.total_rounds + 1):
+            rows = [r for r in res.records if r.round == rnd]
+            assert sum(r.bytes_sent for r in rows) == sum(r.bytes_received for r in rows)
 
     def test_degenerate_svote_equals_fedavg_bitwise(self):
         fed, sv = _run_pair()
@@ -318,7 +391,7 @@ class TestEngines:
         a = run_svote(cfg, spec, hp, topo, shards, 3)
         b = run_svote(cfg, spec, hp, topo, shards, 3)
         assert a.records == b.records
-        assert dict(a.ledger.bytes_sent) == dict(b.ledger.bytes_sent)
+        assert dict(a.ledger.round_sent) == dict(b.ledger.round_sent)
 
     def test_fedprox_mu_zero_matches_fedavg(self):
         data, shards, topo, spec = small_problem()
@@ -410,8 +483,9 @@ class TestEngines:
         topo = netsim.full_topology(5)
         bus = MessageBus(topo, TrafficLedger())
         w = np.random.default_rng(3).normal(size=12)
+        matrix = cosine_similarity(np.tile(w, (5, 1)))
         for local in range(5):
-            sims = {p: cosine_similarity(w, w.copy()) for p in range(5) if p != local}
+            sims = {p: matrix[local, p] for p in range(5) if p != local}
             assert all(s == pytest.approx(1.0, abs=1e-9) for s in sims.values())
             selected = select_peers(local, sims, 0.0)
             assert selected == set(range(5)) - {local}
@@ -420,7 +494,7 @@ class TestEngines:
         for c in range(5):
             assert len(bus.take_inbox(c)) == 4
 
-    def test_suppression_keeps_update_bytes_below_fedavg(self):
+    def test_suppression_keeps_update_bytes_below_fedavg(self, round_kind_bytes):
         data, shards, topo, spec = small_problem(seed=3)
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
@@ -434,7 +508,9 @@ class TestEngines:
         }
         saw_skip_round = False
         for rnd, all_trained in trained.items():
-            update_bytes = res.ledger.update_bytes_in_round(rnd)
+            update_bytes = round_kind_bytes[(rnd, MessageKind.MODEL_UPDATE)] + round_kind_bytes[
+                (rnd, MessageKind.NO_UPDATE)
+            ]
             assert update_bytes <= per_round_fedavg
             if all_trained:
                 assert update_bytes == per_round_fedavg
@@ -455,14 +531,14 @@ class TestEngines:
                 assert rec.samples_trained == 0
         assert sum(skips.values()) > 0
 
-    def test_refresh_off_freezes_selection_and_votes(self):
+    def test_refresh_off_freezes_selection_and_votes(self, round_kind_bytes):
         data, shards, topo, spec = small_problem(seed=3)
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = SVoteConfig(total_rounds=14, t_init=3, n_diverge=1, refresh_selection=False)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
         # votes exist only in the one-time selection round
         vote_rounds = {
-            rnd for (rnd, kind), b in res.ledger.round_kind_bytes.items()
+            rnd for (rnd, kind), b in round_kind_bytes.items()
             if kind is MessageKind.VOTE and b > 0
         }
         assert vote_rounds == {cfg.selection_round}
