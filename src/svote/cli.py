@@ -286,7 +286,7 @@ def model_spec_for(cfg: ExperimentConfig, data: datahub.LabeledDataset) -> learn
     )
 
 
-def execute(cfg: ExperimentConfig, trace_models: bool = False) -> metrics.RunResult:
+def execute(cfg: ExperimentConfig) -> metrics.RunResult:
     """Run the configured experiment in memory, writing nothing."""
     data = build_dataset(cfg)
     topo = build_topology(cfg)
@@ -308,10 +308,8 @@ def execute(cfg: ExperimentConfig, trace_models: bool = False) -> metrics.RunRes
             refresh_selection=cfg.refresh_selection,
             suppress_nontrainer_updates=cfg.suppress_nontrainer_updates,
         )
-        return protocol.run_svote(svcfg, spec, hp, topo, shards, cfg.seed, trace_models)
-    return protocol.run_baseline(
-        cfg.method, spec, hp, topo, shards, cfg.seed, rounds=cfg.rounds, trace_models=trace_models
-    )
+        return protocol.run_svote(svcfg, spec, hp, topo, shards, cfg.seed)
+    return protocol.run_baseline(cfg.method, spec, hp, topo, shards, cfg.seed, rounds=cfg.rounds)
 
 
 def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int) -> int:
@@ -371,8 +369,8 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run and export metrics.csv + summary.json; nothing is written on failure."""
-    result = execute(cfg)
     coeffs = metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm)
+    result = execute(cfg)
     lines = _csv_lines(result, coeffs)
     summary = build_summary(cfg, result)
     os.makedirs(out_dir, exist_ok=True)

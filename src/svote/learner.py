@@ -54,12 +54,12 @@ class HyperParams:
     prox_mu: float = 0.1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be finite and positive")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ConfigError("local_epochs and batch_size must be >= 1")
-        if self.prox_mu < 0:
-            raise ConfigError("prox_mu must be non-negative")
+        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
+            raise ConfigError("prox_mu must be finite and non-negative")
 
 
 @dataclass

@@ -7,6 +7,7 @@ c_comm per byte sent. Only ratios between runs are meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ class RunResult:
     records: list[MetricsRecord]
     ledger: TrafficLedger
     final_models: list[np.ndarray]
-    model_trace: list[list[np.ndarray]] | None = None  # [round][client] snapshots
     topology: Topology | None = None  # the graph the engine ran on
 
 
@@ -53,8 +53,8 @@ class EnergyCoeffs:
     c_comm: float = 1e-10  # kWh per byte sent
 
     def __post_init__(self):
-        if min(self.c_train, self.c_agg, self.c_comm) < 0:
-            raise ConfigError("energy coefficients must be non-negative")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.c_train, self.c_agg, self.c_comm)):
+            raise ConfigError("energy coefficients must be finite and non-negative")
 
 
 @dataclass

@@ -6,6 +6,11 @@ broadcast is one message to every neighbor); delivery order is canonical,
 sorted by sender, so every inbox is in (sender, send) order and replaying a
 seed reproduces the ledger bit-exactly.
 
+A message carries its kind, round and wire size, not the arrays it stands
+for: the round engine holds the round's models in one stacked matrix, and a
+MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD's also delivers row
+p of the control-variate matrix).
+
 Wire-format accounting: every copy a receiver gets costs a 32-byte header; a
 model update adds 4 bytes per carried parameter (32-bit reals), votes and
 no-update notices are header-only. The ledger books a message once per
@@ -48,6 +53,8 @@ class Topology:
         for a, b in self.edges:
             if a == b:
                 raise ConfigError(f"self-loop at client {a}")
+            if (b, a) in self.edges:
+                raise ConfigError(f"edge ({a},{b}) given in both orientations")
             if not (0 <= a < self.num_clients and 0 <= b < self.num_clients):
                 raise ConfigError(f"edge ({a},{b}) outside client range")
             adjacency[a].append(b)
@@ -111,7 +118,6 @@ class RoundMessage:
     kind: MessageKind
     round: int
     byte_size: int
-    payload: tuple[np.ndarray, ...] | None = None
 
 
 class TrafficLedger:
@@ -177,15 +183,8 @@ class MessageBus:
         return msgs
 
 
-def broadcast(
-    bus: MessageBus,
-    sender: int,
-    kind: MessageKind,
-    payload: tuple[np.ndarray, ...] | None,
-    rnd: int,
-) -> int:
-    """One message to every neighbor; returns the neighbor count."""
+def broadcast(bus: MessageBus, sender: int, kind: MessageKind, params: int, rnd: int) -> int:
+    """One message carrying `params` parameters to every neighbor; returns the neighbor count."""
     neighbors = bus.topo.neighbors(sender)
-    params = sum(a.shape[0] for a in payload) if payload else 0
-    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(params), payload))
+    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(params)))
     return len(neighbors)

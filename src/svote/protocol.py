@@ -3,8 +3,9 @@
 Every method runs the same synchronous rounds (train, share, aggregate) with
 canonical client-id ordering everywhere, so two runs with one seed are
 bit-identical. A round schedule (SVoteConfig) decides which phases a round
-runs; the method only decides the gradient transform, what is shared
-(SCAFFOLD adds its control variate) and FedProx's anchor update.
+runs; the method only decides the gradient transform (FedProx anchors it to
+the model each pass starts from) and what is shared (SCAFFOLD adds its
+control variate).
 
 Round layout, with r total rounds:
   1..t_init                     train + share + aggregate all received + own
@@ -103,7 +104,6 @@ class ClientState:
     votes_received: int = 0
     p_escalation: float = P_ESCALATION_START
     cv: ControlVariate | None = None
-    w_anchor: np.ndarray | None = None
 
 
 # --------------------------------------------------------------- operations
@@ -190,67 +190,27 @@ def vote_gate(state: ClientState, v_min: int, neighbor_count: int, rng: np.rando
 # ------------------------------------------------------------ engine plumbing
 
 
-@dataclass
-class _Client:
-    state: ClientState
-    train_X: np.ndarray
-    train_y: np.ndarray
-    test_X: np.ndarray
-    test_y: np.ndarray
-    train_rng: np.random.Generator
-    gate_rng: np.random.Generator
+def _train_client(
+    state: ClientState, train, rng: np.random.Generator, model_spec: ModelSpec, hp: HyperParams, method: str
+) -> int:
+    """One local-training pass on the client's train shard; returns samples x epochs trained.
 
-
-def _setup_clients(
-    model_spec: ModelSpec,
-    topo: Topology,
-    shards,
-    seed: int,
-    method: str,
-) -> list[_Client]:
-    if len(shards) != topo.num_clients:
-        raise ProtocolError(f"got {len(shards)} shards for {topo.num_clients} clients")
-    clients = []
-    for cid in range(topo.num_clients):
-        train, test = shards[cid]
-        state = ClientState(id=cid, w=init_params(model_spec, derive_seed(seed, "init", cid)))
-        if method == SCAFFOLD:
-            state.cv = ControlVariate.zeros(model_spec.param_count)
-        if method == FEDPROX:
-            state.w_anchor = state.w.copy()
-        clients.append(
-            _Client(
-                state=state,
-                train_X=train.features,
-                train_y=train.labels,
-                test_X=test.features,
-                test_y=test.labels,
-                train_rng=derive_rng(seed, "train", cid),
-                gate_rng=derive_rng(seed, "gate", cid),
-            )
-        )
-    return clients
-
-
-def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: str) -> int:
-    """One local-training pass; returns samples x epochs trained."""
-    state = c.state
+    local_train leaves the starting model untouched, so it serves as FedProx's
+    anchor and as SCAFFOLD's w_before without a copy.
+    """
+    w_start = state.w
     if method == FEDPROX:
-        anchor = state.w_anchor
-        direction = np.empty_like(anchor)  # reused by every step of the pass
-        transform = lambda g, w: prox_grad(g, w, anchor, hp.prox_mu, out=direction)
+        direction = np.empty_like(w_start)  # reused by every step of the pass
+        transform = lambda g, w: prox_grad(g, w, w_start, hp.prox_mu, out=direction)
     elif method == SCAFFOLD:
         cv = state.cv
         transform = lambda g, w: scaffold_grad(g, cv, out=g)
     else:
         transform = None
-    w_before = state.w  # local_train leaves it untouched
-    state.w, steps = local_train(
-        state.w, c.train_X, c.train_y, model_spec, hp, c.train_rng, transform
-    )
+    state.w, steps = local_train(w_start, train.features, train.labels, model_spec, hp, rng, transform)
     if method == SCAFFOLD:
-        state.cv = scaffold_update_cv(state.cv, w_before, state.w, hp.lr, steps)
-    return c.train_y.shape[0] * hp.local_epochs
+        state.cv = scaffold_update_cv(state.cv, w_start, state.w, hp.lr, steps)
+    return train.labels.shape[0] * hp.local_epochs
 
 
 # -------------------------------------------------------------------- engine
@@ -258,57 +218,54 @@ def _train_client(c: _Client, model_spec: ModelSpec, hp: HyperParams, method: st
 
 def _share_and_aggregate(
     bus: MessageBus,
-    clients: list[_Client],
+    states: list[ClientState],
     method: str,
     cfg: SVoteConfig,
     rnd: int,
-    actions: dict[int, Action],
-    models_agg: dict[int, int],
-):
-    """Share phase and aggregation of one round.
+    actions: list[Action],
+) -> list[int]:
+    """Share phase and aggregation of one round; returns each client's aggregated-model count.
 
     Initial federated rounds average every arrival. The selection round, and
     each gated round when refresh_selection is on, select peers from the
     round's arrivals and vote for them; other gated rounds keep the last
-    selection. Models are stacked once into an n x P matrix whose rows are
-    the MODEL_UPDATE payloads (SCAFFOLD adds a second matrix of control
-    variates), and one cosine matrix of it holds every similarity of the
-    round. They die when this returns, before the next round stacks its
-    models. A client whose action is SKIP sends a header-only NO_UPDATE
-    notice instead of its model when suppress_nontrainer_updates is on.
+    selection. Models are stacked once into an n x P matrix, and a
+    MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD also delivers
+    row p of a second matrix of control variates); one cosine matrix of it
+    holds every similarity of the round. They die when this returns, before
+    the next round stacks its models. A client whose action is SKIP sends a
+    header-only NO_UPDATE notice instead of its model when
+    suppress_nontrainer_updates is on.
     """
-    models = np.stack([c.state.w for c in clients])
-    payloads = [models]
-    if method == SCAFFOLD:
-        payloads.append(np.stack([c.state.cv.local_c for c in clients]))
-    for c, payload in zip(clients, zip(*payloads)):
-        if actions[c.state.id] is not Action.SKIP or not cfg.suppress_nontrainer_updates:
-            broadcast(bus, c.state.id, MessageKind.MODEL_UPDATE, payload, rnd)
+    models = np.stack([s.w for s in states])
+    variates = np.stack([s.cv.local_c for s in states]) if method == SCAFFOLD else None
+    params = models.shape[1] if variates is None else 2 * models.shape[1]
+    for s in states:
+        if actions[s.id] is not Action.SKIP or not cfg.suppress_nontrainer_updates:
+            broadcast(bus, s.id, MessageKind.MODEL_UPDATE, params, rnd)
         else:
-            broadcast(bus, c.state.id, MessageKind.NO_UPDATE, None, rnd)
+            broadcast(bus, s.id, MessageKind.NO_UPDATE, 0, rnd)
     bus.flush()
     average_all = rnd <= cfg.t_init
     reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
     sims = cosine_similarity(models) if reselect else None
-    for c in clients:
-        updates = [m for m in bus.take_inbox(c.state.id) if m.kind is MessageKind.MODEL_UPDATE]
+    counts = []
+    for s in states:
+        senders = [m.sender for m in bus.take_inbox(s.id) if m.kind is MessageKind.MODEL_UPDATE]
         if not average_all:
             if reselect:
-                row = sims[c.state.id].tolist()
-                scores = {m.sender: row[m.sender] for m in updates}
-                c.state.selected_peers = select_peers(c.state.id, scores, cfg.tau) if scores else set()
-                cast_votes(bus, c.state.id, c.state.selected_peers, rnd)
-            updates = [m for m in updates if m.sender in c.state.selected_peers]
-        stack = [c.state.w] + [m.payload[0] for m in updates]
-        c.state.w = aggregate(stack)
-        models_agg[c.state.id] = len(stack)
-        if method == SCAFFOLD:
-            c.state.cv.global_c = aggregate([c.state.cv.local_c] + [m.payload[1] for m in updates])
-        if method == FEDPROX:
-            # aggregate and local_train return new arrays and mutate no model,
-            # so the anchor can share the aggregated array
-            c.state.w_anchor = c.state.w
+                row = sims[s.id].tolist()
+                scores = {p: row[p] for p in senders}
+                s.selected_peers = select_peers(s.id, scores, cfg.tau) if scores else set()
+                cast_votes(bus, s.id, s.selected_peers, rnd)
+            senders = [p for p in senders if p in s.selected_peers]
+        stack = [s.w] + [models[p] for p in senders]
+        s.w = aggregate(stack)
+        counts.append(len(stack))
+        if variates is not None:
+            s.cv.global_c = aggregate([s.cv.local_c] + [variates[p] for p in senders])
     bus.flush()  # votes become visible to the next round's gate
+    return counts
 
 
 def _run(
@@ -320,52 +277,64 @@ def _run(
     topo: Topology,
     shards,
     seed: int,
-    trace_models: bool,
 ) -> RunResult:
-    """Rounds 1..rounds of the round schedule cfg, training and sharing as method does."""
-    clients = _setup_clients(model_spec, topo, shards, seed, method)
+    """Rounds 1..rounds of the round schedule cfg, training and sharing as method does.
+
+    shards[cid] is client cid's (train, test) pair.
+    """
+    n = topo.num_clients
+    if len(shards) != n:
+        raise ProtocolError(f"got {len(shards)} shards for {n} clients")
+    states = [
+        ClientState(
+            id=cid,
+            w=init_params(model_spec, derive_seed(seed, "init", cid)),
+            cv=ControlVariate.zeros(model_spec.param_count) if method == SCAFFOLD else None,
+        )
+        for cid in range(n)
+    ]
+    train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
+    gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
     ledger = TrafficLedger()
     bus = MessageBus(topo, ledger)
     records: list[MetricsRecord] = []
-    trace: list[list[np.ndarray]] | None = [] if trace_models else None
 
     for rnd in range(1, rounds + 1):
-        actions: dict[int, Action] = {}
-        samples: dict[int, int] = {c.state.id: 0 for c in clients}
-        models_agg: dict[int, int] = {c.state.id: 0 for c in clients}
+        actions = [Action.TRAIN_LOCAL] * n
+        samples = [0] * n
+        models_agg = [0] * n
 
         if rnd <= cfg.selection_round:
             # initial federated rounds, divergence rounds and the selection round
             # all train unconditionally
-            for c in clients:
-                actions[c.state.id] = Action.TRAIN_LOCAL
-                samples[c.state.id] = _train_client(c, model_spec, hp, method)
+            for s in states:
+                samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
         else:
             # gated rounds: votes from the previous round decide who trains
-            for c in clients:
-                inbox = bus.take_inbox(c.state.id)
+            for s in states:
+                inbox = bus.take_inbox(s.id)
                 vote_count = sum(1 for m in inbox if m.kind is MessageKind.VOTE)
                 if cfg.refresh_selection or rnd == cfg.selection_round + 1:
-                    c.state.votes_received = vote_count
-                degree = topo.degree(c.state.id)
-                action = vote_gate(c.state, cfg.v_min_for(degree), degree, c.gate_rng)
-                actions[c.state.id] = action
-                if action is not Action.SKIP:
-                    samples[c.state.id] = _train_client(c, model_spec, hp, method)
+                    s.votes_received = vote_count
+                degree = topo.degree(s.id)
+                actions[s.id] = vote_gate(s, cfg.v_min_for(degree), degree, gate_rngs[s.id])
+                if actions[s.id] is not Action.SKIP:
+                    samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
 
         # divergence rounds are local-only, with zero traffic
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            _share_and_aggregate(bus, clients, method, cfg, rnd, actions, models_agg)
+            models_agg = _share_and_aggregate(bus, states, method, cfg, rnd, actions)
 
-        for c in clients:
-            cid = c.state.id
+        for s in states:
+            cid = s.id
+            test = shards[cid][1]
             sent, received = ledger.round_bytes(rnd, cid)
-            preds = predict_batch(c.state.w, c.test_X, model_spec)
+            preds = predict_batch(s.w, test.features, model_spec)
             records.append(
                 MetricsRecord(
                     round=rnd,
                     client=cid,
-                    f1=macro_f1(preds, c.test_y, model_spec.num_classes),
+                    f1=macro_f1(preds, test.labels, model_spec.num_classes),
                     bytes_sent=sent,
                     bytes_received=received,
                     action=actions[cid].value,
@@ -373,18 +342,15 @@ def _run(
                     models_aggregated=models_agg[cid],
                 )
             )
-        if trace is not None:
-            trace.append([c.state.w.copy() for c in clients])
 
     return RunResult(
         method=method,
-        num_clients=topo.num_clients,
+        num_clients=n,
         rounds=rounds,
         param_count=model_spec.param_count,
         records=records,
         ledger=ledger,
-        final_models=[c.state.w.copy() for c in clients],
-        model_trace=trace,
+        final_models=[s.w.copy() for s in states],
         topology=topo,
     )
 
@@ -396,10 +362,9 @@ def run_svote(
     topo: Topology,
     shards,
     seed: int,
-    trace_models: bool = False,
 ) -> RunResult:
     """The voting protocol over cfg.total_rounds synchronous rounds."""
-    return _run(SVOTE, cfg, cfg.total_rounds, model_spec, hp, topo, shards, seed, trace_models)
+    return _run(SVOTE, cfg, cfg.total_rounds, model_spec, hp, topo, shards, seed)
 
 
 def run_baseline(
@@ -410,7 +375,6 @@ def run_baseline(
     shards,
     seed: int,
     rounds: int = 30,
-    trace_models: bool = False,
 ) -> RunResult:
     """FedAvg / FedProx / SCAFFOLD: the engine with every round an initial federated round."""
     if kind not in BASELINES:
@@ -419,4 +383,4 @@ def run_baseline(
         raise ConfigError("rounds must be >= 1")
     # the selection round (rounds + 1) lies past the last round run
     schedule = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)
-    return _run(kind, schedule, rounds, model_spec, hp, topo, shards, seed, trace_models)
+    return _run(kind, schedule, rounds, model_spec, hp, topo, shards, seed)

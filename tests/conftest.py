@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from svote import datahub, learner, netsim
+from svote import datahub, learner, netsim, protocol
 from svote.seeding import derive_seed
 
 
@@ -66,3 +66,22 @@ def counted_class_splits():
 
     with mock.patch.object(datahub, "_largest_remainder", counted):
         yield splits
+
+
+@contextmanager
+def evaluated_models():
+    """Record a copy of every model the round engine evaluates.
+
+    Patches `protocol.predict_batch`, the name the engine looks up once per
+    client per round, so the list holds rounds x clients models, round-major
+    and in client order within a round.
+    """
+    models = []
+    predict = protocol.predict_batch
+
+    def recorded(w, X, spec):
+        models.append(w.copy())
+        return predict(w, X, spec)
+
+    with mock.patch.object(protocol, "predict_batch", recorded):
+        yield models

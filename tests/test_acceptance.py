@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import evaluated_models
 from svote import cli, metrics, netsim, protocol
 from svote.learner import HyperParams
 from svote.netsim import MessageKind
@@ -41,8 +42,8 @@ SEEDS = (1, 2, 3, 4, 5)
 _RUNS: list[metrics.RunResult] = []  # every engine run made here, for criterion 8
 
 
-def _execute(cfg: cli.ExperimentConfig, trace_models: bool = False) -> metrics.RunResult:
-    result = cli.execute(cfg, trace_models=trace_models)
+def _execute(cfg: cli.ExperimentConfig) -> metrics.RunResult:
+    result = cli.execute(cfg)
     _RUNS.append(result)
     return result
 
@@ -57,22 +58,24 @@ def test_criterion_1_degeneracy_oracle():
         syn_per_class=200,
         lr=0.1,
     )
-    fed = _execute(cli.ExperimentConfig(method="fedavg", **base), trace_models=True)
-    sv = _execute(
-        cli.ExperimentConfig(
-            method="svote",
-            tau=-1e9,
-            v_min="0",
-            suppress_nontrainer_updates=False,
-            t_init=5,
-            n_diverge=0,
-            **base,
-        ),
-        trace_models=True,
-    )
+    with evaluated_models() as fed:
+        _execute(cli.ExperimentConfig(method="fedavg", **base))
+    with evaluated_models() as sv:
+        _execute(
+            cli.ExperimentConfig(
+                method="svote",
+                tau=-1e9,
+                v_min="0",
+                suppress_nontrainer_updates=False,
+                t_init=5,
+                n_diverge=0,
+                **base,
+            )
+        )
+    assert len(fed) == len(sv) == 15 * 10
     for rnd in range(15):
         for c in range(10):
-            np.testing.assert_array_equal(fed.model_trace[rnd][c], sv.model_trace[rnd][c])
+            np.testing.assert_array_equal(fed[rnd * 10 + c], sv[rnd * 10 + c])
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 1 (degeneracy oracle, bit-identical to FedAvg): PASS [{elapsed:.1f}s]")

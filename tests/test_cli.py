@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -114,6 +115,15 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "build_topology", lambda cfg: pytest.fail("topology rebuilt"))
         summary = cli.build_summary(cfg, result)
         assert summary["fedavg_equivalent_bytes"] == summary["total_bytes_sent"]
+
+    @pytest.mark.parametrize("field", ["c_train", "c_agg", "c_comm", "lr", "prox_mu"])
+    def test_non_finite_direct_config_writes_nothing(self, tmp_path, field):
+        # built directly, so no config-text parser sees the value
+        cfg = replace(cli.parse_config_text(FAST.format(method="fedprox", seed=3)), **{field: float("nan")})
+        out = os.path.join(str(tmp_path), "run")
+        with pytest.raises(ConfigError, match="finite"):
+            cli.run_experiment(cfg, out)
+        assert not os.path.exists(out)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = cli.parse_config_text(FAST.format(method="svote", seed=5))

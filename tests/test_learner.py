@@ -289,6 +289,14 @@ class TestLocalTrain:
         with pytest.raises(ConfigError):
             HyperParams(prox_mu=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_hyperparams_must_be_finite(self, value):
+        # NaN compares False with every bound, so a sign check alone lets it through
+        with pytest.raises(ConfigError, match="finite"):
+            HyperParams(lr=value)
+        with pytest.raises(ConfigError, match="finite"):
+            HyperParams(prox_mu=value)
+
 
 # the wide-mlp benchmark model: MNIST-shaped inputs, 64 hidden units, P = 50,890
 WIDE_MLP = ModelSpec(learner.MLP, 784, 10, hidden_dim=64)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import small_problem
 from svote import metrics, protocol
-from svote.errors import MetricError
+from svote.errors import ConfigError, MetricError
 from svote.learner import HyperParams
 from svote.metrics import EnergyCoeffs, MetricsRecord, macro_f1
 
@@ -189,6 +189,14 @@ class TestEnergy:
     def test_invalid_coeffs_rejected(self):
         with pytest.raises(Exception):
             EnergyCoeffs(-1e-9, 0, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_coeffs_rejected(self, value, position):
+        coeffs = [1e-7, 1e-10, 1e-10]
+        coeffs[position] = value
+        with pytest.raises(ConfigError, match="finite"):
+            EnergyCoeffs(*coeffs)
 
 
 class TestWorkUnits:

@@ -68,17 +68,27 @@ class TestMessages:
 
     def test_scaffold_payload_counts_both_vectors(self):
         bus, ledger = _bus(3)
-        netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, (np.zeros(100), np.zeros(100)), 1)
+        netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 2 * 100, 1)
         assert ledger.round_bytes(1, 0) == (2 * (32 + 800), 0)
 
     def test_no_update_notice_is_header_only(self):
         bus, ledger = _bus(3)
-        netsim.broadcast(bus, 0, MessageKind.NO_UPDATE, None, 1)
+        netsim.broadcast(bus, 0, MessageKind.NO_UPDATE, 0, 1)
         assert ledger.round_bytes(1, 0) == (2 * 32, 0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError):
             Topology(3, frozenset({(1, 1)}))
+
+    def test_edge_in_both_orientations_rejected(self):
+        # (0,1) and (1,0) would make client 1 a double neighbor of client 0
+        with pytest.raises(ConfigError, match="both orientations"):
+            Topology(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+
+    def test_either_orientation_alone_is_one_edge(self):
+        for edges in ({(0, 1), (1, 2)}, {(1, 0), (2, 1)}):
+            topo = Topology(3, frozenset(edges))
+            assert topo.neighbors(1) == (0, 2) and topo.neighbors(0) == (1,)
 
 
 def _bus(n=4):
@@ -113,23 +123,22 @@ class TestBusAndLedger:
 
     def test_conservation(self):
         bus, ledger = _bus(5)
-        rng = np.random.default_rng(3)
         for rnd in range(1, 4):
             for sender in range(5):
-                netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, (rng.normal(size=20),), rnd)
+                netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 20, rnd)
             bus.flush()
         assert ledger.total_sent() == ledger.total_received()
 
     def test_broadcast_count_and_ledger_delta(self):
         bus, ledger = _bus(10)
-        count = netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, (np.zeros(100),), 1)
+        count = netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 100, 1)
         assert count == 9
         assert ledger.round_bytes(1, 0)[0] == 9 * 432
 
     def test_degree_limited_broadcast(self):
         topo = Topology(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}))
         bus = MessageBus(topo, TrafficLedger())
-        assert netsim.broadcast(bus, 0, MessageKind.VOTE, None, 1) == 3
+        assert netsim.broadcast(bus, 0, MessageKind.VOTE, 0, 1) == 3
 
     def test_ledger_replay_identical(self):
         def run():
@@ -138,9 +147,9 @@ class TestBusAndLedger:
             for rnd in range(1, 5):
                 for sender in range(6):
                     if rng.random() < 0.7:
-                        netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, (rng.normal(size=11),), rnd)
+                        netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 11, rnd)
                     else:
-                        netsim.broadcast(bus, sender, MessageKind.NO_UPDATE, None, rnd)
+                        netsim.broadcast(bus, sender, MessageKind.NO_UPDATE, 0, rnd)
                 bus.flush()
             return ledger
 
@@ -203,7 +212,7 @@ class TestMulticast:
 
     def test_broadcast_is_one_message_to_every_neighbor(self):
         bus, ledger = _bus(5)
-        netsim.broadcast(bus, 2, MessageKind.MODEL_UPDATE, (np.zeros(10),), 1)
+        netsim.broadcast(bus, 2, MessageKind.MODEL_UPDATE, 10, 1)
         bus.flush()
         inboxes = [bus.take_inbox(c) for c in range(5)]
         assert inboxes[2] == []

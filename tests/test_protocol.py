@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak_traced_bytes, small_problem
+from conftest import evaluated_models, peak_traced_bytes, small_problem
 from svote import netsim, protocol
 from svote.errors import ProtocolError
 from svote.learner import HyperParams
@@ -262,13 +262,16 @@ class TestSVoteConfig:
 
 
 def _run_pair(seed=42, rounds=8, **sv_over):
+    """Every model FedAvg and permissive svote evaluate, with the client count."""
     data, shards, topo, spec = small_problem(seed=seed)
     hp = HyperParams(lr=0.1, local_epochs=2, batch_size=16)
-    fed = run_baseline("fedavg", spec, hp, topo, shards, seed, rounds=rounds, trace_models=True)
+    with evaluated_models() as fed:
+        run_baseline("fedavg", spec, hp, topo, shards, seed, rounds=rounds)
     cfg = SVoteConfig(total_rounds=rounds, t_init=3, n_diverge=0, tau=-1e9, v_min_fixed=0,
                       suppress_nontrainer_updates=False, **sv_over)
-    sv = run_svote(cfg, spec, hp, topo, shards, seed, trace_models=True)
-    return fed, sv
+    with evaluated_models() as sv:
+        run_svote(cfg, spec, hp, topo, shards, seed)
+    return fed, sv, topo.num_clients
 
 
 @st.composite
@@ -294,6 +297,42 @@ def round_kind_bytes(monkeypatch):
 
     monkeypatch.setattr(TrafficLedger, "record", tallied)
     return tally
+
+
+def _recorded_svote_run(cfg, topo, seed):
+    """run_svote with the vote, gate and broadcast calls recorded.
+
+    Returns the result, the model spec, every selection voted for by
+    (round, client), every gate call as (client, votes received, v_min,
+    degree, action) in call order, and the MODEL_UPDATE senders of each round.
+    """
+    _, shards, _, spec = small_problem(seed=seed, num_clients=topo.num_clients)
+    selections = {}
+    gates = []
+    updates = defaultdict(set)
+    real_cast, real_gate, real_broadcast = protocol.cast_votes, protocol.vote_gate, protocol.broadcast
+
+    def cast(bus, local, selected, rnd):
+        selections[(rnd, local)] = set(selected)
+        return real_cast(bus, local, selected, rnd)
+
+    def gate(state, v_min_, degree, rng):
+        action = real_gate(state, v_min_, degree, rng)
+        gates.append((state.id, state.votes_received, v_min_, degree, action))
+        return action
+
+    def broadcast(bus, sender, kind, params, rnd):
+        if kind is MessageKind.MODEL_UPDATE:
+            updates[rnd].add(sender)
+        return real_broadcast(bus, sender, kind, params, rnd)
+
+    with (
+        mock.patch.object(protocol, "cast_votes", cast),
+        mock.patch.object(protocol, "vote_gate", gate),
+        mock.patch.object(protocol, "broadcast", broadcast),
+    ):
+        res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=1, batch_size=16), topo, shards, seed)
+    return res, spec, selections, gates, updates
 
 
 class TestEngines:
@@ -322,24 +361,9 @@ class TestEngines:
     @settings(max_examples=60, deadline=None)
     def test_svote_engine_invariants(self, topo, t_init, n_diverge, gated, tau, v_min, suppress, seed):
         n = topo.num_clients
-        _, shards, _, spec = small_problem(seed=seed, num_clients=n)
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
                           tau=tau, v_min_fixed=v_min, suppress_nontrainer_updates=suppress)
-        selections = {}  # (round, client) -> the peers it voted for
-        gates = []  # (client, votes received, v_min, degree, action), in call order
-        real_cast, real_gate = protocol.cast_votes, protocol.vote_gate
-
-        def cast(bus, local, selected, rnd):
-            selections[(rnd, local)] = set(selected)
-            return real_cast(bus, local, selected, rnd)
-
-        def gate(state, v_min_, degree, rng):
-            action = real_gate(state, v_min_, degree, rng)
-            gates.append((state.id, state.votes_received, v_min_, degree, action))
-            return action
-
-        with mock.patch.object(protocol, "cast_votes", cast), mock.patch.object(protocol, "vote_gate", gate):
-            res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=1, batch_size=16), topo, shards, seed)
+        res, spec, selections, gates, _ = _recorded_svote_run(cfg, topo, seed)
 
         update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
         # one gate call per client per gated round, in client order
@@ -367,11 +391,68 @@ class TestEngines:
             rows = [r for r in res.records if r.round == rnd]
             assert sum(r.bytes_sent for r in rows) == sum(r.bytes_received for r in rows)
 
+    @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
+           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_svote_engine_invariants_refresh_off(self, topo, t_init, n_diverge, gated, tau, v_min, suppress,
+                                                 seed):
+        n = topo.num_clients
+        cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
+                          tau=tau, v_min_fixed=v_min, refresh_selection=False,
+                          suppress_nontrainer_updates=suppress)
+        res, spec, selections, gates, updates = _recorded_svote_run(cfg, topo, seed)
+
+        update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
+        # votes are cast once, in the selection round, and the selections stay frozen
+        assert {rnd for rnd, _ in selections} == {cfg.selection_round}
+        frozen = {cid: selections[(cfg.selection_round, cid)] for cid in range(n)}
+        assert [g[0] for g in gates] == list(range(n)) * gated
+        for cid, votes, v_min_, degree, action in gates:
+            assert votes == sum(cid in frozen[voter] for voter in range(n))
+            assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
+            assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
+        gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
+        for rec in res.records:
+            degree = topo.degree(rec.client)
+            if rec.round <= cfg.t_init:
+                assert (rec.bytes_sent, rec.models_aggregated) == (degree * update, degree + 1)
+            elif rec.round < cfg.selection_round:
+                assert (rec.bytes_sent, rec.bytes_received, rec.models_aggregated) == (0, 0, 0)
+            elif rec.round == cfg.selection_round:
+                assert rec.models_aggregated == 1 + len(frozen[rec.client])
+                assert rec.bytes_sent == degree * update + notice * len(frozen[rec.client])
+            else:
+                assert rec.action == gate_actions[(rec.round, rec.client)]
+                assert rec.models_aggregated == 1 + len(frozen[rec.client] & updates[rec.round])
+                size = notice if suppress and rec.action == Action.SKIP.value else update
+                assert rec.bytes_sent == degree * size
+        assert res.ledger.total_sent() == res.ledger.total_received()
+
+    @given(_connected_topologies(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_degeneracy_oracle_on_random_topologies(self, topo, t_init, extra, epochs, seed):
+        # all-permissive svote is FedAvg bit for bit, whatever the graph and schedule
+        n, rounds = topo.num_clients, t_init + extra
+        _, shards, _, spec = small_problem(seed=seed, num_clients=n)
+        hp = HyperParams(lr=0.2, local_epochs=epochs, batch_size=16)
+        cfg = SVoteConfig(total_rounds=rounds, t_init=t_init, n_diverge=0, tau=-1e9, v_min_fixed=0,
+                          suppress_nontrainer_updates=False)
+        with evaluated_models() as fed:
+            run_baseline("fedavg", spec, hp, topo, shards, seed, rounds=rounds)
+        with evaluated_models() as sv:
+            run_svote(cfg, spec, hp, topo, shards, seed)
+        assert len(fed) == len(sv) == rounds * n
+        for a, b in zip(fed, sv):
+            np.testing.assert_array_equal(a, b)
+
     def test_degenerate_svote_equals_fedavg_bitwise(self):
-        fed, sv = _run_pair()
-        for rnd in range(len(fed.model_trace)):
-            for c in range(fed.num_clients):
-                np.testing.assert_array_equal(fed.model_trace[rnd][c], sv.model_trace[rnd][c])
+        fed, sv, n = _run_pair(rounds=8)
+        assert len(fed) == len(sv) == 8 * n
+        for rnd in range(8):
+            for c in range(n):
+                np.testing.assert_array_equal(fed[rnd * n + c], sv[rnd * n + c])
 
     def test_diverge_rounds_have_zero_traffic(self):
         data, shards, topo, spec = small_problem()
@@ -396,11 +477,15 @@ class TestEngines:
     def test_fedprox_mu_zero_matches_fedavg(self):
         data, shards, topo, spec = small_problem()
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16, prox_mu=0.0)
-        a = run_baseline("fedavg", spec, hp, topo, shards, 5, rounds=6, trace_models=True)
-        b = run_baseline("fedprox", spec, hp, topo, shards, 5, rounds=6, trace_models=True)
+        with evaluated_models() as a:
+            run_baseline("fedavg", spec, hp, topo, shards, 5, rounds=6)
+        with evaluated_models() as b:
+            run_baseline("fedprox", spec, hp, topo, shards, 5, rounds=6)
+        n = topo.num_clients
+        assert len(a) == len(b) == 6 * n
         for rnd in range(6):
-            for c in range(a.num_clients):
-                np.testing.assert_array_equal(a.model_trace[rnd][c], b.model_trace[rnd][c])
+            for c in range(n):
+                np.testing.assert_array_equal(a[rnd * n + c], b[rnd * n + c])
 
     def test_fedprox_mu_positive_differs(self):
         data, shards, topo, spec = small_problem()
@@ -424,10 +509,11 @@ class TestEngines:
         data, shards, topo, spec = small_problem(num_clients=6)
         shard = shards[0]
         topo2 = netsim.full_topology(2)
-        res = run_baseline("fedavg", spec, HyperParams(lr=0.1), topo2, [shard, shard], 13,
-                           rounds=5, trace_models=True)
+        with evaluated_models() as models:
+            run_baseline("fedavg", spec, HyperParams(lr=0.1), topo2, [shard, shard], 13, rounds=5)
+        assert len(models) == 5 * 2
         for rnd in range(5):
-            np.testing.assert_array_equal(res.model_trace[rnd][0], res.model_trace[rnd][1])
+            np.testing.assert_array_equal(models[2 * rnd], models[2 * rnd + 1])
 
     def test_conservation_in_runs(self):
         data, shards, topo, spec = small_problem()
