@@ -16,48 +16,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import datahub, learner, metrics, netsim, protocol
 from .errors import CompareError, ConfigError, SvoteError
 from .seeding import derive_seed
 
 CSV_HEADER = "round,client,f1,bytes_sent,bytes_received,action,e_train,e_agg,e_comm,work_units"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    method: str
-    dataset: str
-    num_clients: int
-    seed: int
-    rounds: int = 30
-    alpha: float = 0.5
-    test_fraction: float = 0.2
-    topology: str = "full"
-    erdos_p: float = 0.5
-    model: str = "softmax"
-    hidden_dim: int = 32
-    syn_num_classes: int = 6
-    syn_input_dim: int = 16
-    syn_per_class: int = 200
-    syn_spread: float = 0.5
-    idx_images: str | None = None
-    idx_labels: str | None = None
-    idx_limit: int = 2000
-    lr: float = 1e-3
-    batch_size: int = 32
-    local_epochs: int = 2
-    prox_mu: float = 0.1
-    tau: float = 0.0
-    t_init: int = 5
-    n_diverge: int = 2
-    v_min: str = "half"  # "half" or a non-negative integer literal
-    refresh_selection: bool = True
-    suppress_nontrainer_updates: bool = True
-    c_train: float = 1e-7
-    c_agg: float = 1e-10
-    c_comm: float = 1e-10
 
 
 # ---------------------------------------------------------------- key schema
@@ -123,48 +88,87 @@ def _p_vmin(s: str) -> str:
 def _p_path(s: str) -> str:
     if not s:
         raise ValueError("expected a file path")
+    # config text cuts a line at '#' and strips its blanks: a path it could
+    # not carry would make the config echo re-parse to another config
+    if "#" in s or s.strip() != s or s.splitlines() != [s]:
+        raise ValueError(f"a path must hold no '#' or line break and no leading or trailing blank, got {s!r}")
     return s
 
 
-# key -> (config field, parser). Tau may be any finite float, including the
-# huge negative values used by the degeneracy checks.
-_KEYS: dict[str, tuple[str, object]] = {
-    "method": ("method", _p_choice(protocol.SVOTE, *protocol.BASELINES)),
-    "dataset": ("dataset", _p_choice("synthetic", "idx")),
-    "num_clients": ("num_clients", _p_int(2)),
-    "seed": ("seed", _p_int(0)),
-    "rounds": ("rounds", _p_int(1)),
-    "alpha": ("alpha", _p_float(lo=0.0, lo_strict=True)),
-    "test_fraction": ("test_fraction", _p_float(lo=0.0, lo_strict=True, hi=1.0, hi_strict=True)),
-    "topology": ("topology", _p_choice("full", "erdos")),
-    "erdos.p": ("erdos_p", _p_float(lo=0.0, lo_strict=True, hi=1.0)),
-    "model": ("model", _p_choice(learner.SOFTMAX, learner.MLP)),
-    "model.hidden_dim": ("hidden_dim", _p_int(1)),
-    "synthetic.num_classes": ("syn_num_classes", _p_int(2)),
-    "synthetic.input_dim": ("syn_input_dim", _p_int(1)),
-    "synthetic.per_class": ("syn_per_class", _p_int(1)),
-    "synthetic.spread": ("syn_spread", _p_float(lo=0.0, lo_strict=True)),
-    "idx.images": ("idx_images", _p_path),
-    "idx.labels": ("idx_labels", _p_path),
-    "idx.limit": ("idx_limit", _p_int(1)),
-    "lr": ("lr", _p_float(lo=0.0, lo_strict=True)),
-    "batch_size": ("batch_size", _p_int(1)),
-    "local_epochs": ("local_epochs", _p_int(1)),
-    "prox_mu": ("prox_mu", _p_float(lo=0.0)),
-    "svote.tau": ("tau", _p_float()),
-    "svote.t_init": ("t_init", _p_int(1)),
-    "svote.n_diverge": ("n_diverge", _p_int(0)),
-    "svote.v_min": ("v_min", _p_vmin),
-    "svote.refresh_selection": ("refresh_selection", _p_bool),
-    "svote.suppress_nontrainer_updates": ("suppress_nontrainer_updates", _p_bool),
-    "energy.c_train": ("c_train", _p_float(lo=0.0)),
-    "energy.c_agg": ("c_agg", _p_float(lo=0.0)),
-    "energy.c_comm": ("c_comm", _p_float(lo=0.0)),
-}
+def _key(key: str, parse, default=MISSING):
+    """A config field: its key in config text, the key's parser, and its default (none: required)."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
-_REQUIRED = ("method", "dataset", "num_clients", "seed")
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment; every value obeys its key's parser however the config was built.
+
+    Defaults the engine shares are read from its dataclasses. Tau may be any
+    finite float, including the huge negative values of the degeneracy checks.
+    """
+
+    method: str = _key("method", _p_choice(protocol.SVOTE, *protocol.BASELINES))
+    dataset: str = _key("dataset", _p_choice("synthetic", "idx"))
+    num_clients: int = _key("num_clients", _p_int(2))
+    seed: int = _key("seed", _p_int(0))
+    rounds: int = _key("rounds", _p_int(1), protocol.SVoteConfig.total_rounds)
+    alpha: float = _key("alpha", _p_float(lo=0.0, lo_strict=True), 0.5)
+    test_fraction: float = _key("test_fraction", _p_float(lo=0.0, lo_strict=True, hi=1.0, hi_strict=True), 0.2)
+    topology: str = _key("topology", _p_choice("full", "erdos"), "full")
+    erdos_p: float = _key("erdos.p", _p_float(lo=0.0, lo_strict=True, hi=1.0), 0.5)
+    model: str = _key("model", _p_choice(learner.SOFTMAX, learner.MLP), learner.SOFTMAX)
+    hidden_dim: int = _key("model.hidden_dim", _p_int(1), 32)
+    syn_num_classes: int = _key("synthetic.num_classes", _p_int(2), 6)
+    syn_input_dim: int = _key("synthetic.input_dim", _p_int(1), 16)
+    syn_per_class: int = _key("synthetic.per_class", _p_int(1), 200)
+    syn_spread: float = _key("synthetic.spread", _p_float(lo=0.0, lo_strict=True), 0.5)
+    idx_images: str | None = _key("idx.images", _p_path, None)
+    idx_labels: str | None = _key("idx.labels", _p_path, None)
+    idx_limit: int = _key("idx.limit", _p_int(1), 2000)
+    lr: float = _key("lr", _p_float(lo=0.0, lo_strict=True), learner.HyperParams.lr)
+    batch_size: int = _key("batch_size", _p_int(1), learner.HyperParams.batch_size)
+    local_epochs: int = _key("local_epochs", _p_int(1), learner.HyperParams.local_epochs)
+    prox_mu: float = _key("prox_mu", _p_float(lo=0.0), learner.HyperParams.prox_mu)
+    tau: float = _key("svote.tau", _p_float(), protocol.SVoteConfig.tau)
+    t_init: int = _key("svote.t_init", _p_int(1), protocol.SVoteConfig.t_init)
+    n_diverge: int = _key("svote.n_diverge", _p_int(0), protocol.SVoteConfig.n_diverge)
+    v_min: str = _key("svote.v_min", _p_vmin, "half")  # "half" or a non-negative integer literal
+    refresh_selection: bool = _key("svote.refresh_selection", _p_bool, protocol.SVoteConfig.refresh_selection)
+    suppress_nontrainer_updates: bool = _key(
+        "svote.suppress_nontrainer_updates", _p_bool, protocol.SVoteConfig.suppress_nontrainer_updates
+    )
+    c_train: float = _key("energy.c_train", _p_float(lo=0.0), metrics.EnergyCoeffs.c_train)
+    c_agg: float = _key("energy.c_agg", _p_float(lo=0.0), metrics.EnergyCoeffs.c_agg)
+    c_comm: float = _key("energy.c_comm", _p_float(lo=0.0), metrics.EnergyCoeffs.c_comm)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # an unset idx path
+            # the value must be what its own text form parses to, so the
+            # config echo re-parses to this config
+            try:
+                parsed = f.metadata["parse"](_value_str(value))
+            except ValueError as exc:
+                raise ConfigError(f"key {f.metadata['key']!r}: {exc}") from None
+            if parsed != value:
+                raise ConfigError(f"key {f.metadata['key']!r}: expected {parsed!r}, got {value!r}")
+        if self.method == protocol.SVOTE and self.t_init + self.n_diverge >= self.rounds:
+            raise ConfigError(
+                "svote needs svote.t_init + svote.n_diverge < rounds "
+                f"({self.t_init} + {self.n_diverge} >= {self.rounds})"
+            )
+        if self.dataset == "idx":
+            for key, path in (("idx.images", self.idx_images), ("idx.labels", self.idx_labels)):
+                if path is None:
+                    raise ConfigError(f"dataset=idx requires key {key!r}")
+                if not os.path.isfile(path):
+                    raise ConfigError(f"{key} file not found: {path}")
+
+
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -185,32 +189,18 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        field_name, parser = _KEYS[key]
+        f = _KEYS[key]
         try:
-            values[field_name] = parser(value)
+            values[f.name] = f.metadata["parse"](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: key {key!r}: {exc}") from None
-    for key in _REQUIRED:
-        field_name, _ = _KEYS[key]
-        if field_name not in values:
+    for key, f in _KEYS.items():
+        if f.default is MISSING and f.name not in values:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    cfg = ExperimentConfig(**values)
-    _cross_validate(cfg, source)
-    return cfg
-
-
-def _cross_validate(cfg: ExperimentConfig, source: str):
-    if cfg.method == protocol.SVOTE and cfg.t_init + cfg.n_diverge >= cfg.rounds:
-        raise ConfigError(
-            f"{source}: svote needs svote.t_init + svote.n_diverge < rounds "
-            f"({cfg.t_init} + {cfg.n_diverge} >= {cfg.rounds})"
-        )
-    if cfg.dataset == "idx":
-        for key, path in (("idx.images", cfg.idx_images), ("idx.labels", cfg.idx_labels)):
-            if path is None:
-                raise ConfigError(f"{source}: dataset=idx requires key {key!r}")
-            if not os.path.isfile(path):
-                raise ConfigError(f"{source}: {key} file not found: {path}")
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -226,7 +216,7 @@ def _value_str(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -237,7 +227,7 @@ def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         value = getattr(cfg, f.name)
         if value is None:
             continue
-        items.append((_FIELD_TO_KEY[f.name], _value_str(value)))
+        items.append((f.metadata["key"], _value_str(value)))
     return items
 
 
@@ -369,15 +359,17 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run and export metrics.csv + summary.json; nothing is written on failure."""
-    coeffs = metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm)
     result = execute(cfg)
-    lines = _csv_lines(result, coeffs)
+    lines = _csv_lines(result, metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm))
     summary = build_summary(cfg, result)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as f:
+            f.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise SvoteError(f"cannot write {out_dir}: {exc}") from None
     return summary
 
 
@@ -484,7 +476,7 @@ def compare_runs(run_dirs: list[str]) -> str:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        _, parse = _KEYS["seed"]
+        parse = _KEYS["seed"].metadata["parse"]
         try:
             cfg = replace(cfg, seed=parse(args.seed))
         except ValueError as exc:

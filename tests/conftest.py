@@ -1,10 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the session record that acceptance criterion 2 reads."""
 
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from svote import datahub, learner, netsim, protocol
 from svote.seeding import derive_seed
@@ -85,3 +87,74 @@ def evaluated_models():
 
     with mock.patch.object(protocol, "predict_batch", recorded):
         yield models
+
+
+def _module_id(nodeid: str) -> str:
+    return nodeid.split("::", 1)[0]
+
+
+class UnitSuiteRecord:
+    """What this session learned about its test modules.
+
+    Acceptance criterion 2 is that the whole unit suite passes. It reads the
+    failures recorded here for the modules this session ran whole, and runs
+    only the other unit modules in a nested pytest.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.failed: list[str] = []  # node ids of failed tests and failed collections
+        self.deselected: set[str] = set()  # module node ids with an item left out (-k, -m, --deselect, --lf)
+        self.collected: set[str] = set()  # module node ids with an item to run
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed.append(report.nodeid)
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.failed.append(report.nodeid)
+
+    def pytest_deselected(self, items):
+        self.deselected.update(_module_id(item.nodeid) for item in items)
+
+    def pytest_collection_finish(self, session):
+        self.collected = {_module_id(item.nodeid) for item in session.items}
+
+    def _node_id(self, path: Path) -> str:
+        return path.resolve().relative_to(self.config.rootpath).as_posix()
+
+    def ran_whole(self, path: Path) -> bool:
+        """Whether every test of the module at path was collected to run in this session.
+
+        A module named by a path argument (its file or a directory above it)
+        is collected whole; a node id argument (``file::name``) selects part.
+        """
+        module = self._node_id(path)
+        if module not in self.collected or module in self.deselected:
+            return False
+        path = path.resolve()
+        for arg in self.config.args:
+            if "::" not in arg:
+                named = (self.config.invocation_params.dir / arg).resolve()
+                if named == path or named in path.parents:
+                    return True
+        return False
+
+    def failures_in(self, paths) -> list[str]:
+        modules = {self._node_id(p) for p in paths}
+        return [nodeid for nodeid in self.failed if _module_id(nodeid) in modules]
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(UnitSuiteRecord(config), "unit-suite-record")
+
+
+def pytest_collection_modifyitems(items):
+    # criterion 2 reads the results of every other test, so it runs last
+    items.sort(key=lambda item: item.name == "test_criterion_2_equation_micro_tests")
+
+
+@pytest.fixture
+def unit_suite_record(request):
+    return request.config.pluginmanager.get_plugin("unit-suite-record")

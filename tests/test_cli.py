@@ -2,9 +2,12 @@
 
 import json
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svote import cli
 from svote.errors import CompareError, ConfigError
@@ -92,6 +95,140 @@ class TestParseConfig:
         assert again == cfg
 
 
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+_NON_NEGATIVE = st.floats(min_value=0.0, **_FINITE)
+_PATH = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",)), min_size=1).filter(
+    lambda s: s.strip() == s and s.splitlines() == [s]
+)
+
+# a valid value for every config field
+VALID = {
+    "method": st.sampled_from(["svote", "fedavg", "fedprox", "scaffold"]),
+    "dataset": st.sampled_from(["synthetic", "idx"]),
+    "num_clients": st.integers(min_value=2),
+    "seed": st.integers(min_value=0),
+    "rounds": st.integers(min_value=1),
+    "alpha": _POSITIVE,
+    "test_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "topology": st.sampled_from(["full", "erdos"]),
+    "erdos_p": st.floats(0.0, 1.0, exclude_min=True),
+    "model": st.sampled_from(["softmax", "mlp"]),
+    "hidden_dim": st.integers(min_value=1),
+    "syn_num_classes": st.integers(min_value=2),
+    "syn_input_dim": st.integers(min_value=1),
+    "syn_per_class": st.integers(min_value=1),
+    "syn_spread": _POSITIVE,
+    "idx_images": st.none() | _PATH,
+    "idx_labels": st.none() | _PATH,
+    "idx_limit": st.integers(min_value=1),
+    "lr": _POSITIVE,
+    "batch_size": st.integers(min_value=1),
+    "local_epochs": st.integers(min_value=1),
+    "prox_mu": _NON_NEGATIVE,
+    "tau": st.floats(**_FINITE),
+    "t_init": st.integers(min_value=1),
+    "n_diverge": st.integers(min_value=0),
+    "v_min": st.just("half") | st.integers(min_value=0).map(str),
+    "refresh_selection": st.booleans(),
+    "suppress_nontrainer_updates": st.booleans(),
+    "c_train": _NON_NEGATIVE,
+    "c_agg": _NON_NEGATIVE,
+    "c_comm": _NON_NEGATIVE,
+}
+
+REQUIRED = dict(method="fedavg", dataset="synthetic", num_clients=10, seed=1)
+
+
+@st.composite
+def valid_configs(draw):
+    values = {name: draw(strategy) for name, strategy in VALID.items()}
+    if values["method"] == "svote":
+        values["rounds"] = values["t_init"] + values["n_diverge"] + draw(st.integers(min_value=1))
+    if values["dataset"] == "idx":
+        values["idx_images"] = values["idx_labels"] = __file__  # the files must exist
+    return cli.ExperimentConfig(**values)
+
+
+def _key_of(name):
+    return next(f.metadata["key"] for f in fields(cli.ExperimentConfig) if f.name == name)
+
+
+class TestConfigKeys:
+    def test_every_field_has_a_valid_strategy(self):
+        assert list(VALID) == [f.name for f in fields(cli.ExperimentConfig)]
+
+    @given(valid_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_config_parses_back(self, cfg):
+        assert cli.parse_config_text(cli.render_config(cfg)) == cfg
+
+    @given(
+        st.one_of(
+            st.text(max_size=6),
+            st.integers(),
+            st.floats(),
+            st.booleans(),
+            st.none(),
+            st.sampled_from(["ring", "yes", "x", "foo", "a#b", " a", "a\n", "-1", "3.5"]),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_value_its_key_rejects_fails_the_config(self, value):
+        base = cli.ExperimentConfig(**REQUIRED)
+        for f in fields(cli.ExperimentConfig):
+            try:
+                f.metadata["parse"](cli._value_str(value))
+                continue
+            except ValueError:
+                pass
+            named = re.escape(f"key {f.metadata['key']!r}")
+            with pytest.raises(ConfigError, match=named):
+                cli.ExperimentConfig(**{**REQUIRED, f.name: value})
+            with pytest.raises(ConfigError, match=named):
+                replace(base, **{f.name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("topology", "ring"),
+            ("seed", -1),
+            ("refresh_selection", "yes"),
+            ("v_min", "x"),
+            ("dataset", "foo"),
+            ("num_clients", 3.5),
+            ("v_min", "03"),
+            ("num_clients", "5"),
+        ],
+    )
+    def test_direct_and_replaced_configs_obey_the_key_rules(self, name, value):
+        named = re.escape(f"key {_key_of(name)!r}")
+        with pytest.raises(ConfigError, match=named):
+            cli.ExperimentConfig(**{**REQUIRED, name: value})
+        with pytest.raises(ConfigError, match=named):
+            replace(cli.parse_config_text(MINIMAL), **{name: value})
+
+    @pytest.mark.parametrize("path", ["/data/set#1/img", " /data/img", "/data/img ", "/data/a\nb", "/data/a\u2028b"])
+    def test_idx_path_the_config_text_cannot_carry_is_rejected(self, path):
+        # text parsing cuts a line at '#' and strips it, so such a path's echo
+        # would re-parse to another path
+        with pytest.raises(ConfigError, match="idx.images"):
+            replace(cli.parse_config_text(MINIMAL), idx_images=path)
+
+    def test_numpy_scalars_echo_as_plain_numbers(self):
+        import numpy as np
+
+        cfg = replace(cli.parse_config_text(MINIMAL), lr=np.float64(0.25), num_clients=np.int64(5))
+        assert cli.parse_config_text(cli.render_config(cfg)) == cfg
+        assert "lr = 0.25\n" in cli.render_config(cfg)
+
+    def test_cross_rules_hold_for_direct_configs(self):
+        with pytest.raises(ConfigError, match="t_init"):
+            cli.ExperimentConfig(**{**REQUIRED, "method": "svote", "rounds": 7})
+        with pytest.raises(ConfigError, match="idx.images"):
+            replace(cli.parse_config_text(MINIMAL), dataset="idx")
+
+
 class TestRunExperiment:
     def test_artifacts_and_row_count(self, tmp_path):
         cfg = cli.parse_config_text(FAST.format(method="fedavg", seed=3))
@@ -118,11 +255,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field", ["c_train", "c_agg", "c_comm", "lr", "prox_mu"])
     def test_non_finite_direct_config_writes_nothing(self, tmp_path, field):
-        # built directly, so no config-text parser sees the value
-        cfg = replace(cli.parse_config_text(FAST.format(method="fedprox", seed=3)), **{field: float("nan")})
+        # built directly, so no config-text parser sees the value: the config
+        # itself rejects it, before anything runs
+        cfg = cli.parse_config_text(FAST.format(method="fedprox", seed=3))
         out = os.path.join(str(tmp_path), "run")
         with pytest.raises(ConfigError, match="finite"):
-            cli.run_experiment(cfg, out)
+            cli.run_experiment(replace(cfg, **{field: float("nan")}), out)
         assert not os.path.exists(out)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -231,6 +369,15 @@ class TestMainAndExitCodes:
         err = capsys.readouterr().err
         assert "--seed" in err and message in err
         assert not os.path.exists(out)
+
+    def test_unwritable_out_exit_2_after_the_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, FAST.format(method="fedavg", seed=3))
+        blocker = os.path.join(str(tmp_path), "a-file")
+        with open(blocker, "w"):
+            pass
+        assert cli.main(["run", "--config", path, "--out", os.path.join(blocker, "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
 
     def test_malformed_idx_content_exit_2(self, tmp_path, capsys):
         # files exist (validation passes) but carry a bad magic: runtime error

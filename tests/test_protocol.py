@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import evaluated_models, peak_traced_bytes, small_problem
-from svote import netsim, protocol
+from svote import metrics, netsim, protocol
 from svote.errors import ProtocolError
 from svote.learner import HyperParams
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
@@ -299,12 +299,13 @@ def round_kind_bytes(monkeypatch):
     return tally
 
 
-def _recorded_svote_run(cfg, topo, seed):
+def _recorded_svote_run(cfg, topo, seed, epochs):
     """run_svote with the vote, gate and broadcast calls recorded.
 
     Returns the result, the model spec, every selection voted for by
     (round, client), every gate call as (client, votes received, v_min,
-    degree, action) in call order, and the MODEL_UPDATE senders of each round.
+    degree, action) in call order, the MODEL_UPDATE senders of each round,
+    and the samples x epochs of one local pass of each client.
     """
     _, shards, _, spec = small_problem(seed=seed, num_clients=topo.num_clients)
     selections = {}
@@ -331,8 +332,19 @@ def _recorded_svote_run(cfg, topo, seed):
         mock.patch.object(protocol, "vote_gate", gate),
         mock.patch.object(protocol, "broadcast", broadcast),
     ):
-        res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=1, batch_size=16), topo, shards, seed)
-    return res, spec, selections, gates, updates
+        res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=epochs, batch_size=16), topo, shards, seed)
+    return res, spec, selections, gates, updates, [train.labels.shape[0] * epochs for train, _ in shards]
+
+
+def _assert_work_units(res, per_pass):
+    """A skipper trains nothing, any other client one pass; work units = samples trained + models aggregated."""
+    for rec in res.records:
+        assert rec.samples_trained == (0 if rec.action == Action.SKIP.value else per_pass[rec.client])
+        assert rec.work_units == rec.samples_trained + rec.models_aggregated
+    totals = metrics.work_units(res)
+    for cid in range(res.num_clients):
+        rows = [r for r in res.records if r.client == cid]
+        assert totals[cid] == sum(r.samples_trained + r.models_aggregated for r in rows)
 
 
 class TestEngines:
@@ -357,13 +369,14 @@ class TestEngines:
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
            st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
-           st.integers(0, 2**16))
+           st.integers(0, 2**16), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
-    def test_svote_engine_invariants(self, topo, t_init, n_diverge, gated, tau, v_min, suppress, seed):
+    def test_svote_engine_invariants(self, topo, t_init, n_diverge, gated, tau, v_min, suppress, seed, epochs):
         n = topo.num_clients
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
                           tau=tau, v_min_fixed=v_min, suppress_nontrainer_updates=suppress)
-        res, spec, selections, gates, _ = _recorded_svote_run(cfg, topo, seed)
+        res, spec, selections, gates, _, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
+        _assert_work_units(res, per_pass)
 
         update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
         # one gate call per client per gated round, in client order
@@ -393,15 +406,16 @@ class TestEngines:
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
            st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
-           st.integers(0, 2**16))
+           st.integers(0, 2**16), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_svote_engine_invariants_refresh_off(self, topo, t_init, n_diverge, gated, tau, v_min, suppress,
-                                                 seed):
+                                                 seed, epochs):
         n = topo.num_clients
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
                           tau=tau, v_min_fixed=v_min, refresh_selection=False,
                           suppress_nontrainer_updates=suppress)
-        res, spec, selections, gates, updates = _recorded_svote_run(cfg, topo, seed)
+        res, spec, selections, gates, updates, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
+        _assert_work_units(res, per_pass)
 
         update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
         # votes are cast once, in the selection round, and the selections stay frozen
