@@ -13,10 +13,13 @@ errors, 2 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+
+import numpy as np
 
 from . import datahub, learner, metrics, netsim, protocol
 from .errors import CompareError, ConfigError, SvoteError
@@ -354,21 +357,39 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "actions": action_counts,
         "fedavg_equivalent_bytes": equiv,
         "byte_reduction_pct": 100.0 * (equiv - total_sent) / equiv if equiv else 0.0,
+        "numpy_version": np.__version__,
     }
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Run and export metrics.csv + summary.json; nothing is written on failure."""
+    """Run and export metrics.csv + summary.json; nothing is written on failure.
+
+    Both artifacts are written to temporary names in out_dir and moved into
+    place only once both writes succeed; an OSError removes every file this
+    call wrote.
+    """
     result = execute(cfg)
     lines = _csv_lines(result, metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm))
     summary = build_summary(cfg, result)
+    texts = {
+        "metrics.csv": "\n".join(lines) + "\n",
+        "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    }
+    written: list[str] = []  # files this call made, removed again if the export fails
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as f:
-            f.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        for name, text in texts.items():
+            written.append(os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"))
+            with open(written[-1], "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        for i, name in enumerate(texts):
+            path = os.path.join(out_dir, name)
+            os.replace(written[i], path)
+            written[i] = path
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise SvoteError(f"cannot write {out_dir}: {exc}") from None
     return summary
 

@@ -2,9 +2,9 @@
 
 Synthetic data is a seeded Gaussian mixture (one unit-sphere mean per class);
 IDX files cover the MNIST family. Partitioning draws, per class, client
-proportions from Dirichlet(alpha) and splits indices with largest-remainder
-rounding, redrawing whole plans until every client holds at least min_shard
-samples.
+proportions from Dirichlet(alpha) once and splits indices with
+largest-remainder rounding, then moves samples from the largest clients to any
+client below the min_shard floor.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import ConfigError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-_MAX_PARTITION_ATTEMPTS = 10_000
 
 
 @dataclass
@@ -59,8 +57,10 @@ def gen_synthetic(
     means = rng.normal(size=(num_classes, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    noise = rng.normal(scale=spread, size=(labels.shape[0], input_dim))
-    return LabeledDataset(means[labels] + noise, labels, num_classes)
+    features = rng.normal(scale=spread, size=(labels.shape[0], input_dim))
+    # labels run class by class, so each class is one block of rows
+    features.reshape(num_classes, per_class, input_dim)[...] += means[:, None]
+    return LabeledDataset(features, labels, num_classes)
 
 
 def _read_exact(f, n: int, path: str) -> bytes:
@@ -119,6 +119,31 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _repair_to_floor(counts: np.ndarray, min_shard: int) -> np.ndarray:
+    """Top up every client (column) of a class x client count matrix to min_shard.
+
+    The total must be at least min_shard per client; no rng draw is made.
+    Each move fills the smallest client from the largest client's largest
+    class (lowest index on every tie), taking no more than the receiver
+    lacks, the donor holds above the floor, or the donor holds of that class.
+    Receivers end at exactly min_shard and donors never fall below it.
+    """
+    counts = counts.copy()
+    sizes = counts.sum(axis=0)
+    while True:
+        receiver = int(np.argmin(sizes))
+        deficit = min_shard - int(sizes[receiver])
+        if deficit <= 0:
+            return counts
+        donor = int(np.argmax(sizes))
+        cls = int(np.argmax(counts[:, donor]))
+        m = min(deficit, int(sizes[donor]) - min_shard, int(counts[cls, donor]))
+        counts[cls, donor] -= m
+        counts[cls, receiver] += m
+        sizes[donor] -= m
+        sizes[receiver] += m
+
+
 def dirichlet_partition(
     data: LabeledDataset, num_clients: int, alpha: float, seed: int, min_shard: int = 2
 ) -> list[np.ndarray]:
@@ -127,9 +152,13 @@ def dirichlet_partition(
     Returns one array of sample indices per client, in client order, each in
     ascending sample order.
 
-    Whole plans violating the min_shard floor are redrawn from the same
-    seeded stream; the caller picks min_shard (the experiment layer passes
-    max(2*batch_size, 2*num_classes)).
+    One plan is drawn: per non-empty class, a shuffle of its indices and
+    Dirichlet(alpha) client proportions rounded by largest remainder. Clients
+    below the min_shard floor are then topped up from the largest clients
+    without further draws, so a plan that meets the floor as drawn is kept
+    as drawn. The caller picks min_shard (the experiment layer passes
+    max(2*batch_size, 2*num_classes)); the only failure is a dataset smaller
+    than num_clients * min_shard.
     """
     if num_clients < 2:
         raise ConfigError("num_clients must be >= 2")
@@ -143,27 +172,18 @@ def dirichlet_partition(
     class_indices = [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
     class_indices = [idx for idx in class_indices if idx.size]
     concentration = np.full(num_clients, alpha)
-    for _ in range(_MAX_PARTITION_ATTEMPTS):
-        # a rejected plan costs only its draws: the shards are built once,
-        # for the plan that passes
-        draws = []
-        sizes = np.zeros(num_clients, dtype=np.int64)
-        for idx in class_indices:
-            shuffled = rng.permutation(idx)
-            counts = _largest_remainder(rng.dirichlet(concentration), idx.size)
-            sizes += counts
-            draws.append((shuffled, counts))
-        if sizes.min() >= min_shard:
-            owner = np.empty(len(data), dtype=np.intp)
-            clients = np.arange(num_clients)
-            for shuffled, counts in draws:
-                owner[shuffled] = np.repeat(clients, counts)
-            # grouped by client, each shard in ascending sample order
-            return np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
-    raise ConfigError(
-        f"could not satisfy min_shard={min_shard} for {num_clients} clients "
-        f"after {_MAX_PARTITION_ATTEMPTS} draws; dataset too small or alpha too skewed"
-    )
+    shuffled = []
+    counts = np.empty((len(class_indices), num_clients), dtype=np.int64)
+    for row, idx in enumerate(class_indices):
+        shuffled.append(rng.permutation(idx))
+        counts[row] = _largest_remainder(rng.dirichlet(concentration), idx.size)
+    counts = _repair_to_floor(counts, min_shard)
+    owner = np.empty(len(data), dtype=np.intp)
+    clients = np.arange(num_clients)
+    for perm, row in zip(shuffled, counts):
+        owner[perm] = np.repeat(clients, row)
+    # grouped by client, each shard in ascending sample order
+    return np.split(np.argsort(owner, kind="stable"), np.cumsum(counts.sum(axis=0))[:-1])
 
 
 def split_train_test(

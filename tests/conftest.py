@@ -57,7 +57,7 @@ def counted_class_splits():
     """Record the sample count of every per-class split the partitioner makes.
 
     Patches `datahub._largest_remainder`, the module attribute the
-    partitioner looks up once per non-empty class per attempt.
+    partitioner looks up once per non-empty class per plan.
     """
     splits = []
     split = datahub._largest_remainder

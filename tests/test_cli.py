@@ -5,6 +5,7 @@ import os
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,20 @@ class TestRunExperiment:
         # fedavg traffic must match the analytic equivalent exactly
         assert summary["total_bytes_sent"] == summary["fedavg_equivalent_bytes"]
         assert summary["byte_reduction_pct"] == 0.0
+        assert summary["numpy_version"] == np.__version__
+        assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
+
+    @pytest.mark.parametrize("blocked", ["metrics.csv", "summary.json"])
+    def test_failed_export_leaves_no_file_it_wrote(self, tmp_path, capsys, blocked):
+        # a directory where an artifact goes: both are written, neither moves in
+        path = write_config(tmp_path, FAST.format(method="fedavg", seed=3))
+        out = os.path.join(str(tmp_path), "out")
+        os.makedirs(os.path.join(out, blocked))
+        assert cli.main(["run", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and len(err.splitlines()) == 1
+        assert os.listdir(out) == [blocked]
+        assert os.listdir(os.path.join(out, blocked)) == []
 
     def test_summary_uses_the_topology_the_run_used(self, monkeypatch):
         cfg = cli.parse_config_text(FAST.format(method="fedavg", seed=4) + "topology = erdos\nerdos.p = 0.6\n")

@@ -2,7 +2,6 @@
 
 import os
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +39,19 @@ class TestGenSynthetic:
             w, _ = learner.local_train(w, data.features, data.labels, spec, hp, rng)
         acc = (learner.predict_batch(w, data.features, spec) == data.labels).mean()
         assert acc >= 0.99
+
+    @pytest.mark.parametrize("shape", [(6, 16, 200), (10, 784, 30), (2, 1, 1), (3, 5, 7)])
+    def test_same_bytes_as_the_gathered_means_plus_noise(self, shape):
+        # the class means are added in place; the sum is the same float sum
+        num_classes, input_dim, per_class = shape
+        rng = np.random.default_rng(5)
+        means = rng.normal(size=(num_classes, input_dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        labels = np.repeat(np.arange(num_classes), per_class)
+        noise = rng.normal(scale=0.7, size=(labels.size, input_dim))
+        data = datahub.gen_synthetic(num_classes, input_dim, per_class, 0.7, seed=5)
+        assert data.features.tobytes() == (means[labels] + noise).tobytes()
+        np.testing.assert_array_equal(data.labels, labels)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -219,11 +231,11 @@ class TestDirichletPartition:
 
 
 def _whole_plan_redraws(data, num_clients, alpha, seed, min_shard, max_attempts):
-    """Reference partitioner: every attempt slices its per-client buckets.
+    """Reference partitioner: redraw whole plans until one meets the floor.
 
-    The largest-remainder tie break is a lexsort on an index key. The
-    partitioner must return the same plan, or fail with the same error,
-    from the same seeded stream.
+    Every attempt slices its per-client buckets; the largest-remainder tie
+    break is a lexsort on an index key. With max_attempts=1 it is the first
+    draw the partitioner makes, and with min_shard=0 that draw as it stands.
     """
     rng = np.random.default_rng(seed)
     class_indices = [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
@@ -247,11 +259,11 @@ def _whole_plan_redraws(data, num_clients, alpha, seed, min_shard, max_attempts)
                 offset += k
         sizes = [sum(len(part) for part in parts) for parts in buckets]
         if min(sizes) >= min_shard:
-            return {client: np.sort(np.concatenate(parts)) for client, parts in enumerate(buckets)}
-    raise ConfigError(
-        f"could not satisfy min_shard={min_shard} for {num_clients} clients "
-        f"after {max_attempts} draws; dataset too small or alpha too skewed"
-    )
+            return {
+                client: np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+                for client, parts in enumerate(buckets)
+            }
+    raise ConfigError(f"no plan meets min_shard={min_shard} in {max_attempts} draws")
 
 
 @st.composite
@@ -266,53 +278,93 @@ def _partition_case(draw):
     if total < num_clients:
         per_class[-1] += num_clients - total
         total = num_clients
-    # a floor near total / num_clients forces redraws, and sometimes exhausts them
+    # drawn as the slack below total / num_clients, so the floor sits near
+    # the top and most first draws need repair
+    slack = draw(st.integers(0, total // num_clients - 1))
     return {
         "per_class": per_class,
         "num_clients": num_clients,
         "alpha": draw(st.sampled_from([0.05, 0.3, 1.0, 5.0])),
-        "min_shard": draw(st.integers(1, total // num_clients)),
+        "min_shard": total // num_clients - slack,
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
 
-class TestPartitionAgainstWholePlanRedraws:
+def _labels_only(labels, num_classes):
+    return datahub.LabeledDataset(np.zeros((labels.size, 1)), labels, num_classes)
+
+
+class TestPartitionOneDraw:
     @given(_partition_case())
     @settings(max_examples=150, deadline=None)
-    def test_same_plan_or_same_error(self, case):
+    def test_exact_cover_above_the_floor_from_one_draw(self, case):
         num_classes = len(case["per_class"])
         labels = np.repeat(np.arange(num_classes), case["per_class"])
         labels = np.random.default_rng(case["seed"]).permutation(labels)
-        data = datahub.LabeledDataset(np.zeros((labels.size, 1)), labels, num_classes)
-        args = (data, case["num_clients"], case["alpha"], case["seed"], case["min_shard"])
-        attempts = 25
-        with mock.patch.object(datahub, "_MAX_PARTITION_ATTEMPTS", attempts):
-            try:
-                expected = _whole_plan_redraws(*args, attempts)
-            except ConfigError as exc:
-                with pytest.raises(ConfigError) as got:
-                    datahub.dirichlet_partition(*args)
-                assert str(got.value) == str(exc)
-                return
-            plan = datahub.dirichlet_partition(*args)
-        assert len(plan) == case["num_clients"]
+        data = _labels_only(labels, num_classes)
+        n, min_shard = case["num_clients"], case["min_shard"]
+        args = (data, n, case["alpha"], case["seed"])
+        with counted_class_splits() as splits:
+            plan = datahub.dirichlet_partition(*args, min_shard)
+        assert len(splits) == np.count_nonzero(case["per_class"])  # one split per non-empty class
+        assert len(plan) == n
+        for shard in plan:
+            assert shard.dtype == np.int64 and shard.size >= min_shard
+            assert np.all(np.diff(shard) > 0)
+        np.testing.assert_array_equal(np.sort(np.concatenate(plan)), np.arange(len(data)))
+        again = datahub.dirichlet_partition(*args, min_shard)
+        for shard, same in zip(plan, again):
+            np.testing.assert_array_equal(shard, same)
+        # the repair tops clients up to the floor, takes only what lies above
+        # it, and moves no more samples than the clients lack
+        first = _whole_plan_redraws(*args, 0, 1).values()
+        drawn = np.array([np.bincount(labels[s], minlength=num_classes) for s in first])
+        final = np.array([np.bincount(labels[s], minlength=num_classes) for s in plan])
+        for size, shard in zip(drawn.sum(axis=1), plan):
+            assert shard.size == min_shard if size < min_shard else min_shard <= shard.size <= size
+        lacking = np.maximum(min_shard - drawn.sum(axis=1), 0).sum()
+        assert np.maximum(drawn - final, 0).sum() == lacking
+        # it fails exactly when the data cannot meet the floor
+        with pytest.raises(ConfigError, match="cannot give"):
+            datahub.dirichlet_partition(*args, len(data) // n + 1)
+        # a first draw that meets the floor is kept bit for bit
+        try:
+            expected = _whole_plan_redraws(*args, min_shard, 1)
+        except ConfigError:
+            return  # the first draw needed repair
         for client, shard in expected.items():
-            assert plan[client].dtype == shard.dtype
-            np.testing.assert_array_equal(plan[client], shard)
+            assert plan[client].tobytes() == shard.tobytes()
 
-    def test_exhausted_attempts_raise_the_same_config_error(self):
-        # 4 clients of exactly 5 samples each out of 20: at alpha 0.01 each class
-        # lands almost whole on one client, so no attempt passes
-        labels = np.repeat(np.arange(2), 10)
-        data = datahub.LabeledDataset(np.zeros((20, 1)), labels, 2)
-        with counted_class_splits() as splits, pytest.raises(ConfigError) as got:
-            datahub.dirichlet_partition(data, 4, 0.01, seed=2, min_shard=5)
-        assert str(got.value) == (
-            "could not satisfy min_shard=5 for 4 clients after 10000 draws; "
-            "dataset too small or alpha too skewed"
+    def test_repair_moves_the_largest_clients_largest_class_to_the_smallest_client(self):
+        counts = np.array([[0, 9, 4], [1, 2, 4]])
+        # client 0 (1 sample) takes 3 of client 1's class 0: client 1 keeps 8 >= 4
+        np.testing.assert_array_equal(datahub._repair_to_floor(counts, 4), [[3, 6, 4], [1, 2, 4]])
+        # a move stops at the donor's spare above the floor; the next donor goes on
+        np.testing.assert_array_equal(
+            datahub._repair_to_floor(np.array([[0, 7, 1], [0, 1, 8]]), 5), [[1, 6, 1], [4, 1, 4]]
         )
-        # every attempt splits both classes, through the module attribute
-        assert len(splits) == 2 * 10_000
+        # a move stops at the donor's count in its largest class (lowest class on ties)
+        np.testing.assert_array_equal(
+            datahub._repair_to_floor(np.array([[0, 3], [0, 3], [0, 3]]), 4), [[3, 0], [1, 2], [0, 3]]
+        )
+
+    def test_twenty_samples_at_alpha_001_give_four_shards_of_five(self):
+        # at alpha 0.01 each class lands almost whole on one client; the
+        # redraw partitioner failed this case after 10,000 draws
+        data = _labels_only(np.repeat(np.arange(2), 10), 2)
+        with counted_class_splits() as splits:
+            plan = datahub.dirichlet_partition(data, 4, 0.01, seed=2, min_shard=5)
+        assert [shard.size for shard in plan] == [5, 5, 5, 5]
+        np.testing.assert_array_equal(np.sort(np.concatenate(plan)), np.arange(20))
+        assert len(splits) == 2
+
+    def test_hundred_clients_on_twelve_thousand_samples(self):
+        # 6,400 of 12,000 samples meet the floor; the redraw partitioner
+        # failed this case after 10,000 draws
+        data = _labels_only(np.repeat(np.arange(6), 2000), 6)
+        plan = datahub.dirichlet_partition(data, 100, 0.5, seed=1, min_shard=64)
+        assert min(shard.size for shard in plan) == 64
+        np.testing.assert_array_equal(np.sort(np.concatenate(plan)), np.arange(12_000))
 
 
 # -------------------------------------------------------------------- splits

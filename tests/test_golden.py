@@ -6,7 +6,8 @@ alters a digest on purpose (a new float summation order, say) records the
 new digest here and explains the drift; one that alters it by accident is a
 regression.
 
-Recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (Python 3.11, x86-64).
+Recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (Python 3.11, x86-64);
+summary.json records the numpy version, so another numpy moves its digest.
 Another numpy or BLAS may round differently; the digests hold for 1 and 2
 BLAS threads.
 """
@@ -73,28 +74,28 @@ svote.v_min = half
 
 GOLDEN = {  # name -> sha256 of metrics.csv, of summary.json
     "svote_noniid": (
-        "c45c4811fdb6e1e747597de57d1d94d1605a43abf50e563d0b46e48370965cbf",
-        "65317c147877d28ceebb0a44453471a9235450e2431ccf2bcba64e46c486be58",
+        "5f3d24374ac6952233f12a5689184c589d8532e2b04f75c6d81a3f1e859f52e7",
+        "1a31e9f94fea09fd8ac61a076fae6eec89e861237b6c72c81d09ab89159c68ab",
     ),
     "fedavg_noniid": (
-        "36b3a62e7586848443045472504ee89025536f3ef7240bc0c58ff2ce958d94ff",
-        "6f8a28f2c5bfce33210d566383f2f44af2c5690dfce42329cb5c3c7e4910896e",
+        "c06b6df0fa6be6515201e09ae3d58c18bf977d803844ce825e5e7d777f70ae59",
+        "0db6b2e9e98be5e02a3e22b4ce9cc8578263ad9400364fd50d56c994790c8a38",
     ),
     "scaffold_noniid": (
-        "c8fbde8e4313cc890aa6eba2ff4eb9b9bbbac287c79624d1ce613e582a4e95fd",
-        "9ae031ef88d701284e01080c92ebb0a11661408fa46e9f89425844ca50757942",
+        "40167bd5372ebbbb2f73171a458fd1f72abd37fccf2824c9b82dc02315e9463f",
+        "0283f691bcb1f50a7cb574b86ed960d751e886df9360889a759f689dddbdc0d2",
     ),
     "svote_full40": (
-        "fc2e219d7ac12b0933c2be98e6977172cdf1dc31dc637eb92658e3e3dbaf67ba",
-        "29fc15584c5b0f35f00b61a040617d56abd07ca2877dd0794c7f23e70773921d",
+        "5b2d05beeac55ff0caafe7a37ca87a194f9b4f6f8473f270925ecbb88b7d1761",
+        "b071a7128d30bc7d77907c93900b028d5e6f2d09b6df89363831b143dfc41b7b",
     ),
     "svote_mlp": (
-        "7d6ebd946890983e12de870c2c5bab185dc33443245a08c6a51238f8f46c74b7",
-        "525df55e298eb321982656eedcd827f334f5627bc2dbed68cff44395a70f4768",
+        "a016b3f61668f209736611a15a247336794d7dc81b625668d04922ff30acda96",
+        "837040fb5af71181c131e154541e7c6846005cababfca4ef963bb9415155a41f",
     ),
     "fedprox_noniid": (
-        "96fc399682602b04c15477a059eafd23330fdc5aa06863dcbc4c3edf3449ff7f",
-        "13ca77dc24b38ffd33e24082a9cf40f9b2e555852553d7c044131e21aa3d5cc5",
+        "0e8d386b4172eb456e6246fad75d6829c7b8f7f559901287de0308236124adc3",
+        "3bea23dba013e9f55c53c25d5db702b07f4324387069f1eb07a6fd861b85870c",
     ),
 }
 
@@ -129,7 +130,7 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 # the dense-100 benchmark partition: 100 clients, 6 x 4,000 samples, alpha 0.5,
 # min_shard 64 (= 2 * batch_size 32), config seed 1; the plan depends on the
 # labels only
-DENSE100_PLAN = "a395427caec838ae5cf3fb08de9ec1249b0692ccf04409b32e4b314f8f28a41b"
+DENSE100_PLAN = "b705ce5f0977797b522a1811b4ec93ddd16eb0eabbac7d8553a339c94c93b0d5"
 
 
 def test_dense100_partition_matches_golden_digest():
@@ -137,8 +138,8 @@ def test_dense100_partition_matches_golden_digest():
     data = datahub.LabeledDataset(np.zeros((labels.size, 1)), labels, 6)
     with counted_class_splits() as splits:
         plan = datahub.dirichlet_partition(data, 100, 0.5, derive_seed(1, "partition"), min_shard=64)
-    # 29 whole-plan draws of 6 class splits each; the 29th passes
-    assert len(splits) == 29 * 6
+    # one plan: one split per class, repaired up to the floor without redraws
+    assert len(splits) == 6
     digest = hashlib.sha256()
     for client in range(100):
         shard = plan[client]

@@ -33,3 +33,5 @@ def test_traced_benchmark_pass_succeeds():
     report = proc.stdout[-4000:]
     assert result["failed"] == 0, report
     assert result["correct"] is True, report
+    # the partitioner draws each plan once: a redraw loop would raise this count
+    assert result["metrics"]["datahub.partition.attempts"]["value"] == 1.0, report
