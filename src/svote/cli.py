@@ -328,7 +328,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
     report = metrics.energy(result, coeffs)
     units = metrics.work_units(result)
     equiv = fedavg_equivalent_bytes(result.topology, result.rounds, result.param_count)
-    total_sent = result.ledger.total_sent()
+    total_sent = sum(rec.bytes_sent for rec in result.records)
     action_counts = {a.value: 0 for a in protocol.Action}
     for rec in result.records:
         action_counts[rec.action] += 1
@@ -343,7 +343,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "final_f1_std": f1_std,
         "final_f1_per_client": per_client,
         "total_bytes_sent": total_sent,
-        "total_bytes_received": result.ledger.total_received(),
+        "total_bytes_received": sum(rec.bytes_received for rec in result.records),
         "bytes_by_kind": {k.value: result.ledger.kind_bytes.get(k, 0) for k in netsim.MessageKind},
         "message_counts": {k.value: result.ledger.kind_count.get(k, 0) for k in netsim.MessageKind},
         "energy_kwh": {

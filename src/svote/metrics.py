@@ -41,9 +41,8 @@ class RunResult:
     rounds: int
     param_count: int
     records: list[MetricsRecord]
-    ledger: TrafficLedger
-    final_models: list[np.ndarray]
-    topology: Topology | None = None  # the graph the engine ran on
+    ledger: TrafficLedger  # message totals per kind; per-round bytes live in the records
+    topology: Topology  # the graph the engine ran on
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ broadcast is one message to every neighbor); delivery order is canonical,
 sorted by sender, so every inbox is in (sender, send) order and replaying a
 seed reproduces the ledger bit-exactly.
 
-A message carries its kind, round and wire size, not the arrays it stands
-for: the round engine holds the round's models in one stacked matrix, and a
+A message carries its kind and wire size, not the arrays it stands for: the
+round engine holds the round's models in one stacked matrix, and a
 MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD's also delivers row
 p of the control-variate matrix).
 
@@ -15,7 +15,8 @@ Wire-format accounting: every copy a receiver gets costs a 32-byte header; a
 model update adds 4 bytes per carried parameter (32-bit reals), votes and
 no-update notices are header-only. The ledger books a message once per
 receiver, so its totals equal those of one point-to-point message per
-(sender, receiver) pair.
+(sender, receiver) pair. It books one round at a time: the round engine takes
+each round's per-client counts into its metrics records.
 """
 
 from __future__ import annotations
@@ -116,40 +117,38 @@ class RoundMessage:
     sender: int
     receivers: tuple[int, ...]
     kind: MessageKind
-    round: int
     byte_size: int
 
 
 class TrafficLedger:
-    """Byte counts per (round, client) and per message kind.
+    """Bytes each client sent and received in the round being booked, and run totals per message kind.
 
-    Run totals, per client or overall, are sums of the per-round counts.
+    `sent` and `received` hold plain ints by client id, so they serialise
+    exactly; the ledger keeps no earlier round.
     """
 
-    def __init__(self):
-        self.round_sent: dict[tuple[int, int], int] = defaultdict(int)  # (round, client)
-        self.round_received: dict[tuple[int, int], int] = defaultdict(int)
+    def __init__(self, num_clients: int):
+        self.sent = [0] * num_clients
+        self.received = [0] * num_clients
         self.kind_bytes: dict[MessageKind, int] = defaultdict(int)
         self.kind_count: dict[MessageKind, int] = defaultdict(int)
 
     def record(self, msg: RoundMessage):
         """Book one copy of the message per receiver."""
-        size, rnd = msg.byte_size, msg.round
+        size = msg.byte_size
         fanout = len(msg.receivers)
-        self.round_sent[(rnd, msg.sender)] += size * fanout
+        self.sent[msg.sender] += size * fanout
         self.kind_bytes[msg.kind] += size * fanout
         self.kind_count[msg.kind] += fanout
+        received = self.received
         for receiver in msg.receivers:
-            self.round_received[(rnd, receiver)] += size
+            received[receiver] += size
 
-    def total_sent(self) -> int:
-        return sum(self.round_sent.values())
-
-    def total_received(self) -> int:
-        return sum(self.round_received.values())
-
-    def round_bytes(self, rnd: int, client: int) -> tuple[int, int]:
-        return self.round_sent.get((rnd, client), 0), self.round_received.get((rnd, client), 0)
+    def take_round(self) -> tuple[list[int], list[int]]:
+        """The booked round's bytes sent and received per client; the next round starts at zero."""
+        taken = self.sent, self.received
+        self.sent, self.received = [0] * len(self.sent), [0] * len(self.received)
+        return taken
 
 
 @dataclass
@@ -183,8 +182,8 @@ class MessageBus:
         return msgs
 
 
-def broadcast(bus: MessageBus, sender: int, kind: MessageKind, params: int, rnd: int) -> int:
+def broadcast(bus: MessageBus, sender: int, kind: MessageKind, params: int) -> int:
     """One message carrying `params` parameters to every neighbor; returns the neighbor count."""
     neighbors = bus.topo.neighbors(sender)
-    bus.send(RoundMessage(sender, neighbors, kind, rnd, message_byte_size(params)))
+    bus.send(RoundMessage(sender, neighbors, kind, message_byte_size(params)))
     return len(neighbors)

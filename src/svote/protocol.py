@@ -163,10 +163,10 @@ def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
     return selected
 
 
-def cast_votes(bus: MessageBus, local: int, selected: set[int], rnd: int) -> int:
+def cast_votes(bus: MessageBus, local: int, selected: set[int]) -> int:
     """One vote to every selected peer, as one message; delivered at the next phase boundary."""
     if selected:
-        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, rnd, message_byte_size(0)))
+        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, message_byte_size(0)))
     return len(selected)
 
 
@@ -242,9 +242,9 @@ def _share_and_aggregate(
     params = models.shape[1] if variates is None else 2 * models.shape[1]
     for s in states:
         if actions[s.id] is not Action.SKIP or not cfg.suppress_nontrainer_updates:
-            broadcast(bus, s.id, MessageKind.MODEL_UPDATE, params, rnd)
+            broadcast(bus, s.id, MessageKind.MODEL_UPDATE, params)
         else:
-            broadcast(bus, s.id, MessageKind.NO_UPDATE, 0, rnd)
+            broadcast(bus, s.id, MessageKind.NO_UPDATE, 0)
     bus.flush()
     average_all = rnd <= cfg.t_init
     reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
@@ -257,7 +257,7 @@ def _share_and_aggregate(
                 row = sims[s.id].tolist()
                 scores = {p: row[p] for p in senders}
                 s.selected_peers = select_peers(s.id, scores, cfg.tau) if scores else set()
-                cast_votes(bus, s.id, s.selected_peers, rnd)
+                cast_votes(bus, s.id, s.selected_peers)
             senders = [p for p in senders if p in s.selected_peers]
         stack = [s.w] + [models[p] for p in senders]
         s.w = aggregate(stack)
@@ -295,21 +295,15 @@ def _run(
     ]
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
-    ledger = TrafficLedger()
+    ledger = TrafficLedger(n)
     bus = MessageBus(topo, ledger)
     records: list[MetricsRecord] = []
 
     for rnd in range(1, rounds + 1):
+        # initial federated rounds, divergence rounds and the selection round
+        # all train unconditionally
         actions = [Action.TRAIN_LOCAL] * n
-        samples = [0] * n
-        models_agg = [0] * n
-
-        if rnd <= cfg.selection_round:
-            # initial federated rounds, divergence rounds and the selection round
-            # all train unconditionally
-            for s in states:
-                samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
-        else:
+        if rnd > cfg.selection_round:
             # gated rounds: votes from the previous round decide who trains
             for s in states:
                 inbox = bus.take_inbox(s.id)
@@ -318,25 +312,30 @@ def _run(
                     s.votes_received = vote_count
                 degree = topo.degree(s.id)
                 actions[s.id] = vote_gate(s, cfg.v_min_for(degree), degree, gate_rngs[s.id])
-                if actions[s.id] is not Action.SKIP:
-                    samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
+
+        # every client has its own train and gate streams, so gating all first changes nothing
+        samples = [0] * n
+        for s in states:
+            if actions[s.id] is not Action.SKIP:
+                samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
 
         # divergence rounds are local-only, with zero traffic
+        models_agg = [0] * n
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
             models_agg = _share_and_aggregate(bus, states, method, cfg, rnd, actions)
 
+        sent, received = ledger.take_round()
         for s in states:
             cid = s.id
             test = shards[cid][1]
-            sent, received = ledger.round_bytes(rnd, cid)
             preds = predict_batch(s.w, test.features, model_spec)
             records.append(
                 MetricsRecord(
                     round=rnd,
                     client=cid,
                     f1=macro_f1(preds, test.labels, model_spec.num_classes),
-                    bytes_sent=sent,
-                    bytes_received=received,
+                    bytes_sent=sent[cid],
+                    bytes_received=received[cid],
                     action=actions[cid].value,
                     samples_trained=samples[cid],
                     models_aggregated=models_agg[cid],
@@ -350,7 +349,6 @@ def _run(
         param_count=model_spec.param_count,
         records=records,
         ledger=ledger,
-        final_models=[s.w.copy() for s in states],
         topology=topo,
     )
 
@@ -374,7 +372,7 @@ def run_baseline(
     topo: Topology,
     shards,
     seed: int,
-    rounds: int = 30,
+    rounds: int = SVoteConfig.total_rounds,
 ) -> RunResult:
     """FedAvg / FedProx / SCAFFOLD: the engine with every round an initial federated round."""
     if kind not in BASELINES:

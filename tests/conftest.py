@@ -1,6 +1,7 @@
 """Shared builders for the test suite, and the session record that acceptance criterion 2 reads."""
 
 import tracemalloc
+from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -52,6 +53,11 @@ def peak_traced_bytes(fn):
     return peak - base
 
 
+def traffic_totals(result):
+    """A run's (bytes sent, bytes received), summed over its metric records."""
+    return sum(r.bytes_sent for r in result.records), sum(r.bytes_received for r in result.records)
+
+
 @contextmanager
 def counted_class_splits():
     """Record the sample count of every per-class split the partitioner makes.
@@ -87,6 +93,25 @@ def evaluated_models():
 
     with mock.patch.object(protocol, "predict_batch", recorded):
         yield models
+
+
+@contextmanager
+def booked_rounds():
+    """Yield `round_of(ledger)`: the number of the round that ledger is booking.
+
+    Patches `TrafficLedger.take_round`, which the round engine calls once at
+    the end of every round, divergence rounds included, so while the engine
+    runs round r its ledger has been taken r - 1 times.
+    """
+    taken = defaultdict(int)  # ledger -> take_round calls so far
+    take = netsim.TrafficLedger.take_round
+
+    def counted(ledger):
+        taken[ledger] += 1
+        return take(ledger)
+
+    with mock.patch.object(netsim.TrafficLedger, "take_round", counted):
+        yield lambda ledger: taken[ledger] + 1
 
 
 def _module_id(nodeid: str) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import evaluated_models
+from conftest import evaluated_models, traffic_totals
 from svote import cli, metrics, netsim, protocol
 from svote.learner import HyperParams
 from svote.netsim import MessageKind
@@ -106,7 +106,7 @@ def test_criterion_3_byte_reduction_every_seed():
     for seed in SEEDS:
         fed = _execute(cli.ExperimentConfig(method="fedavg", seed=seed, **TREND))
         sv = _execute(cli.ExperimentConfig(method="svote", seed=seed, **TREND))
-        fb, sb = fed.ledger.total_sent(), sv.ledger.total_sent()
+        fb, sb = traffic_totals(fed)[0], traffic_totals(sv)[0]
         assert sb < fb, f"seed {seed}: svote bytes {sb} not below fedavg {fb}"
         reductions.append(100.0 * (fb - sb) / fb)
     pretty = ", ".join(f"{r:.1f}%" for r in reductions)
@@ -191,7 +191,8 @@ def test_criterion_8_conservation_and_partition_invariants():
     _execute(cli.ExperimentConfig(method="svote", t_init=2, n_diverge=1, **base))
     assert _RUNS
     for res in _RUNS:
-        assert res.ledger.total_sent() == res.ledger.total_received()
+        sent, received = traffic_totals(res)
+        assert sent == received
 
     data = datahub.gen_synthetic(6, 4, 200, 0.5, seed=123)
 

@@ -248,7 +248,35 @@ class TestRunExperiment:
         assert summary["numpy_version"] == np.__version__
         assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
 
-    @pytest.mark.parametrize("blocked", ["metrics.csv", "summary.json"])
+    @pytest.mark.parametrize("method", ["fedavg", "fedprox", "scaffold", "svote"])
+    def test_summary_totals_are_sums_of_the_csv_columns(self, tmp_path, method):
+        # the per-round records are the only store of per-client traffic,
+        # energy and work: each summary total is its column summed in row order
+        out = os.path.join(str(tmp_path), "run")
+        cli.run_experiment(cli.parse_config_text(FAST.format(method=method, seed=3)), out)
+        with open(os.path.join(out, "metrics.csv")) as f:
+            header, *rows = [line.split(",") for line in f.read().splitlines()]
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        column = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+        def total(name, parse):
+            acc = parse(0)
+            for value in column[name]:
+                acc += parse(value)
+            return acc
+
+        assert summary["total_bytes_sent"] == total("bytes_sent", int)
+        assert summary["total_bytes_received"] == total("bytes_received", int)
+        for phase in ("train", "agg", "comm"):
+            assert summary["energy_kwh"][phase] == total(f"e_{phase}", float)
+        assert summary["work_units_total"] == total("work_units", int)
+        per_client = [0] * summary["num_clients"]
+        for client, units in zip(column["client"], column["work_units"]):
+            per_client[int(client)] += int(units)
+        assert summary["work_units_per_client"] == per_client
+
+    @pytest.mark.parametrize("blocked",["metrics.csv", "summary.json"])
     def test_failed_export_leaves_no_file_it_wrote(self, tmp_path, capsys, blocked):
         # a directory where an artifact goes: both are written, neither moves in
         path = write_config(tmp_path, FAST.format(method="fedavg", seed=3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_problem
-from svote import metrics, protocol
+from svote import metrics, netsim, protocol
 from svote.errors import ConfigError, MetricError
 from svote.learner import HyperParams
 from svote.metrics import EnergyCoeffs, MetricsRecord, macro_f1
@@ -127,16 +127,14 @@ def _result(per_client_f1, rounds=3):
                     models_aggregated=4,
                 )
             )
-    from svote.netsim import TrafficLedger
-
     return metrics.RunResult(
         method="fedavg",
         num_clients=n,
         rounds=rounds,
         param_count=10,
         records=records,
-        ledger=TrafficLedger(),
-        final_models=[np.zeros(10)] * n,
+        ledger=netsim.TrafficLedger(n),
+        topology=netsim.full_topology(n),
     )
 
 
@@ -220,9 +218,7 @@ class TestWorkUnits:
                 MetricsRecord(rnd, 1, 0.5, 10, 10, "skip" if skipped else "train_local",
                               0 if skipped else 100, 3)
             )
-        from svote.netsim import TrafficLedger
-
-        res = metrics.RunResult("svote", 2, 5, 10, records, TrafficLedger(), [np.zeros(10)] * 2)
+        res = metrics.RunResult("svote", 2, 5, 10, records, netsim.TrafficLedger(2), netsim.full_topology(2))
         units = metrics.work_units(res)
         assert units[1] < units[0]
 
@@ -233,17 +229,3 @@ class TestWorkUnits:
         a = metrics.work_units(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
         b = metrics.work_units(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
         assert a == b
-
-    def test_ledger_and_records_agree(self):
-        data, shards, topo, spec = small_problem(seed=6)
-        hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
-        res = protocol.run_baseline("fedavg", spec, hp, topo, shards, 8, rounds=5)
-        from_records = {c: [0, 0] for c in range(res.num_clients)}
-        for r in res.records:
-            from_records[r.client][0] += r.bytes_sent
-            from_records[r.client][1] += r.bytes_received
-        from_ledger = {c: [0, 0] for c in range(res.num_clients)}
-        for side, counts in enumerate((res.ledger.round_sent, res.ledger.round_received)):
-            for (_, client), size in counts.items():
-                from_ledger[client][side] += size
-        assert from_records == from_ledger

@@ -68,13 +68,13 @@ class TestMessages:
 
     def test_scaffold_payload_counts_both_vectors(self):
         bus, ledger = _bus(3)
-        netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 2 * 100, 1)
-        assert ledger.round_bytes(1, 0) == (2 * (32 + 800), 0)
+        netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 2 * 100)
+        assert ledger.take_round() == ([2 * (32 + 800), 0, 0], [0, 32 + 800, 32 + 800])
 
     def test_no_update_notice_is_header_only(self):
         bus, ledger = _bus(3)
-        netsim.broadcast(bus, 0, MessageKind.NO_UPDATE, 0, 1)
-        assert ledger.round_bytes(1, 0) == (2 * 32, 0)
+        netsim.broadcast(bus, 0, MessageKind.NO_UPDATE, 0)
+        assert ledger.take_round() == ([2 * 32, 0, 0], [0, 32, 32])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError):
@@ -93,77 +93,76 @@ class TestMessages:
 
 def _bus(n=4):
     topo = netsim.full_topology(n)
-    ledger = TrafficLedger()
+    ledger = TrafficLedger(n)
     return MessageBus(topo, ledger), ledger
 
 
 class TestBusAndLedger:
     def test_non_neighbor_send_rejected(self):
         topo = Topology(3, frozenset({(0, 1)}))
-        bus = MessageBus(topo, TrafficLedger())
-        msg = RoundMessage(0, (2,), MessageKind.VOTE, 1, 32)
+        bus = MessageBus(topo, TrafficLedger(3))
+        msg = RoundMessage(0, (2,), MessageKind.VOTE, 32)
         with pytest.raises(ProtocolError):
             bus.send(msg)
 
     def test_message_invisible_until_flush(self):
         bus, _ = _bus()
-        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 32))
         assert bus.take_inbox(1) == []
-        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(0, (1,), MessageKind.VOTE, 32))
         bus.flush()
         assert len(bus.take_inbox(1)) == 2
 
     def test_delivery_sorted_by_sender_receiver(self):
         bus, _ = _bus()
-        bus.send(RoundMessage(2, (0,), MessageKind.VOTE, 1, 32))
-        bus.send(RoundMessage(1, (0,), MessageKind.VOTE, 1, 32))
-        bus.send(RoundMessage(3, (0,), MessageKind.VOTE, 1, 32))
+        bus.send(RoundMessage(2, (0,), MessageKind.VOTE, 32))
+        bus.send(RoundMessage(1, (0,), MessageKind.VOTE, 32))
+        bus.send(RoundMessage(3, (0,), MessageKind.VOTE, 32))
         bus.flush()
         assert [m.sender for m in bus.take_inbox(0)] == [1, 2, 3]
 
     def test_conservation(self):
         bus, ledger = _bus(5)
-        for rnd in range(1, 4):
+        for _ in range(3):
             for sender in range(5):
-                netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 20, rnd)
+                netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 20)
             bus.flush()
-        assert ledger.total_sent() == ledger.total_received()
+            sent, received = ledger.take_round()
+            assert sum(sent) == sum(received) == 5 * 4 * 112
 
     def test_broadcast_count_and_ledger_delta(self):
         bus, ledger = _bus(10)
-        count = netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 100, 1)
+        count = netsim.broadcast(bus, 0, MessageKind.MODEL_UPDATE, 100)
         assert count == 9
-        assert ledger.round_bytes(1, 0)[0] == 9 * 432
+        assert ledger.take_round()[0][0] == 9 * 432
 
     def test_degree_limited_broadcast(self):
         topo = Topology(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}))
-        bus = MessageBus(topo, TrafficLedger())
-        assert netsim.broadcast(bus, 0, MessageKind.VOTE, 0, 1) == 3
+        bus = MessageBus(topo, TrafficLedger(5))
+        assert netsim.broadcast(bus, 0, MessageKind.VOTE, 0) == 3
 
     def test_ledger_replay_identical(self):
         def run():
             bus, ledger = _bus(6)
             rng = np.random.default_rng(42)
-            for rnd in range(1, 5):
+            rounds = []
+            for _ in range(4):
                 for sender in range(6):
                     if rng.random() < 0.7:
-                        netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 11, rnd)
+                        netsim.broadcast(bus, sender, MessageKind.MODEL_UPDATE, 11)
                     else:
-                        netsim.broadcast(bus, sender, MessageKind.NO_UPDATE, 0, rnd)
+                        netsim.broadcast(bus, sender, MessageKind.NO_UPDATE, 0)
                 bus.flush()
-            return ledger
+                rounds.append(ledger.take_round())
+            return rounds, ledger
 
-        a, b = run(), run()
-        assert dict(a.round_received) == dict(b.round_received)
-        assert dict(a.round_sent) == dict(b.round_sent)
+        (a_rounds, a), (b_rounds, b) = run(), run()
+        assert a_rounds == b_rounds
         assert dict(a.kind_bytes) == dict(b.kind_bytes)
 
 
-LEDGER_FIELDS = ("round_sent", "round_received", "kind_bytes", "kind_count")
-
-
 def _ledger_fields(ledger):
-    return {name: dict(getattr(ledger, name)) for name in LEDGER_FIELDS}
+    return list(ledger.sent), list(ledger.received), dict(ledger.kind_bytes), dict(ledger.kind_count)
 
 
 class TestMulticast:
@@ -173,50 +172,54 @@ class TestMulticast:
         n = data.draw(st.integers(2, 7), label="n")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         topo = Topology(n, frozenset(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges")))
-        ledger = TrafficLedger()
+        ledger = TrafficLedger(n)
         bus = MessageBus(topo, ledger)
-        oracle = {name: defaultdict(int) for name in LEDGER_FIELDS}
-        delivered = defaultdict(list)  # receiver -> (sender, send index) per copy
+        kind_bytes, kind_count = defaultdict(int), defaultdict(int)  # the run's, across rounds
         senders = [c for c in range(n) if topo.degree(c)]
-        sends = st.tuples(
-            st.sampled_from(senders), st.sampled_from(list(MessageKind)), st.integers(1, 3), st.integers(0, 5000)
-        )
-        for index, (sender, kind, rnd, size) in enumerate(data.draw(st.lists(sends, max_size=12), label="sends")):
-            receivers = data.draw(st.lists(st.sampled_from(topo.neighbors(sender)), min_size=1, unique=True))
-            bus.send(RoundMessage(sender, tuple(receivers), kind, rnd, size))
-            for receiver in receivers:
-                oracle["round_sent"][(rnd, sender)] += size
-                oracle["round_received"][(rnd, receiver)] += size
-                oracle["kind_bytes"][kind] += size
-                oracle["kind_count"][kind] += 1
-                delivered[receiver].append((sender, index))
-        assert _ledger_fields(ledger) == {name: dict(field) for name, field in oracle.items()}
-        assert ledger.total_sent() == ledger.total_received()
-        bus.flush()
-        for receiver in range(n):
-            expected = [sender for sender, _ in sorted(delivered[receiver])]
-            assert [m.sender for m in bus.take_inbox(receiver)] == expected
+        sends = st.tuples(st.sampled_from(senders), st.sampled_from(list(MessageKind)), st.integers(0, 5000))
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            sent, received = [0] * n, [0] * n
+            delivered = defaultdict(list)  # receiver -> (sender, send index) per copy
+            for index, (sender, kind, size) in enumerate(data.draw(st.lists(sends, max_size=8), label="sends")):
+                receivers = data.draw(st.lists(st.sampled_from(topo.neighbors(sender)), min_size=1, unique=True))
+                bus.send(RoundMessage(sender, tuple(receivers), kind, size))
+                for receiver in receivers:
+                    sent[sender] += size
+                    received[receiver] += size
+                    kind_bytes[kind] += size
+                    kind_count[kind] += 1
+                    delivered[receiver].append((sender, index))
+            assert (dict(ledger.kind_bytes), dict(ledger.kind_count)) == (dict(kind_bytes), dict(kind_count))
+            taken = ledger.take_round()
+            assert taken == (sent, received)
+            assert sum(taken[0]) == sum(taken[1])
+            bus.flush()
+            for receiver in range(n):
+                expected = [sender for sender, _ in sorted(delivered[receiver])]
+                assert [m.sender for m in bus.take_inbox(receiver)] == expected
+        # a round with no sends books nothing
+        assert ledger.take_round() == ([0] * n, [0] * n)
 
     def test_one_non_neighbor_rejects_whole_message(self):
         topo = Topology(4, frozenset({(0, 1), (0, 2), (2, 3)}))
-        ledger = TrafficLedger()
+        ledger = TrafficLedger(4)
         bus = MessageBus(topo, ledger)
-        bus.send(RoundMessage(0, (1, 2), MessageKind.MODEL_UPDATE, 1, 432))
+        bus.send(RoundMessage(0, (1, 2), MessageKind.MODEL_UPDATE, 432))
         before = _ledger_fields(ledger)
         for receivers in ((1, 3, 2), (0,)):
             with pytest.raises(ProtocolError):
-                bus.send(RoundMessage(0, receivers, MessageKind.MODEL_UPDATE, 1, 432))
+                bus.send(RoundMessage(0, receivers, MessageKind.MODEL_UPDATE, 432))
         assert _ledger_fields(ledger) == before
         bus.flush()
         assert [len(bus.take_inbox(c)) for c in range(4)] == [0, 1, 1, 0]
 
     def test_broadcast_is_one_message_to_every_neighbor(self):
         bus, ledger = _bus(5)
-        netsim.broadcast(bus, 2, MessageKind.MODEL_UPDATE, 10, 1)
+        netsim.broadcast(bus, 2, MessageKind.MODEL_UPDATE, 10)
         bus.flush()
         inboxes = [bus.take_inbox(c) for c in range(5)]
         assert inboxes[2] == []
         msgs = {id(box[0]) for box in inboxes if box}
         assert len(msgs) == 1
         assert ledger.kind_count[MessageKind.MODEL_UPDATE] == 4
-        assert ledger.round_bytes(1, 2)[0] == 4 * 72
+        assert ledger.take_round()[0][2] == 4 * 72

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluated_models, peak_traced_bytes, small_problem
+from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
 from svote import metrics, netsim, protocol
 from svote.errors import ProtocolError
 from svote.learner import HyperParams
@@ -176,24 +176,24 @@ class TestSelectPeers:
 class TestCastVotes:
     def test_selected_peers_gain_votes(self):
         topo = netsim.full_topology(10)
-        bus = MessageBus(topo, TrafficLedger())
-        n = cast_votes(bus, 0, {3, 7}, rnd=1)
+        bus = MessageBus(topo, TrafficLedger(topo.num_clients))
+        n = cast_votes(bus, 0, {3, 7})
         bus.flush()
         assert n == 2
         assert len([m for m in bus.take_inbox(3) if m.kind is MessageKind.VOTE]) == 1
         assert len([m for m in bus.take_inbox(7) if m.kind is MessageKind.VOTE]) == 1
 
     def test_empty_selection_sends_nothing(self):
-        bus = MessageBus(netsim.full_topology(4), TrafficLedger())
-        assert cast_votes(bus, 0, set(), rnd=1) == 0
+        bus = MessageBus(netsim.full_topology(4), TrafficLedger(4))
+        assert cast_votes(bus, 0, set()) == 0
         bus.flush()
         assert all(bus.take_inbox(c) == [] for c in range(4))
 
     def test_everyone_votes_for_peer_zero(self):
         topo = netsim.full_topology(11)
-        bus = MessageBus(topo, TrafficLedger())
+        bus = MessageBus(topo, TrafficLedger(topo.num_clients))
         for sender in range(1, 11):
-            cast_votes(bus, sender, {0}, rnd=1)
+            cast_votes(bus, sender, {0})
         bus.flush()
         assert len(bus.take_inbox(0)) == 10
 
@@ -286,17 +286,17 @@ def _connected_topologies(draw, max_clients=6):
 
 
 @pytest.fixture
-def round_kind_bytes(monkeypatch):
+def round_kind_bytes():
     """Bytes the ledger books per (round, message kind), tallied at TrafficLedger.record."""
     tally = defaultdict(int)
     record = TrafficLedger.record
 
     def tallied(ledger, msg):
-        tally[(msg.round, msg.kind)] += msg.byte_size * len(msg.receivers)
+        tally[(round_of(ledger), msg.kind)] += msg.byte_size * len(msg.receivers)
         record(ledger, msg)
 
-    monkeypatch.setattr(TrafficLedger, "record", tallied)
-    return tally
+    with booked_rounds() as round_of, mock.patch.object(TrafficLedger, "record", tallied):
+        yield tally
 
 
 def _recorded_svote_run(cfg, topo, seed, epochs):
@@ -313,21 +313,22 @@ def _recorded_svote_run(cfg, topo, seed, epochs):
     updates = defaultdict(set)
     real_cast, real_gate, real_broadcast = protocol.cast_votes, protocol.vote_gate, protocol.broadcast
 
-    def cast(bus, local, selected, rnd):
-        selections[(rnd, local)] = set(selected)
-        return real_cast(bus, local, selected, rnd)
+    def cast(bus, local, selected):
+        selections[(round_of(bus.ledger), local)] = set(selected)
+        return real_cast(bus, local, selected)
 
     def gate(state, v_min_, degree, rng):
         action = real_gate(state, v_min_, degree, rng)
         gates.append((state.id, state.votes_received, v_min_, degree, action))
         return action
 
-    def broadcast(bus, sender, kind, params, rnd):
+    def broadcast(bus, sender, kind, params):
         if kind is MessageKind.MODEL_UPDATE:
-            updates[rnd].add(sender)
-        return real_broadcast(bus, sender, kind, params, rnd)
+            updates[round_of(bus.ledger)].add(sender)
+        return real_broadcast(bus, sender, kind, params)
 
     with (
+        booked_rounds() as round_of,
         mock.patch.object(protocol, "cast_votes", cast),
         mock.patch.object(protocol, "vote_gate", gate),
         mock.patch.object(protocol, "broadcast", broadcast),
@@ -441,7 +442,8 @@ class TestEngines:
                 assert rec.models_aggregated == 1 + len(frozen[rec.client] & updates[rec.round])
                 size = notice if suppress and rec.action == Action.SKIP.value else update
                 assert rec.bytes_sent == degree * size
-        assert res.ledger.total_sent() == res.ledger.total_received()
+        sent, received = traffic_totals(res)
+        assert sent == received
 
     @given(_connected_topologies(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
            st.integers(0, 2**16))
@@ -486,7 +488,7 @@ class TestEngines:
         a = run_svote(cfg, spec, hp, topo, shards, 3)
         b = run_svote(cfg, spec, hp, topo, shards, 3)
         assert a.records == b.records
-        assert dict(a.ledger.round_sent) == dict(b.ledger.round_sent)
+        assert (a.ledger.kind_bytes, a.ledger.kind_count) == (b.ledger.kind_bytes, b.ledger.kind_count)
 
     def test_fedprox_mu_zero_matches_fedavg(self):
         data, shards, topo, spec = small_problem()
@@ -504,9 +506,12 @@ class TestEngines:
     def test_fedprox_mu_positive_differs(self):
         data, shards, topo, spec = small_problem()
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16, prox_mu=0.5)
-        a = run_baseline("fedavg", spec, hp, topo, shards, 5, rounds=4)
-        b = run_baseline("fedprox", spec, hp, topo, shards, 5, rounds=4)
-        assert any(not np.array_equal(x, y) for x, y in zip(a.final_models, b.final_models))
+        with evaluated_models() as a:
+            run_baseline("fedavg", spec, hp, topo, shards, 5, rounds=4)
+        with evaluated_models() as b:
+            run_baseline("fedprox", spec, hp, topo, shards, 5, rounds=4)
+        n = topo.num_clients
+        assert any(not np.array_equal(x, y) for x, y in zip(a[-n:], b[-n:]))
 
     def test_scaffold_doubles_model_payload(self):
         data, shards, topo, spec = small_problem()
@@ -536,7 +541,8 @@ class TestEngines:
             run_baseline("fedavg", spec, hp, topo, shards, 2, rounds=4),
             run_svote(SVoteConfig(total_rounds=8, t_init=2, n_diverge=1), spec, hp, topo, shards, 2),
         ):
-            assert res.ledger.total_sent() == res.ledger.total_received()
+            sent, received = traffic_totals(res)
+            assert sent == received
 
     def test_zero_norm_arrival_ranks_at_floor(self, monkeypatch):
         data, shards, topo, spec = small_problem()
@@ -581,7 +587,7 @@ class TestEngines:
         # identical models -> unit similarity -> everyone selects all peers
         # -> every client collects degree-many votes
         topo = netsim.full_topology(5)
-        bus = MessageBus(topo, TrafficLedger())
+        bus = MessageBus(topo, TrafficLedger(topo.num_clients))
         w = np.random.default_rng(3).normal(size=12)
         matrix = cosine_similarity(np.tile(w, (5, 1)))
         for local in range(5):
@@ -589,7 +595,7 @@ class TestEngines:
             assert all(s == pytest.approx(1.0, abs=1e-9) for s in sims.values())
             selected = select_peers(local, sims, 0.0)
             assert selected == set(range(5)) - {local}
-            cast_votes(bus, local, selected, rnd=1)
+            cast_votes(bus, local, selected)
         bus.flush()
         for c in range(5):
             assert len(bus.take_inbox(c)) == 4
@@ -642,7 +648,8 @@ class TestEngines:
             if kind is MessageKind.VOTE and b > 0
         }
         assert vote_rounds == {cfg.selection_round}
-        assert res.ledger.total_sent() == res.ledger.total_received()
+        sent, received = traffic_totals(res)
+        assert sent == received
 
     def test_refresh_off_vote_tally_persists(self):
         data, shards, topo, spec = small_problem(seed=3)
@@ -663,10 +670,11 @@ class TestEngines:
         spec = ModelSpec(MLP, 8, 4, hidden_dim=6)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=8, t_init=2, n_diverge=1)
-        res = run_svote(cfg, spec, hp, topo, shards, 8)
+        with evaluated_models() as models:
+            res = run_svote(cfg, spec, hp, topo, shards, 8)
         assert res.param_count == spec.param_count
         assert all(0.0 <= r.f1 <= 1.0 for r in res.records)
-        assert all(np.all(np.isfinite(w)) for w in res.final_models)
+        assert all(np.all(np.isfinite(w)) for w in models)
 
     def test_two_client_federation_always_trains(self):
         # degree 1 <= 2: the gate never blocks, selection has a single candidate
