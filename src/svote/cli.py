@@ -98,37 +98,45 @@ def _p_path(s: str) -> str:
     return s
 
 
-def _key(key: str, parse, default=MISSING):
-    """A config field: its key in config text, the key's parser, and its default (none: required)."""
-    return field(default=default, metadata={"key": key, "parse": parse})
+def _key(key: str, parse, default=MISSING, data: bool = False):
+    """A config field: its key in config text, the key's parser, and its default (none: required).
+
+    data marks a key that defines the data the clients hold: compare accepts
+    only runs that agree on every such key.
+    """
+    return field(default=default, metadata={"key": key, "parse": parse, "data": data})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment; every value obeys its key's parser however the config was built.
 
     Defaults the engine shares are read from its dataclasses. Tau may be any
     finite float, including the huge negative values of the degeneracy checks.
+    Fields are in config echo order, which is also the order compare checks
+    the data keys in.
     """
 
     method: str = _key("method", _p_choice(protocol.SVOTE, *protocol.BASELINES))
-    dataset: str = _key("dataset", _p_choice("synthetic", "idx"))
-    num_clients: int = _key("num_clients", _p_int(2))
+    dataset: str = _key("dataset", _p_choice("synthetic", "idx"), data=True)
+    alpha: float = _key("alpha", _p_float(lo=0.0, lo_strict=True), 0.5, data=True)
+    num_clients: int = _key("num_clients", _p_int(2), data=True)
     seed: int = _key("seed", _p_int(0))
     rounds: int = _key("rounds", _p_int(1), protocol.SVoteConfig.total_rounds)
-    alpha: float = _key("alpha", _p_float(lo=0.0, lo_strict=True), 0.5)
-    test_fraction: float = _key("test_fraction", _p_float(lo=0.0, lo_strict=True, hi=1.0, hi_strict=True), 0.2)
+    test_fraction: float = _key(
+        "test_fraction", _p_float(lo=0.0, lo_strict=True, hi=1.0, hi_strict=True), 0.2, data=True
+    )
     topology: str = _key("topology", _p_choice("full", "erdos"), "full")
     erdos_p: float = _key("erdos.p", _p_float(lo=0.0, lo_strict=True, hi=1.0), 0.5)
     model: str = _key("model", _p_choice(learner.SOFTMAX, learner.MLP), learner.SOFTMAX)
     hidden_dim: int = _key("model.hidden_dim", _p_int(1), 32)
-    syn_num_classes: int = _key("synthetic.num_classes", _p_int(2), 6)
-    syn_input_dim: int = _key("synthetic.input_dim", _p_int(1), 16)
-    syn_per_class: int = _key("synthetic.per_class", _p_int(1), 200)
-    syn_spread: float = _key("synthetic.spread", _p_float(lo=0.0, lo_strict=True), 0.5)
-    idx_images: str | None = _key("idx.images", _p_path, None)
-    idx_labels: str | None = _key("idx.labels", _p_path, None)
-    idx_limit: int = _key("idx.limit", _p_int(1), 2000)
+    syn_num_classes: int = _key("synthetic.num_classes", _p_int(2), 6, data=True)
+    syn_input_dim: int = _key("synthetic.input_dim", _p_int(1), 16, data=True)
+    syn_per_class: int = _key("synthetic.per_class", _p_int(1), 200, data=True)
+    syn_spread: float = _key("synthetic.spread", _p_float(lo=0.0, lo_strict=True), 0.5, data=True)
+    idx_images: str | None = _key("idx.images", _p_path, None, data=True)
+    idx_labels: str | None = _key("idx.labels", _p_path, None, data=True)
+    idx_limit: int = _key("idx.limit", _p_int(1), 2000, data=True)
     lr: float = _key("lr", _p_float(lo=0.0, lo_strict=True), learner.HyperParams.lr)
     batch_size: int = _key("batch_size", _p_int(1), learner.HyperParams.batch_size)
     local_epochs: int = _key("local_epochs", _p_int(1), learner.HyperParams.local_epochs)
@@ -270,21 +278,30 @@ def build_shards(cfg: ExperimentConfig, data: datahub.LabeledDataset):
     ]
 
 
-def model_spec_for(cfg: ExperimentConfig, data: datahub.LabeledDataset) -> learner.ModelSpec:
-    return learner.ModelSpec(
+def build_problem(
+    cfg: ExperimentConfig,
+) -> tuple[netsim.Topology, list[tuple[datahub.LabeledDataset, datahub.LabeledDataset]], learner.ModelSpec]:
+    """The topology, the clients' (train, test) shards and the model spec: all the engine reads.
+
+    The dataset is cut into shards here and not returned: the shards hold a
+    copy of every row, so it is freed before the first round and the rounds
+    hold one copy of the data, not two.
+    """
+    data = build_dataset(cfg)
+    topo = build_topology(cfg)
+    shards = build_shards(cfg, data)
+    spec = learner.ModelSpec(
         kind=cfg.model,
         input_dim=data.input_dim,
         num_classes=data.num_classes,
         hidden_dim=cfg.hidden_dim if cfg.model == learner.MLP else 0,
     )
+    return topo, shards, spec
 
 
 def execute(cfg: ExperimentConfig) -> metrics.RunResult:
     """Run the configured experiment in memory, writing nothing."""
-    data = build_dataset(cfg)
-    topo = build_topology(cfg)
-    shards = build_shards(cfg, data)
-    spec = model_spec_for(cfg, data)
+    topo, shards, spec = build_problem(cfg)
     hp = learner.HyperParams(
         lr=cfg.lr,
         local_epochs=cfg.local_epochs,
@@ -337,7 +354,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "method": result.method,
         "seed": cfg.seed,
         "rounds": result.rounds,
-        "num_clients": result.num_clients,
+        "num_clients": result.topology.num_clients,
         "param_count": result.param_count,
         "final_f1_mean": f1_mean,
         "final_f1_std": f1_std,
@@ -352,7 +369,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
             "comm": report.comm,
             "total": report.total,
         },
-        "work_units_per_client": [units[c] for c in range(result.num_clients)],
+        "work_units_per_client": [units[c] for c in range(result.topology.num_clients)],
         "work_units_total": sum(units.values()),
         "actions": action_counts,
         "fedavg_equivalent_bytes": equiv,
@@ -396,19 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 # ------------------------------------------------------------------- compare
 
-_DATASET_KEYS = (
-    "dataset",
-    "alpha",
-    "num_clients",
-    "test_fraction",
-    "synthetic.num_classes",
-    "synthetic.input_dim",
-    "synthetic.per_class",
-    "synthetic.spread",
-    "idx.images",
-    "idx.labels",
-    "idx.limit",
-)
+_DATASET_KEYS = tuple(f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata["data"])
 
 
 # label, key path of the compared number, its format spec, and the key of the

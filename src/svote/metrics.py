@@ -37,7 +37,6 @@ class MetricsRecord:
 @dataclass
 class RunResult:
     method: str
-    num_clients: int
     rounds: int
     param_count: int
     records: list[MetricsRecord]
@@ -117,9 +116,10 @@ def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def federation_summary(result: RunResult) -> tuple[float, float, list[float]]:
     """Mean and population std over clients' final-round F1, and the F1 of each client."""
     by_client = {r.client: r.f1 for r in result.records if r.round == result.rounds}
-    if not by_client or by_client.keys() != set(range(result.num_clients)):
+    clients = range(result.topology.num_clients)
+    if not by_client or by_client.keys() != set(clients):
         raise MetricError("run lacks a final-round record for some client")
-    per_client = [by_client[c] for c in range(result.num_clients)]
+    per_client = [by_client[c] for c in clients]
     arr = np.asarray(per_client)
     return float(arr.mean()), float(arr.std()), per_client
 
@@ -146,7 +146,7 @@ def energy(result: RunResult, coeffs: EnergyCoeffs) -> EnergyReport:
 
 def work_units(result: RunResult) -> dict[int, int]:
     """Counted-work proxy for elapsed time: samples x epochs trained plus models aggregated."""
-    per_client = {c: 0 for c in range(result.num_clients)}
+    per_client = {c: 0 for c in range(result.topology.num_clients)}
     for rec in result.records:
         per_client[rec.client] += rec.work_units
     return per_client

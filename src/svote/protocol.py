@@ -344,7 +344,6 @@ def _run(
 
     return RunResult(
         method=method,
-        num_clients=n,
         rounds=rounds,
         param_count=model_spec.param_count,
         records=records,

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svote import cli
+from svote import cli, protocol
 from svote.errors import CompareError, ConfigError
 
 MINIMAL = "method = fedavg\ndataset = synthetic\nnum_clients = 10\nseed = 1\n"
@@ -107,10 +108,10 @@ _PATH = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",)
 VALID = {
     "method": st.sampled_from(["svote", "fedavg", "fedprox", "scaffold"]),
     "dataset": st.sampled_from(["synthetic", "idx"]),
+    "alpha": _POSITIVE,
     "num_clients": st.integers(min_value=2),
     "seed": st.integers(min_value=0),
     "rounds": st.integers(min_value=1),
-    "alpha": _POSITIVE,
     "test_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "topology": st.sampled_from(["full", "erdos"]),
     "erdos_p": st.floats(0.0, 1.0, exclude_min=True),
@@ -295,6 +296,32 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "build_topology", lambda cfg: pytest.fail("topology rebuilt"))
         summary = cli.build_summary(cfg, result)
         assert summary["fedavg_equivalent_bytes"] == summary["total_bytes_sent"]
+
+    @pytest.mark.parametrize("method", ["svote", "fedavg"])
+    def test_dataset_is_freed_before_the_engine_starts(self, monkeypatch, method):
+        # the shards hold a copy of every row: a dataset still alive in the
+        # rounds would hold the data twice at a run's peak
+        datasets, started = [], []
+        build_dataset = cli.build_dataset
+
+        def tracked_build_dataset(cfg):
+            data = build_dataset(cfg)
+            datasets.append(weakref.ref(data))
+            return data
+
+        def checked(engine):
+            def run(*args, **kwargs):
+                started.append(engine.__name__)
+                assert len(datasets) == 1 and datasets[0]() is None, "the dataset outlives its shards"
+                return engine(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(cli, "build_dataset", tracked_build_dataset)
+        monkeypatch.setattr(protocol, "run_svote", checked(protocol.run_svote))
+        monkeypatch.setattr(protocol, "run_baseline", checked(protocol.run_baseline))
+        cli.execute(cli.parse_config_text(FAST.format(method=method, seed=3)))
+        assert started == ["run_svote" if method == "svote" else "run_baseline"]
 
     @pytest.mark.parametrize("field", ["c_train", "c_agg", "c_comm", "lr", "prox_mu"])
     def test_non_finite_direct_config_writes_nothing(self, tmp_path, field):
@@ -505,6 +532,22 @@ class TestCompare:
             cli.compare_runs([d1, bad])
         assert cli.main(["compare", bad, d1]) == 2
         assert message in capsys.readouterr().err
+
+    def test_data_keys_are_the_data_defining_fields_in_order(self):
+        # the first key that differs is the one an incompatible compare names
+        assert cli._DATASET_KEYS == (
+            "dataset",
+            "alpha",
+            "num_clients",
+            "test_fraction",
+            "synthetic.num_classes",
+            "synthetic.input_dim",
+            "synthetic.per_class",
+            "synthetic.spread",
+            "idx.images",
+            "idx.labels",
+            "idx.limit",
+        )
 
     def test_fewer_than_two_dirs_rejected(self):
         with pytest.raises(ConfigError):

@@ -129,7 +129,6 @@ def _result(per_client_f1, rounds=3):
             )
     return metrics.RunResult(
         method="fedavg",
-        num_clients=n,
         rounds=rounds,
         param_count=10,
         records=records,
@@ -218,7 +217,7 @@ class TestWorkUnits:
                 MetricsRecord(rnd, 1, 0.5, 10, 10, "skip" if skipped else "train_local",
                               0 if skipped else 100, 3)
             )
-        res = metrics.RunResult("svote", 2, 5, 10, records, netsim.TrafficLedger(2), netsim.full_topology(2))
+        res = metrics.RunResult("svote", 5, 10, records, netsim.TrafficLedger(2), netsim.full_topology(2))
         units = metrics.work_units(res)
         assert units[1] < units[0]
 

@@ -343,7 +343,7 @@ def _assert_work_units(res, per_pass):
         assert rec.samples_trained == (0 if rec.action == Action.SKIP.value else per_pass[rec.client])
         assert rec.work_units == rec.samples_trained + rec.models_aggregated
     totals = metrics.work_units(res)
-    for cid in range(res.num_clients):
+    for cid in range(res.topology.num_clients):
         rows = [r for r in res.records if r.client == cid]
         assert totals[cid] == sum(r.samples_trained + r.models_aggregated for r in rows)
 
@@ -630,7 +630,7 @@ class TestEngines:
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
-        skips = {c: 0 for c in range(res.num_clients)}
+        skips = {c: 0 for c in range(res.topology.num_clients)}
         for rec in res.records:
             if rec.action == Action.SKIP.value:
                 skips[rec.client] += 1
