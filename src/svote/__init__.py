@@ -16,7 +16,6 @@ from .kernels import active_backend
 from .learner import (
     MLP,
     SOFTMAX,
-    ControlVariate,
     HyperParams,
     ModelSpec,
     init_params,
@@ -48,7 +47,6 @@ from .protocol import (
     SCAFFOLD,
     SVOTE,
     Action,
-    ClientState,
     SVoteConfig,
     aggregate,
     cast_votes,

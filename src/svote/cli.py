@@ -361,8 +361,8 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "final_f1_per_client": per_client,
         "total_bytes_sent": total_sent,
         "total_bytes_received": sum(rec.bytes_received for rec in result.records),
-        "bytes_by_kind": {k.value: result.ledger.kind_bytes.get(k, 0) for k in netsim.MessageKind},
-        "message_counts": {k.value: result.ledger.kind_count.get(k, 0) for k in netsim.MessageKind},
+        "bytes_by_kind": {k.value: n for k, n in result.bytes_by_kind.items()},
+        "message_counts": {k.value: n for k, n in result.message_counts.items()},
         "energy_kwh": {
             "train": report.train,
             "agg": report.agg,

@@ -9,6 +9,7 @@ client below the min_shard floor.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,10 +65,11 @@ def gen_synthetic(
 
 
 def _read_exact(f, n: int, path: str) -> bytes:
-    data = f.read(n)
-    if len(data) < n:
-        raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {len(data)})")
-    return data
+    """The next n bytes of f; a size claim beyond the bytes left in the file is an error, not a read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {left})")
+    return f.read(n)
 
 
 def _open_binary(path: str):

@@ -62,18 +62,6 @@ class HyperParams:
             raise ConfigError("prox_mu must be finite and non-negative")
 
 
-@dataclass
-class ControlVariate:
-    """SCAFFOLD drift-correction pair; both vectors have the model's length."""
-
-    local_c: np.ndarray
-    global_c: np.ndarray
-
-    @classmethod
-    def zeros(cls, param_count: int) -> "ControlVariate":
-        return cls(np.zeros(param_count), np.zeros(param_count))
-
-
 def _views(w: np.ndarray, spec: ModelSpec):
     """Split a flat parameter vector into weight/bias views (no copies)."""
     d, c = spec.input_dim, spec.num_classes
@@ -156,24 +144,32 @@ def prox_grad(
     return out
 
 
-def scaffold_grad(grad: np.ndarray, cv: ControlVariate, out: np.ndarray | None = None) -> np.ndarray:
+def scaffold_grad(
+    grad: np.ndarray, local_c: np.ndarray, global_c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """SCAFFOLD drift-corrected direction grad - c_local + c_global.
 
     Written into `out` when given; out may be grad itself.
     """
-    out = np.subtract(grad, cv.local_c, out=out)
-    out += cv.global_c
+    out = np.subtract(grad, local_c, out=out)
+    out += global_c
     return out
 
 
 def scaffold_update_cv(
-    cv: ControlVariate, w_before: np.ndarray, w_after: np.ndarray, lr: float, steps: int
-) -> ControlVariate:
-    """Option-II local variate refresh after `steps` SGD steps at rate lr."""
+    local_c: np.ndarray, global_c: np.ndarray, w_before: np.ndarray, w_after: np.ndarray, lr: float, steps: int
+) -> np.ndarray:
+    """Option-II local variate refresh after `steps` SGD steps at rate lr, in place; returns local_c.
+
+    local_c becomes local_c - global_c + (w_before - w_after) / (steps * lr).
+    """
     if steps < 1 or lr <= 0:
         raise ConfigError("scaffold variate update needs steps >= 1 and lr > 0")
-    new_local = cv.local_c - cv.global_c + (w_before - w_after) / (steps * lr)
-    return ControlVariate(new_local, cv.global_c)
+    drift = np.subtract(w_before, w_after)
+    drift /= steps * lr
+    local_c -= global_c
+    local_c += drift
+    return local_c
 
 
 def logits(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MetricError
-from .netsim import Topology, TrafficLedger
+from .netsim import MessageKind, Topology
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ class RunResult:
     method: str
     rounds: int
     param_count: int
-    records: list[MetricsRecord]
-    ledger: TrafficLedger  # message totals per kind; per-round bytes live in the records
+    records: list[MetricsRecord]  # the only per-round byte counts
+    bytes_by_kind: dict[MessageKind, int]  # run total per message kind, every kind present
+    message_counts: dict[MessageKind, int]  # copies sent per message kind, every kind present
     topology: Topology  # the graph the engine ran on
 
 

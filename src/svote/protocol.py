@@ -7,6 +7,10 @@ runs; the method only decides the gradient transform (FedProx anchors it to
 the model each pass starts from) and what is shared (SCAFFOLD adds its
 control variate).
 
+Client cid's model is row cid of one n x P matrix, its SCAFFOLD variates are
+rows of two more, and its selection, votes and escalation p are entries of
+per-client lists.
+
 Round layout, with r total rounds:
   1..t_init                     train + share + aggregate all received + own
   ..+n_diverge                  train only, zero traffic
@@ -26,14 +30,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .learner import (
-    ControlVariate,
     HyperParams,
     ModelSpec,
     init_params,
@@ -96,25 +99,15 @@ class SVoteConfig:
         return self.v_min_fixed if self.v_min_fixed is not None else (degree + 1) // 2
 
 
-@dataclass
-class ClientState:
-    id: int
-    w: np.ndarray
-    selected_peers: set[int] = field(default_factory=set)
-    votes_received: int = 0
-    p_escalation: float = P_ESCALATION_START
-    cv: ControlVariate | None = None
-
-
 # --------------------------------------------------------------- operations
 
 
-def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean, as a new array.
+def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise arithmetic mean, written into `out` when given, else into a new array.
 
     The models are summed in sequence order into one output, which is then
     divided once: the same float operations as a mean over a stacked k x P
-    matrix, without the matrix.
+    matrix, without the matrix. out must not overlap any of the models.
     """
     if not len(models):
         raise ProtocolError("cannot aggregate an empty model list")
@@ -122,7 +115,9 @@ def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
     for m in models[1:]:
         if m.shape[0] != length:
             raise ProtocolError("model length mismatch in aggregation")
-    out = np.array(models[0], dtype=np.float64)
+    if out is None:
+        out = np.empty(length)
+    out[...] = models[0]
     for m in models[1:]:
         out += m
     out /= len(models)
@@ -170,20 +165,22 @@ def cast_votes(bus: MessageBus, local: int, selected: set[int]) -> int:
     return len(selected)
 
 
-def vote_gate(state: ClientState, v_min: int, neighbor_count: int, rng: np.random.Generator) -> Action:
-    """Conditional-training decision; mutates the escalation probability.
+def vote_gate(
+    cid: int, votes: Sequence[int], p_escalation: list[float], v_min: int, neighbor_count: int, rng: np.random.Generator
+) -> Action:
+    """Conditional-training decision of client cid; updates p_escalation[cid].
 
     Enough votes (or a <= 2-neighbor position) trains unconditionally;
     otherwise a Bernoulli(p) draw triggers spontaneous training, and failure
     skips the round and escalates p by 0.1 up to 1.0. Any training resets p.
     """
-    if state.votes_received >= v_min or neighbor_count <= 2:
-        state.p_escalation = P_ESCALATION_START
+    if votes[cid] >= v_min or neighbor_count <= 2:
+        p_escalation[cid] = P_ESCALATION_START
         return Action.TRAIN_LOCAL
-    if rng.random() < state.p_escalation:
-        state.p_escalation = P_ESCALATION_START
+    if rng.random() < p_escalation[cid]:
+        p_escalation[cid] = P_ESCALATION_START
         return Action.TRAIN_RANDOM
-    state.p_escalation = min(round(state.p_escalation + P_ESCALATION_STEP, 10), 1.0)
+    p_escalation[cid] = min(round(p_escalation[cid] + P_ESCALATION_STEP, 10), 1.0)
     return Action.SKIP
 
 
@@ -191,25 +188,28 @@ def vote_gate(state: ClientState, v_min: int, neighbor_count: int, rng: np.rando
 
 
 def _train_client(
-    state: ClientState, train, rng: np.random.Generator, model_spec: ModelSpec, hp: HyperParams, method: str
+    cid: int, models: np.ndarray, variates, train, rng, model_spec: ModelSpec, hp: HyperParams, method: str
 ) -> int:
-    """One local-training pass on the client's train shard; returns samples x epochs trained.
+    """One local-training pass of row cid on the client's train shard; returns samples x epochs trained.
 
-    local_train leaves the starting model untouched, so it serves as FedProx's
-    anchor and as SCAFFOLD's w_before without a copy.
+    local_train leaves the starting row untouched, so it serves as FedProx's
+    anchor and as SCAFFOLD's w_before until the trained model is copied in.
+    SCAFFOLD's variates[0] and variates[1] are the local and global
+    control-variate matrices.
     """
-    w_start = state.w
+    w_start = models[cid]
     if method == FEDPROX:
         direction = np.empty_like(w_start)  # reused by every step of the pass
         transform = lambda g, w: prox_grad(g, w, w_start, hp.prox_mu, out=direction)
     elif method == SCAFFOLD:
-        cv = state.cv
-        transform = lambda g, w: scaffold_grad(g, cv, out=g)
+        local_c, global_c = variates[:, cid]
+        transform = lambda g, w: scaffold_grad(g, local_c, global_c, out=g)
     else:
         transform = None
-    state.w, steps = local_train(w_start, train.features, train.labels, model_spec, hp, rng, transform)
+    w, steps = local_train(w_start, train.features, train.labels, model_spec, hp, rng, transform)
     if method == SCAFFOLD:
-        state.cv = scaffold_update_cv(state.cv, w_start, state.w, hp.lr, steps)
+        scaffold_update_cv(local_c, global_c, w_start, w, hp.lr, steps)
+    w_start[...] = w
     return train.labels.shape[0] * hp.local_epochs
 
 
@@ -217,53 +217,46 @@ def _train_client(
 
 
 def _share_and_aggregate(
-    bus: MessageBus,
-    states: list[ClientState],
-    method: str,
-    cfg: SVoteConfig,
-    rnd: int,
-    actions: list[Action],
+    bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, rnd: int, actions: list[Action]
 ) -> list[int]:
     """Share phase and aggregation of one round; returns each client's aggregated-model count.
 
     Initial federated rounds average every arrival. The selection round, and
     each gated round when refresh_selection is on, select peers from the
     round's arrivals and vote for them; other gated rounds keep the last
-    selection. Models are stacked once into an n x P matrix, and a
-    MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD also delivers
-    row p of a second matrix of control variates); one cosine matrix of it
-    holds every similarity of the round. They die when this returns, before
-    the next round stacks its models. A client whose action is SKIP sends a
-    header-only NO_UPDATE notice instead of its model when
-    suppress_nontrainer_updates is on.
+    selection. A MODEL_UPDATE from sender p delivers row p of models (SCAFFOLD
+    also delivers row p of the local variates); one cosine matrix of models
+    holds every similarity of the round. Client cid's mean is written into row
+    cid of mixed, which the caller then swaps in as the next round's models,
+    and SCAFFOLD's mean of variates into row cid of the global variates. A
+    client whose action is SKIP sends a header-only NO_UPDATE notice instead
+    of its model when suppress_nontrainer_updates is on.
     """
-    models = np.stack([s.w for s in states])
-    variates = np.stack([s.cv.local_c for s in states]) if method == SCAFFOLD else None
     params = models.shape[1] if variates is None else 2 * models.shape[1]
-    for s in states:
-        if actions[s.id] is not Action.SKIP or not cfg.suppress_nontrainer_updates:
-            broadcast(bus, s.id, MessageKind.MODEL_UPDATE, params)
+    for cid, action in enumerate(actions):
+        if action is not Action.SKIP or not cfg.suppress_nontrainer_updates:
+            broadcast(bus, cid, MessageKind.MODEL_UPDATE, params)
         else:
-            broadcast(bus, s.id, MessageKind.NO_UPDATE, 0)
+            broadcast(bus, cid, MessageKind.NO_UPDATE, 0)
     bus.flush()
     average_all = rnd <= cfg.t_init
     reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
     sims = cosine_similarity(models) if reselect else None
     counts = []
-    for s in states:
-        senders = [m.sender for m in bus.take_inbox(s.id) if m.kind is MessageKind.MODEL_UPDATE]
+    for cid in range(models.shape[0]):
+        senders = [m.sender for m in bus.take_inbox(cid) if m.kind is MessageKind.MODEL_UPDATE]
         if not average_all:
             if reselect:
-                row = sims[s.id].tolist()
+                row = sims[cid].tolist()
                 scores = {p: row[p] for p in senders}
-                s.selected_peers = select_peers(s.id, scores, cfg.tau) if scores else set()
-                cast_votes(bus, s.id, s.selected_peers)
-            senders = [p for p in senders if p in s.selected_peers]
-        stack = [s.w] + [models[p] for p in senders]
-        s.w = aggregate(stack)
-        counts.append(len(stack))
+                selected[cid] = select_peers(cid, scores, cfg.tau) if scores else set()
+                cast_votes(bus, cid, selected[cid])
+            senders = [p for p in senders if p in selected[cid]]
+        group = [cid] + senders
+        aggregate([models[p] for p in group], out=mixed[cid])
+        counts.append(len(group))
         if variates is not None:
-            s.cv.global_c = aggregate([s.cv.local_c] + [variates[p] for p in senders])
+            aggregate([variates[0, p] for p in group], out=variates[1, cid])
     bus.flush()  # votes become visible to the next round's gate
     return counts
 
@@ -285,14 +278,14 @@ def _run(
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
-    states = [
-        ClientState(
-            id=cid,
-            w=init_params(model_spec, derive_seed(seed, "init", cid)),
-            cv=ControlVariate.zeros(model_spec.param_count) if method == SCAFFOLD else None,
-        )
-        for cid in range(n)
-    ]
+    variates = np.zeros((2, n, model_spec.param_count)) if method == SCAFFOLD else None  # local, global
+    # this round's models and the next round's, which the share phase fills
+    models, mixed = np.empty((2, n, model_spec.param_count))
+    for cid in range(n):
+        models[cid] = init_params(model_spec, derive_seed(seed, "init", cid))
+    selected: list[set[int]] = [set() for _ in range(n)]
+    votes = [0] * n
+    p_escalation = [P_ESCALATION_START] * n
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
     ledger = TrafficLedger(n)
@@ -305,30 +298,29 @@ def _run(
         actions = [Action.TRAIN_LOCAL] * n
         if rnd > cfg.selection_round:
             # gated rounds: votes from the previous round decide who trains
-            for s in states:
-                inbox = bus.take_inbox(s.id)
-                vote_count = sum(1 for m in inbox if m.kind is MessageKind.VOTE)
+            for cid in range(n):
+                vote_count = sum(1 for m in bus.take_inbox(cid) if m.kind is MessageKind.VOTE)
                 if cfg.refresh_selection or rnd == cfg.selection_round + 1:
-                    s.votes_received = vote_count
-                degree = topo.degree(s.id)
-                actions[s.id] = vote_gate(s, cfg.v_min_for(degree), degree, gate_rngs[s.id])
+                    votes[cid] = vote_count
+                degree = topo.degree(cid)
+                actions[cid] = vote_gate(cid, votes, p_escalation, cfg.v_min_for(degree), degree, gate_rngs[cid])
 
         # every client has its own train and gate streams, so gating all first changes nothing
         samples = [0] * n
-        for s in states:
-            if actions[s.id] is not Action.SKIP:
-                samples[s.id] = _train_client(s, shards[s.id][0], train_rngs[s.id], model_spec, hp, method)
+        for cid, (train, _) in enumerate(shards):
+            if actions[cid] is not Action.SKIP:
+                samples[cid] = _train_client(cid, models, variates, train, train_rngs[cid], model_spec, hp, method)
 
         # divergence rounds are local-only, with zero traffic
         models_agg = [0] * n
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            models_agg = _share_and_aggregate(bus, states, method, cfg, rnd, actions)
+            models_agg = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, rnd, actions)
+            models, mixed = mixed, models
 
         sent, received = ledger.take_round()
-        for s in states:
-            cid = s.id
+        for cid in range(n):
             test = shards[cid][1]
-            preds = predict_batch(s.w, test.features, model_spec)
+            preds = predict_batch(models[cid], test.features, model_spec)
             records.append(
                 MetricsRecord(
                     round=rnd,
@@ -347,7 +339,8 @@ def _run(
         rounds=rounds,
         param_count=model_spec.param_count,
         records=records,
-        ledger=ledger,
+        bytes_by_kind={k: ledger.kind_bytes.get(k, 0) for k in MessageKind},
+        message_counts={k: ledger.kind_count.get(k, 0) for k in MessageKind},
         topology=topo,
     )
 

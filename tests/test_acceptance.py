@@ -21,7 +21,7 @@ from conftest import evaluated_models, traffic_totals
 from svote import cli, metrics, netsim, protocol
 from svote.learner import HyperParams
 from svote.netsim import MessageKind
-from svote.protocol import Action, ClientState, SVoteConfig, vote_gate
+from svote.protocol import P_ESCALATION_START, Action, SVoteConfig, vote_gate
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -119,8 +119,8 @@ def test_criterion_4_scaffold_payload_exactly_double():
     sca = _execute(cli.ExperimentConfig(method="scaffold", **base))
 
     def model_payload(res):
-        total = res.ledger.kind_bytes[MessageKind.MODEL_UPDATE]
-        count = res.ledger.kind_count[MessageKind.MODEL_UPDATE]
+        total = res.bytes_by_kind[MessageKind.MODEL_UPDATE]
+        count = res.message_counts[MessageKind.MODEL_UPDATE]
         return total - netsim.HEADER_BYTES * count
 
     fp, sp = model_payload(fed), model_payload(sca)
@@ -152,12 +152,12 @@ def test_criterion_6_p_escalation_sequence():
         def random(self):
             return 1.0
 
-    state = ClientState(id=0, w=np.ones(4))
-    observed = [state.p_escalation]
+    p_escalation = [P_ESCALATION_START]
+    observed = [p_escalation[0]]
     for _ in range(12):
-        action = vote_gate(state, v_min=5, neighbor_count=9, rng=ForcedFailure())
+        action = vote_gate(0, [0], p_escalation, v_min=5, neighbor_count=9, rng=ForcedFailure())
         assert action is Action.SKIP
-        observed.append(state.p_escalation)
+        observed.append(p_escalation[0])
     expected = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.0, 1.0]
     assert observed == pytest.approx(expected, abs=1e-9)
     print("\nACCEPTANCE 6 (p-escalation 0.1..1.0 then capped): PASS")

@@ -463,6 +463,22 @@ class TestMainAndExitCodes:
         assert "bad magic" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
+    def test_idx_header_claiming_more_than_the_file_exit_2(self, tmp_path, capsys):
+        # 0xFFFFFFFF images of 0xFFFFFFFF x 0xFFFFFFFF pixels in a 16-byte file
+        img = os.path.join(str(tmp_path), "img.idx")
+        lab = os.path.join(str(tmp_path), "lab.idx")
+        with open(img, "wb") as f:
+            f.write(b"\x00\x00\x08\x03" + b"\xff" * 12)
+        with open(lab, "wb") as f:
+            f.write(b"\x00\x00\x08\x01\x00\x00\x00\x01\x00")
+        text = MINIMAL.replace("synthetic", "idx") + f"idx.images = {img}\nidx.labels = {lab}\n"
+        path = write_config(tmp_path, text)
+        out = os.path.join(str(tmp_path), "out")
+        assert cli.main(["run", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {img}: truncated file") and len(err.splitlines()) == 1
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
     def test_compare_incompatible_exit_2(self, tmp_path, capsys):
         p1 = write_config(tmp_path, FAST.format(method="fedavg", seed=3), "a.cfg")
         p2 = write_config(

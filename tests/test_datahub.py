@@ -136,6 +136,17 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="truncated"):
             datahub.load_idx(img, lab, limit=4)
 
+    @pytest.mark.parametrize("count, rows, cols", [(0xFFFFFFFF,) * 3, (60_000, 65_535, 65_535)])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, count, rows, cols):
+        # read as given, the claimed sizes overflow (0xFFFFFFFF) or exhaust memory
+        img, lab = write_idx_pair(str(tmp_path), np.zeros((4, 2, 2)), np.zeros(4))
+        with open(img, "r+b") as f:
+            f.seek(4)
+            f.write(struct.pack(">III", count, rows, cols))
+        wanted = count * rows * cols
+        with pytest.raises(FormatError, match=rf"images.idx: truncated file \(wanted {wanted} bytes, got 16\)"):
+            datahub.load_idx(img, lab, limit=1)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((4, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(str(tmp_path), images, np.zeros(6, dtype=np.uint8), label_count=6)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import fd_gradient, peak_traced_bytes
 from svote import learner
 from svote.errors import ConfigError, ProtocolError
-from svote.learner import ControlVariate, HyperParams, ModelSpec
+from svote.learner import HyperParams, ModelSpec
 
 
 def _batch(spec, n=12, seed=5):
@@ -195,33 +195,40 @@ class TestProxGrad:
 class TestScaffold:
     def test_zero_variates_identity(self):
         g = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(learner.scaffold_grad(g, ControlVariate.zeros(2)), g)
+        np.testing.assert_array_equal(learner.scaffold_grad(g, np.zeros(2), np.zeros(2)), g)
 
     def test_cancellation(self):
-        cv = ControlVariate(np.array([1.0]), np.array([0.0]))
-        np.testing.assert_allclose(learner.scaffold_grad(np.array([1.0]), cv), [0.0])
+        np.testing.assert_allclose(learner.scaffold_grad(np.array([1.0]), np.array([1.0]), np.array([0.0])), [0.0])
 
     def test_equal_variates_identity(self):
         c = np.array([0.3, -0.7])
-        cv = ControlVariate(c, c.copy())
         g = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(learner.scaffold_grad(g, cv), g)
+        np.testing.assert_array_equal(learner.scaffold_grad(g, c, c.copy()), g)
 
     def test_cv_update_no_movement(self):
-        cv = ControlVariate.zeros(1)
-        out = learner.scaffold_update_cv(cv, np.array([1.0]), np.array([1.0]), 0.1, 1)
-        np.testing.assert_array_equal(out.local_c, [0.0])
+        local_c = np.zeros(1)
+        out = learner.scaffold_update_cv(local_c, np.zeros(1), np.array([1.0]), np.array([1.0]), 0.1, 1)
+        assert out is local_c
+        np.testing.assert_array_equal(out, [0.0])
 
     def test_cv_update_arithmetic(self):
-        cv = ControlVariate.zeros(1)
-        out = learner.scaffold_update_cv(cv, np.array([1.0]), np.array([0.9]), 0.1, 1)
-        np.testing.assert_allclose(out.local_c, [1.0], atol=1e-12)
+        out = learner.scaffold_update_cv(np.zeros(1), np.zeros(1), np.array([1.0]), np.array([0.9]), 0.1, 1)
+        np.testing.assert_allclose(out, [1.0], atol=1e-12)
+
+    def test_cv_update_matches_the_out_of_place_formula(self):
+        # the engine refreshes a row of its variate matrix in place; the float
+        # operations are those of local - global + (w_before - w_after) / (steps * lr)
+        local_c, global_c, w_before, w_after = np.random.default_rng(5).normal(size=(4, 33))
+        expected = local_c - global_c + (w_before - w_after) / (3 * 0.07)
+        global_before = global_c.copy()
+        learner.scaffold_update_cv(local_c, global_c, w_before, w_after, 0.07, 3)
+        np.testing.assert_array_equal(local_c, expected)
+        np.testing.assert_array_equal(global_c, global_before)
 
     def test_doubling_steps_halves_movement(self):
-        cv = ControlVariate.zeros(1)
-        one = learner.scaffold_update_cv(cv, np.array([1.0]), np.array([0.5]), 0.1, 1)
-        two = learner.scaffold_update_cv(cv, np.array([1.0]), np.array([0.5]), 0.1, 2)
-        np.testing.assert_allclose(one.local_c, 2 * two.local_c)
+        one = learner.scaffold_update_cv(np.zeros(1), np.zeros(1), np.array([1.0]), np.array([0.5]), 0.1, 1)
+        two = learner.scaffold_update_cv(np.zeros(1), np.zeros(1), np.array([1.0]), np.array([0.5]), 0.1, 2)
+        np.testing.assert_allclose(one, 2 * two)
 
 
 class TestPredict:
@@ -334,11 +341,11 @@ class TestBuffers:
         hp = HyperParams(lr=0.2, local_epochs=2, batch_size=16, prox_mu=0.3)
         w0 = learner.init_params(spec, 8)
         anchor = learner.init_params(spec, 9)
-        cv = ControlVariate(np.full(spec.param_count, 0.01), np.full(spec.param_count, -0.02))
+        local_c, global_c = np.full(spec.param_count, 0.01), np.full(spec.param_count, -0.02)
         fresh = {
             "plain": lambda g, w: g,
             "fedprox": lambda g, w: g + hp.prox_mu * (w - anchor),
-            "scaffold": lambda g, w: g - cv.local_c + cv.global_c,
+            "scaffold": lambda g, w: g - local_c + global_c,
         }[method]
         rng = np.random.default_rng(3)
         w = w0
@@ -352,7 +359,7 @@ class TestBuffers:
         transform = {
             "plain": None,
             "fedprox": lambda g, w: learner.prox_grad(g, w, anchor, hp.prox_mu, out=direction),
-            "scaffold": lambda g, w: learner.scaffold_grad(g, cv, out=g),
+            "scaffold": lambda g, w: learner.scaffold_grad(g, local_c, global_c, out=g),
         }[method]
         w_in = w0.copy()
         trained, steps = learner.local_train(w_in, X, y, spec, hp, np.random.default_rng(3), transform)
@@ -377,5 +384,5 @@ class TestBuffers:
         assert learner.prox_grad(g, w, anchor, 0.7, out=out) is out
         np.testing.assert_array_equal(out, g + 0.7 * (w - anchor))
         expected = g - local_c + global_c
-        assert learner.scaffold_grad(g, ControlVariate(local_c, global_c), out=g) is g
+        assert learner.scaffold_grad(g, local_c, global_c, out=g) is g
         np.testing.assert_array_equal(g, expected)

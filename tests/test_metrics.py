@@ -132,7 +132,8 @@ def _result(per_client_f1, rounds=3):
         rounds=rounds,
         param_count=10,
         records=records,
-        ledger=netsim.TrafficLedger(n),
+        bytes_by_kind={k: 0 for k in netsim.MessageKind},
+        message_counts={k: 0 for k in netsim.MessageKind},
         topology=netsim.full_topology(n),
     )
 
@@ -217,7 +218,8 @@ class TestWorkUnits:
                 MetricsRecord(rnd, 1, 0.5, 10, 10, "skip" if skipped else "train_local",
                               0 if skipped else 100, 3)
             )
-        res = metrics.RunResult("svote", 5, 10, records, netsim.TrafficLedger(2), netsim.full_topology(2))
+        no_traffic = {k: 0 for k in netsim.MessageKind}
+        res = metrics.RunResult("svote", 5, 10, records, no_traffic, no_traffic, netsim.full_topology(2))
         units = metrics.work_units(res)
         assert units[1] < units[0]
 

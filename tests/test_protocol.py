@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
 from svote import metrics, netsim, protocol
 from svote.errors import ProtocolError
-from svote.learner import HyperParams
+from svote.learner import MLP, HyperParams, ModelSpec
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
 from svote.protocol import (
+    P_ESCALATION_START,
     Action,
-    ClientState,
     SVoteConfig,
     aggregate,
     cast_votes,
@@ -72,6 +72,15 @@ class TestAggregate:
     def test_rows_of_a_matrix_are_a_model_sequence(self):
         models = np.random.default_rng(22).normal(size=(4, 50))
         np.testing.assert_array_equal(aggregate(models), np.mean(models, axis=0))
+
+    def test_out_row_receives_the_mean(self):
+        rng = np.random.default_rng(23)
+        models = rng.normal(size=(5, 301))
+        matrix = np.zeros((3, 301))
+        out = aggregate([models[4], models[0], models[2]], out=matrix[1])
+        assert np.shares_memory(out, matrix[1])
+        np.testing.assert_array_equal(matrix[1], aggregate([models[4], models[0], models[2]]))
+        np.testing.assert_array_equal(matrix[[0, 2]], 0.0)
 
     def test_peak_memory_is_one_model_not_the_stack(self):
         k, length = 8, 50_000
@@ -199,52 +208,74 @@ class TestCastVotes:
 
 
 class TestVoteGate:
-    def _state(self, votes=0, p=0.1):
-        return ClientState(id=0, w=np.ones(3), votes_received=votes, p_escalation=p)
+    """Client 1 of three, between two clients whose entries the gate must leave alone."""
+
+    def _lists(self, votes=0, p=P_ESCALATION_START):
+        return [7, votes, 7], [0.5, p, 0.5]
 
     def test_enough_votes_trains(self):
-        st_ = self._state(votes=3)
-        assert vote_gate(st_, v_min=2, neighbor_count=9, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
+        votes, ps = self._lists(votes=3)
+        assert vote_gate(1, votes, ps, v_min=2, neighbor_count=9, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
 
     def test_two_neighbors_always_train(self):
-        st_ = self._state(votes=0)
-        assert vote_gate(st_, v_min=5, neighbor_count=2, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
+        votes, ps = self._lists(votes=0)
+        assert vote_gate(1, votes, ps, v_min=5, neighbor_count=2, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
 
     def test_forced_failures_escalate(self):
-        st_ = self._state()
+        votes, ps = self._lists()
         seq = []
         for _ in range(3):
-            assert vote_gate(st_, 5, 5, _ForcedRng(1.0)) is Action.SKIP
-            seq.append(st_.p_escalation)
+            assert vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0)) is Action.SKIP
+            seq.append(ps[1])
         assert seq == pytest.approx([0.2, 0.3, 0.4], abs=1e-9)
+        assert (votes, ps[0], ps[2]) == ([7, 0, 7], 0.5, 0.5)
 
     def test_p_sequence_caps_at_one(self):
-        st_ = self._state()
-        ps = []
+        votes, ps = self._lists()
+        seq = []
         for _ in range(12):
-            vote_gate(st_, 5, 5, _ForcedRng(1.0))
-            ps.append(st_.p_escalation)
-        assert ps[:9] == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], abs=1e-9)
-        assert ps[9:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
+            vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
+            seq.append(ps[1])
+        assert seq[:9] == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], abs=1e-9)
+        assert seq[9:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
 
     def test_success_draw_trains_randomly_and_resets_p(self):
-        st_ = self._state(p=0.7)
-        assert vote_gate(st_, 5, 5, _ForcedRng(0.0)) is Action.TRAIN_RANDOM
-        assert st_.p_escalation == pytest.approx(0.1)
+        votes, ps = self._lists(p=0.7)
+        assert vote_gate(1, votes, ps, 5, 5, _ForcedRng(0.0)) is Action.TRAIN_RANDOM
+        assert ps[1] == pytest.approx(0.1)
 
     def test_training_via_votes_resets_p(self):
-        st_ = self._state(votes=9, p=0.8)
-        vote_gate(st_, 5, 5, _ForcedRng(1.0))
-        assert st_.p_escalation == pytest.approx(0.1)
+        votes, ps = self._lists(votes=9, p=0.8)
+        vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
+        assert ps[1] == pytest.approx(0.1)
+        assert (votes, ps[0], ps[2]) == ([7, 9, 7], 0.5, 0.5)
 
     def test_p_never_decreases_while_skipping(self):
-        st_ = self._state()
-        last = st_.p_escalation
+        votes, ps = self._lists()
+        last = ps[1]
         for _ in range(20):
-            vote_gate(st_, 5, 5, _ForcedRng(1.0))
-            assert st_.p_escalation >= last - 1e-12
-            assert st_.p_escalation <= 1.0
-            last = st_.p_escalation
+            vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
+            assert ps[1] >= last - 1e-12
+            assert ps[1] <= 1.0
+            last = ps[1]
+
+
+class TestEngineMemory:
+    """Above the shards, a run holds its model buffers and one client's training buffers."""
+
+    @pytest.mark.parametrize("method, matrices", [("fedavg", 2), ("scaffold", 4)])
+    def test_peak_is_the_buffers_plus_one_client_in_training(self, method, matrices):
+        # two n x P model buffers, plus SCAFFOLD's local and global variate
+        # matrices; one training pass adds its copy of w, its gradient and
+        # batch-sized temporaries, under 3 P floats (see TestBuffers). One more
+        # n x P matrix at any point, such as a model matrix stacked from a
+        # list, is n = 8 P floats more.
+        n = 8
+        _, shards, topo, _ = small_problem(num_clients=n, input_dim=196, per_class=60)
+        spec = ModelSpec(MLP, 196, 4, hidden_dim=64)
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
+        peak = peak_traced_bytes(lambda: run_baseline(method, spec, hp, topo, shards, 3, rounds=3))
+        assert peak < (matrices * n + 3) * spec.param_count * 8
 
 
 class TestSVoteConfig:
@@ -317,9 +348,9 @@ def _recorded_svote_run(cfg, topo, seed, epochs):
         selections[(round_of(bus.ledger), local)] = set(selected)
         return real_cast(bus, local, selected)
 
-    def gate(state, v_min_, degree, rng):
-        action = real_gate(state, v_min_, degree, rng)
-        gates.append((state.id, state.votes_received, v_min_, degree, action))
+    def gate(cid, votes, p_escalation, v_min_, degree, rng):
+        action = real_gate(cid, votes, p_escalation, v_min_, degree, rng)
+        gates.append((cid, votes[cid], v_min_, degree, action))
         return action
 
     def broadcast(bus, sender, kind, params):
@@ -365,8 +396,8 @@ class TestEngines:
             assert rec.models_aggregated == degree + 1
             assert rec.samples_trained == shards[rec.client][0].labels.shape[0] * epochs
             assert rec.bytes_sent == degree * size
-        assert res.ledger.kind_bytes.get(MessageKind.VOTE, 0) == 0
-        assert res.ledger.kind_bytes.get(MessageKind.NO_UPDATE, 0) == 0
+        assert res.bytes_by_kind[MessageKind.VOTE] == 0
+        assert res.bytes_by_kind[MessageKind.NO_UPDATE] == 0
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
            st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
@@ -488,7 +519,7 @@ class TestEngines:
         a = run_svote(cfg, spec, hp, topo, shards, 3)
         b = run_svote(cfg, spec, hp, topo, shards, 3)
         assert a.records == b.records
-        assert (a.ledger.kind_bytes, a.ledger.kind_count) == (b.ledger.kind_bytes, b.ledger.kind_count)
+        assert (a.bytes_by_kind, a.message_counts) == (b.bytes_by_kind, b.message_counts)
 
     def test_fedprox_mu_zero_matches_fedavg(self):
         data, shards, topo, spec = small_problem()
@@ -519,8 +550,8 @@ class TestEngines:
         fed = run_baseline("fedavg", spec, hp, topo, shards, 9, rounds=5)
         sca = run_baseline("scaffold", spec, hp, topo, shards, 9, rounds=5)
         def payload(res):
-            bytes_ = res.ledger.kind_bytes[MessageKind.MODEL_UPDATE]
-            count = res.ledger.kind_count[MessageKind.MODEL_UPDATE]
+            bytes_ = res.bytes_by_kind[MessageKind.MODEL_UPDATE]
+            count = res.message_counts[MessageKind.MODEL_UPDATE]
             return bytes_ - netsim.HEADER_BYTES * count
         assert payload(sca) == 2 * payload(fed)
 
@@ -664,8 +695,6 @@ class TestEngines:
         assert gated and all(r.action == Action.TRAIN_LOCAL.value for r in gated)
 
     def test_mlp_engine_run(self):
-        from svote.learner import MLP, ModelSpec
-
         data, shards, topo, _ = small_problem(seed=8)
         spec = ModelSpec(MLP, 8, 4, hidden_dim=6)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
