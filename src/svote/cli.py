@@ -273,7 +273,7 @@ def build_shards(cfg: ExperimentConfig, data: datahub.LabeledDataset):
         data, cfg.num_clients, cfg.alpha, derive_seed(cfg.seed, "partition"), min_shard
     )
     return [
-        datahub.split_train_test(data.subset(idx), cfg.test_fraction, derive_seed(cfg.seed, "split", cid))
+        datahub.split_train_test(data, idx, cfg.test_fraction, derive_seed(cfg.seed, "split", cid))
         for cid, idx in enumerate(indices)
     ]
 

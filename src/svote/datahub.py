@@ -180,8 +180,10 @@ def dirichlet_partition(
         shuffled.append(rng.permutation(idx))
         counts[row] = _largest_remainder(rng.dirichlet(concentration), idx.size)
     counts = _repair_to_floor(counts, min_shard)
-    owner = np.empty(len(data), dtype=np.intp)
-    clients = np.arange(num_clients)
+    # the narrowest type that holds every client id: numpy's stable argsort
+    # radix-sorts 8- and 16-bit integers, and a stable sort's output is unique
+    owner = np.empty(len(data), dtype=np.min_scalar_type(num_clients - 1))
+    clients = np.arange(num_clients, dtype=owner.dtype)
     for perm, row in zip(shuffled, counts):
         owner[perm] = np.repeat(clients, row)
     # grouped by client, each shard in ascending sample order
@@ -189,18 +191,29 @@ def dirichlet_partition(
 
 
 def split_train_test(
-    shard: LabeledDataset, test_fraction: float, seed: int
+    data: LabeledDataset, indices: np.ndarray, test_fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified-by-class split; singleton classes go entirely to train."""
+    """Stratified-by-class split of the samples data[indices]; singleton classes go entirely to train.
+
+    Positions are into `indices`, class by class in ascending order, so the
+    split is the one of `data.subset(indices)`; train and test are each
+    gathered once from `data`, in ascending position order.
+    """
     if not 0 < test_fraction < 1:
         raise ConfigError("test_fraction must be in (0, 1)")
-    if len(shard) < 2:
+    indices = np.asarray(indices)
+    if len(indices) < 2:
         raise ConfigError("shard too small to split (need >= 2 samples)")
+    labels = data.labels[indices]
+    counts = np.bincount(labels, minlength=data.num_classes)
+    # a stable sort by label lists each class's positions in ascending order
+    by_class = np.argsort(labels, kind="stable")
+    ends = np.cumsum(counts).tolist()
+    class_positions = [by_class[end - n : end] for end, n in zip(ends, counts.tolist())]
     rng = np.random.default_rng(seed)
     train_parts: list[np.ndarray] = []
     test_parts: list[np.ndarray] = []
-    for c in range(shard.num_classes):
-        idx = np.flatnonzero(shard.labels == c)
+    for idx in class_positions:
         if idx.size == 0:
             continue
         if idx.size == 1:
@@ -214,10 +227,8 @@ def split_train_test(
     train_idx = np.concatenate(train_parts)
     if test_idx.size == 0:
         # every class rounded to zero test samples: take one from the largest class
-        counts = np.bincount(shard.labels, minlength=shard.num_classes)
-        largest = int(np.argmax(counts))
-        donor = np.flatnonzero(shard.labels == largest)
+        donor = class_positions[int(np.argmax(counts))]
         pick = rng.permutation(donor)[:1]
         test_idx = pick
         train_idx = np.setdiff1d(train_idx, pick)
-    return shard.subset(np.sort(train_idx)), shard.subset(np.sort(test_idx))
+    return data.subset(indices[np.sort(train_idx)]), data.subset(indices[np.sort(test_idx)])

@@ -106,14 +106,12 @@ def loss_and_grad(
         grad = np.empty_like(w)
     elif grad.shape != w.shape or grad.dtype != np.float64:
         raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
-    if spec.kind == SOFTMAX:
-        W, b = _views(w, spec)
-        gW, gb = _views(grad, spec)
-        loss = kernels.softmax_loss_grad(X, y, W, b, gW, gb)
-    else:
-        W1, b1, W2, b2 = _views(w, spec)
-        gW1, gb1, gW2, gb2 = _views(grad, spec)
-        loss = kernels.mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2)
+    kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
+    try:
+        loss = kernel(X, y, *_views(w, spec), *_views(grad, spec))
+    except ValueError:
+        # the kernels' label gather is bounds-checked, so the labels cost no check of their own
+        raise ConfigError(f"label outside [0, {spec.num_classes})") from None
     loss = float(loss)
     if not math.isfinite(loss):
         raise ProtocolError("non-finite loss: model diverged")

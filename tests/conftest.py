@@ -18,7 +18,7 @@ def small_problem(seed=42, num_clients=6, num_classes=4, input_dim=8, per_class=
     data = datahub.gen_synthetic(num_classes, input_dim, per_class, spread, derive_seed(seed, "data"))
     plan = datahub.dirichlet_partition(data, num_clients, 0.5, derive_seed(seed, "partition"), min_shard=20)
     shards = [
-        datahub.split_train_test(data.subset(plan[c]), 0.2, derive_seed(seed, "split", c))
+        datahub.split_train_test(data, plan[c], 0.2, derive_seed(seed, "split", c))
         for c in range(num_clients)
     ]
     topo = netsim.full_topology(num_clients)

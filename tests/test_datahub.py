@@ -381,16 +381,80 @@ class TestPartitionOneDraw:
 # -------------------------------------------------------------------- splits
 
 
+def _split_shard(shard, test_fraction, seed):
+    """The split as made on a shard already gathered: the oracle for splitting on indices."""
+    rng = np.random.default_rng(seed)
+    train_parts, test_parts = [], []
+    for c in range(shard.num_classes):
+        idx = np.flatnonzero(shard.labels == c)
+        if idx.size == 0:
+            continue
+        if idx.size == 1:
+            train_parts.append(idx)
+            continue
+        shuffled = rng.permutation(idx)
+        k = int(idx.size * test_fraction + 1e-9)
+        test_parts.append(shuffled[:k])
+        train_parts.append(shuffled[k:])
+    test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
+    train_idx = np.concatenate(train_parts)
+    if test_idx.size == 0:
+        counts = np.bincount(shard.labels, minlength=shard.num_classes)
+        donor = np.flatnonzero(shard.labels == int(np.argmax(counts)))
+        pick = rng.permutation(donor)[:1]
+        test_idx = pick
+        train_idx = np.setdiff1d(train_idx, pick)
+    return shard.subset(np.sort(train_idx)), shard.subset(np.sort(test_idx))
+
+
+@st.composite
+def _split_case(draw):
+    num_classes = draw(st.integers(1, 5))
+    # classes of 0-16 samples: empty and singleton classes in the shard, and
+    # at small fractions every class rounding to zero test samples
+    per_class = draw(st.lists(st.integers(0, 16), min_size=num_classes, max_size=num_classes))
+    per_class[0] += 2
+    total = sum(per_class)
+    return {
+        "per_class": per_class,
+        "size": draw(st.integers(2, total)),
+        "ascending": draw(st.booleans()),
+        "fraction": draw(st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.9])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
 class TestSplitTrainTest:
+    @given(_split_case())
+    @settings(max_examples=200, deadline=None)
+    def test_splitting_on_indices_equals_splitting_the_gathered_shard(self, case):
+        rng = np.random.default_rng(case["seed"])
+        num_classes = len(case["per_class"])
+        labels = rng.permutation(np.repeat(np.arange(num_classes), case["per_class"]))
+        # every row distinct, so equal features mean the same samples in the same order
+        features = np.arange(2.0 * labels.size).reshape(-1, 2)
+        data = datahub.LabeledDataset(features, labels, num_classes)
+        indices = rng.choice(labels.size, size=case["size"], replace=False)
+        if case["ascending"]:
+            indices.sort()
+        got = datahub.split_train_test(data, indices, case["fraction"], seed=7)
+        want = _split_shard(data.subset(indices), case["fraction"], seed=7)
+        for part, expected in zip(got, want):
+            np.testing.assert_array_equal(part.features, expected.features)
+            np.testing.assert_array_equal(part.labels, expected.labels)
+            assert part.num_classes == num_classes
+            assert not np.shares_memory(part.features, data.features)
+            assert not np.shares_memory(part.labels, data.labels)
+
     def test_80_20(self):
         data = datahub.gen_synthetic(4, 4, 25, 0.5, seed=2)  # 100 samples
-        train, test = datahub.split_train_test(data, 0.2, seed=4)
+        train, test = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
         assert len(train) == 80 and len(test) == 20
 
     def test_deterministic(self):
         data = datahub.gen_synthetic(4, 4, 25, 0.5, seed=2)
-        a = datahub.split_train_test(data, 0.2, seed=4)
-        b = datahub.split_train_test(data, 0.2, seed=4)
+        a = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
+        b = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].labels, b[1].labels)
 
@@ -398,23 +462,23 @@ class TestSplitTrainTest:
         feats = np.random.default_rng(0).normal(size=(11, 3))
         labels = np.array([0] * 10 + [1], dtype=np.int64)
         shard = datahub.LabeledDataset(feats, labels, 2)
-        train, test = datahub.split_train_test(shard, 0.2, seed=1)
+        train, test = datahub.split_train_test(shard, np.arange(11), 0.2, seed=1)
         assert 1 in train.labels and 1 not in test.labels
 
     def test_stratification(self):
         data = datahub.gen_synthetic(2, 4, 50, 0.5, seed=3)  # 50/50 classes
-        train, test = datahub.split_train_test(data, 0.2, seed=9)
+        train, test = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=9)
         assert np.all(np.bincount(test.labels, minlength=2) == 10)
 
     def test_tiny_shard_rejected(self):
         shard = datahub.LabeledDataset(np.zeros((1, 2)), np.array([0]), 1)
         with pytest.raises(ConfigError):
-            datahub.split_train_test(shard, 0.2, seed=1)
+            datahub.split_train_test(shard, np.arange(1), 0.2, seed=1)
 
     def test_never_empty_test(self):
         # all classes round to zero test samples; the guard promotes one
         feats = np.random.default_rng(1).normal(size=(8, 2))
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
         shard = datahub.LabeledDataset(feats, labels, 4)
-        train, test = datahub.split_train_test(shard, 0.2, seed=6)
+        train, test = datahub.split_train_test(shard, np.arange(8), 0.2, seed=6)
         assert len(test) >= 1 and len(train) + len(test) == 8

@@ -97,6 +97,18 @@ class TestLossAndGrad:
         with pytest.raises(ConfigError):
             learner.loss_and_grad(np.zeros(spec.param_count), X[:0], y[:0], spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec(learner.SOFTMAX, 5, 3), ModelSpec(learner.MLP, 5, 3, hidden_dim=4)],
+    )
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_is_config_error(self, spec, bad):
+        # -1 would otherwise train class c-1 through negative indexing
+        X, y = _batch(spec)
+        y[4] = bad
+        with pytest.raises(ConfigError, match="label outside"):
+            learner.loss_and_grad(learner.init_params(spec, 1), X, y, spec)
+
     def test_loss_is_a_python_float(self):
         spec = ModelSpec(learner.MLP, 5, 3, hidden_dim=4)
         X, y = _batch(spec)
