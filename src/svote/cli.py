@@ -269,13 +269,14 @@ def build_topology(cfg: ExperimentConfig) -> netsim.Topology:
 
 def build_shards(cfg: ExperimentConfig, data: datahub.LabeledDataset):
     min_shard = max(2 * cfg.batch_size, 2 * data.num_classes)
-    indices = datahub.dirichlet_partition(
-        data, cfg.num_clients, cfg.alpha, derive_seed(cfg.seed, "partition"), min_shard
+    seeds = [derive_seed(cfg.seed, "split", cid) for cid in range(cfg.num_clients)]
+    # the plan is passed on, not kept, so the split frees it before it gathers the rows
+    return datahub.split_train_test(
+        data,
+        datahub.dirichlet_partition(data, cfg.num_clients, cfg.alpha, derive_seed(cfg.seed, "partition"), min_shard),
+        cfg.test_fraction,
+        seeds,
     )
-    return [
-        datahub.split_train_test(data, idx, cfg.test_fraction, derive_seed(cfg.seed, "split", cid))
-        for cid, idx in enumerate(indices)
-    ]
 
 
 def build_problem(

@@ -42,8 +42,12 @@ class LabeledDataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
+    @classmethod
+    def of_checked(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> "LabeledDataset":
+        """A dataset of arrays cut from one that passed the checks, built without re-running them."""
+        self = object.__new__(cls)
+        self.features, self.labels, self.num_classes = features, labels, num_classes
+        return self
 
 
 def gen_synthetic(
@@ -52,8 +56,8 @@ def gen_synthetic(
     """Gaussian mixture: seeded unit-sphere mean per class, isotropic noise."""
     if num_classes < 1 or input_dim < 1 or per_class < 1:
         raise ConfigError("num_classes, input_dim, per_class must be >= 1")
-    if spread <= 0:
-        raise ConfigError("spread must be positive")
+    if not 0 < spread < np.inf:
+        raise ConfigError(f"spread must be positive and finite, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -164,71 +168,108 @@ def dirichlet_partition(
     """
     if num_clients < 2:
         raise ConfigError("num_clients must be >= 2")
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be positive and finite, got {alpha}")
     if len(data) < num_clients * min_shard:
         raise ConfigError(
             f"dataset of {len(data)} samples cannot give {num_clients} clients >= {min_shard} each"
         )
     rng = np.random.default_rng(seed)
-    class_indices = [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
-    class_indices = [idx for idx in class_indices if idx.size]
+    # a stable sort of the labels lists each class's samples in ascending order
+    # (radix-sorted in their narrowest type); each class's slice is shuffled in
+    # place, which gives the arrangement rng.permutation(slice) would
+    by_class = np.argsort(data.labels.astype(np.min_scalar_type(data.num_classes - 1)), kind="stable")
+    ends = np.cumsum(np.bincount(data.labels, minlength=data.num_classes)).tolist()
+    class_indices = [by_class[start:end] for start, end in zip([0, *ends], ends) if end > start]
     concentration = np.full(num_clients, alpha)
-    shuffled = []
     counts = np.empty((len(class_indices), num_clients), dtype=np.int64)
     for row, idx in enumerate(class_indices):
-        shuffled.append(rng.permutation(idx))
+        rng.shuffle(idx)
         counts[row] = _largest_remainder(rng.dirichlet(concentration), idx.size)
     counts = _repair_to_floor(counts, min_shard)
     # the narrowest type that holds every client id: numpy's stable argsort
     # radix-sorts 8- and 16-bit integers, and a stable sort's output is unique
     owner = np.empty(len(data), dtype=np.min_scalar_type(num_clients - 1))
     clients = np.arange(num_clients, dtype=owner.dtype)
-    for perm, row in zip(shuffled, counts):
-        owner[perm] = np.repeat(clients, row)
+    for idx, row in zip(class_indices, counts):
+        owner[idx] = np.repeat(clients, row)
     # grouped by client, each shard in ascending sample order
     return np.split(np.argsort(owner, kind="stable"), np.cumsum(counts.sum(axis=0))[:-1])
 
 
 def split_train_test(
-    data: LabeledDataset, indices: np.ndarray, test_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified-by-class split of the samples data[indices]; singleton classes go entirely to train.
+    data: LabeledDataset, plan: list[np.ndarray], test_fraction: float, seeds: list[int]
+) -> list[tuple[LabeledDataset, LabeledDataset]]:
+    """Stratified-by-class split of every client's samples; singleton classes go entirely to train.
 
-    Positions are into `indices`, class by class in ascending order, so the
-    split is the one of `data.subset(indices)`; train and test are each
-    gathered once from `data`, in ascending position order.
+    plan[c] holds client c's sample indices (one `dirichlet_partition` plan)
+    and seeds[c] seeds its draws. Client c's split is the one of its shard
+    data[plan[c]] on its own: class by class, a class of m >= 2 samples
+    shuffles its positions in plan[c] (ascending before the draw) and gives
+    the first int(m * test_fraction) to test; a client whose classes all give
+    none then draws one sample of its largest class for test. Train and test
+    keep plan[c]'s order.
+
+    All train rows are gathered from `data` at once into one client-major
+    matrix and all test rows into another; client c's (train, test) pair is a
+    row range of each.
     """
     if not 0 < test_fraction < 1:
         raise ConfigError("test_fraction must be in (0, 1)")
-    indices = np.asarray(indices)
-    if len(indices) < 2:
+    if len(seeds) != len(plan):
+        raise ConfigError(f"got {len(seeds)} seeds for {len(plan)} clients")
+    sizes = np.array([len(idx) for idx in plan], dtype=np.int64)
+    if sizes.size == 0 or sizes.min() < 2:
         raise ConfigError("shard too small to split (need >= 2 samples)")
-    labels = data.labels[indices]
-    counts = np.bincount(labels, minlength=data.num_classes)
-    # a stable sort by label lists each class's positions in ascending order
-    by_class = np.argsort(labels, kind="stable")
-    ends = np.cumsum(counts).tolist()
-    class_positions = [by_class[end - n : end] for end, n in zip(ends, counts.tolist())]
-    rng = np.random.default_rng(seed)
-    train_parts: list[np.ndarray] = []
-    test_parts: list[np.ndarray] = []
-    for idx in class_positions:
-        if idx.size == 0:
-            continue
-        if idx.size == 1:
-            train_parts.append(idx)
-            continue
-        shuffled = rng.permutation(idx)
-        k = int(idx.size * test_fraction + 1e-9)
-        test_parts.append(shuffled[:k])
-        train_parts.append(shuffled[k:])
-    test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
-    train_idx = np.concatenate(train_parts)
-    if test_idx.size == 0:
-        # every class rounded to zero test samples: take one from the largest class
-        donor = class_positions[int(np.argmax(counts))]
-        pick = rng.permutation(donor)[:1]
-        test_idx = pick
-        train_idx = np.setdiff1d(train_idx, pick)
-    return data.subset(indices[np.sort(train_idx)]), data.subset(indices[np.sort(test_idx)])
+    num_clients, num_classes = len(plan), data.num_classes
+    rows = np.concatenate(plan)
+    del plan  # a caller that keeps no reference to the plan frees it here, before the gathers
+    # client * num_classes + label, in the narrowest type that holds it: numpy's
+    # stable argsort radix-sorts 8- and 16-bit integers. The sort groups the
+    # positions in rows by (client, class), each group in ascending order.
+    group = np.repeat(np.arange(num_clients, dtype=np.min_scalar_type(num_clients * num_classes - 1)), sizes)
+    group *= num_classes
+    group += data.labels.astype(group.dtype)[rows]
+    by_group = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=num_clients * num_classes)
+    del group
+    ends = np.cumsum(counts)
+    test_k = (counts * test_fraction + 1e-9).astype(np.int64)
+    test_k[counts < 2] = 0
+    client_test = test_k.reshape(num_clients, num_classes).sum(axis=1)
+    picks = []  # the fallback test sample of each client whose classes all give none
+    bounds = np.stack([ends - counts, ends], axis=1).reshape(num_clients, num_classes, 2).tolist()
+    for seed, client_bounds, fallback in zip(seeds, bounds, (client_test == 0).tolist()):
+        rng = np.random.default_rng(seed)
+        if fallback:
+            start, end = max(client_bounds, key=lambda b: b[1] - b[0])
+            donor = by_group[start:end].copy()  # ascending, before the shuffle below
+        for start, end in client_bounds:
+            if end - start > 1:
+                # in place: the arrangement rng.permutation(positions) gives
+                rng.shuffle(by_group[start:end])
+        if fallback:
+            picks.append(rng.permutation(donor)[0])
+    # each group's first test_k positions after its shuffle go to test
+    first_k = np.repeat(np.tile([True, False], counts.size), np.stack([test_k, counts - test_k], axis=1).ravel())
+    is_test = np.zeros(rows.size, dtype=bool)
+    is_test[by_group[first_k]] = True
+    is_test[picks] = True
+    del by_group, first_k
+    client_test[client_test == 0] = 1  # the fallback sample
+    train_rows, test_rows = rows[~is_test], rows[is_test]
+    del rows, is_test
+    test = _gathered(data, test_rows, client_test)
+    del test_rows
+    train = _gathered(data, train_rows, sizes - client_test)
+    return list(zip(train, test))
+
+
+def _gathered(data: LabeledDataset, rows: np.ndarray, sizes: np.ndarray) -> list[LabeledDataset]:
+    """data's rows gathered into one fresh matrix, cut into consecutive row ranges of the given sizes."""
+    features, labels = np.take(data.features, rows, axis=0), np.take(data.labels, rows)
+    ends = np.cumsum(sizes).tolist()
+    return [
+        LabeledDataset.of_checked(features[end - n : end], labels[end - n : end], data.num_classes)
+        for end, n in zip(ends, sizes.tolist())
+    ]

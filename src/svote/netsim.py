@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -50,16 +51,25 @@ class Topology:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        edges = self.edges
         adjacency: dict[int, list[int]] = {i: [] for i in range(self.num_clients)}
-        for a, b in self.edges:
+        for edge in edges:
+            if type(edge) is not tuple or len(edge) != 2:
+                raise ConfigError(f"edge {edge!r} is not a pair of client ids")
+            a, b = edge
+            # the fast test passes plain ints; numpy integers pass the second
+            if not (type(a) is type(b) is int or _is_client_id(a) and _is_client_id(b)):
+                raise ConfigError(f"edge {edge!r}: client ids are integers")
             if a == b:
                 raise ConfigError(f"self-loop at client {a}")
-            if (b, a) in self.edges:
+            if (b, a) in edges:
                 raise ConfigError(f"edge ({a},{b}) given in both orientations")
-            if not (0 <= a < self.num_clients and 0 <= b < self.num_clients):
-                raise ConfigError(f"edge ({a},{b}) outside client range")
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+            # adjacency holds exactly the ids in range
+            try:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+            except KeyError:
+                raise ConfigError(f"edge ({a},{b}) outside client range") from None
         object.__setattr__(
             self, "_adj", {i: tuple(sorted(peers)) for i, peers in adjacency.items()}
         )
@@ -69,6 +79,10 @@ class Topology:
 
     def degree(self, client: int) -> int:
         return len(self._adj[client])
+
+
+def _is_client_id(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _is_connected(topo: Topology) -> bool:
@@ -86,7 +100,7 @@ def full_topology(n: int) -> Topology:
     """Complete graph K_n."""
     if n < 2:
         raise ConfigError("topology needs n >= 2")
-    return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Topology(n, frozenset(combinations(range(n), 2)))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Topology:
@@ -95,7 +109,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
         raise ConfigError("topology needs n >= 2")
     if not 0 < p <= 1:
         raise ConfigError("edge probability must be in (0, 1]")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(combinations(range(n), 2))
     for attempt in range(_MAX_GRAPH_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, "erdos-attempt", attempt))
         mask = rng.random(len(pairs)) < p

@@ -17,10 +17,7 @@ def small_problem(seed=42, num_clients=6, num_classes=4, input_dim=8, per_class=
     """Dataset, shards, topology, and model spec for quick engine runs."""
     data = datahub.gen_synthetic(num_classes, input_dim, per_class, spread, derive_seed(seed, "data"))
     plan = datahub.dirichlet_partition(data, num_clients, 0.5, derive_seed(seed, "partition"), min_shard=20)
-    shards = [
-        datahub.split_train_test(data, plan[c], 0.2, derive_seed(seed, "split", c))
-        for c in range(num_clients)
-    ]
+    shards = datahub.split_train_test(data, plan, 0.2, [derive_seed(seed, "split", c) for c in range(num_clients)])
     topo = netsim.full_topology(num_clients)
     spec = learner.ModelSpec(learner.SOFTMAX, input_dim, num_classes)
     return data, shards, topo, spec

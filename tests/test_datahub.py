@@ -59,6 +59,13 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             datahub.gen_synthetic(4, 8, 50, 0.0, seed=1)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, spread):
+        # the config parser rejects these; the library entry point did not,
+        # and returned non-finite features
+        with pytest.raises(ConfigError, match="spread"):
+            datahub.gen_synthetic(4, 8, 50, spread, seed=1)
+
 
 # ------------------------------------------------------------------ IDX files
 
@@ -240,6 +247,13 @@ class TestDirichletPartition:
         with pytest.raises(ConfigError):
             datahub.dirichlet_partition(data, 5, 0.0, seed=1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # the config parser rejects these; the library entry point did not,
+        # and the floor repair looped forever on the garbage counts they drew
+        with pytest.raises(ConfigError, match="alpha"):
+            datahub.dirichlet_partition(_balanced(), 5, alpha, seed=1)
+
 
 def _whole_plan_redraws(data, num_clients, alpha, seed, min_shard, max_attempts):
     """Reference partitioner: redraw whole plans until one meets the floor.
@@ -381,8 +395,12 @@ class TestPartitionOneDraw:
 # -------------------------------------------------------------------- splits
 
 
+def _rows(data, indices):
+    return datahub.LabeledDataset(data.features[indices], data.labels[indices], data.num_classes)
+
+
 def _split_shard(shard, test_fraction, seed):
-    """The split as made on a shard already gathered: the oracle for splitting on indices."""
+    """The split of one shard already gathered, client by client: the oracle for the one-pass split."""
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for c in range(shard.num_classes):
@@ -404,20 +422,43 @@ def _split_shard(shard, test_fraction, seed):
         pick = rng.permutation(donor)[:1]
         test_idx = pick
         train_idx = np.setdiff1d(train_idx, pick)
-    return shard.subset(np.sort(train_idx)), shard.subset(np.sort(test_idx))
+    return _rows(shard, np.sort(train_idx)), _rows(shard, np.sort(test_idx))
+
+
+def _split_one(data, indices, test_fraction, seed):
+    """The (train, test) pair of a plan of one client."""
+    [pair] = datahub.split_train_test(data, [indices], test_fraction, [seed])
+    return pair
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _assert_row_ranges_of_one_matrix(parts):
+    """The arrays are consecutive row ranges, in order, that together make up one matrix."""
+    matrix = parts[0].base
+    assert matrix is not None and matrix.flags.owndata and matrix.flags.c_contiguous
+    end = _address(matrix)
+    for part in parts:
+        assert part.base is matrix and _address(part) == end
+        end += part.nbytes
+    assert end == _address(matrix) + matrix.nbytes
 
 
 @st.composite
 def _split_case(draw):
     num_classes = draw(st.integers(1, 5))
-    # classes of 0-16 samples: empty and singleton classes in the shard, and
-    # at small fractions every class rounding to zero test samples
-    per_class = draw(st.lists(st.integers(0, 16), min_size=num_classes, max_size=num_classes))
-    per_class[0] += 2
-    total = sum(per_class)
+    # classes of 0-16 samples per client: empty and singleton classes, and at
+    # small fractions every class rounding to zero test samples (the fallback)
+    per_client = []
+    for _ in range(draw(st.integers(1, 4))):
+        counts = draw(st.lists(st.integers(0, 16), min_size=num_classes, max_size=num_classes))
+        counts[draw(st.integers(0, num_classes - 1))] += 2
+        per_client.append(counts)
     return {
-        "per_class": per_class,
-        "size": draw(st.integers(2, total)),
+        "per_client": per_client,
+        "unowned": draw(st.integers(0, 8)),  # dataset rows no client holds
         "ascending": draw(st.booleans()),
         "fraction": draw(st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.9])),
         "seed": draw(st.integers(0, 2**32 - 1)),
@@ -429,32 +470,50 @@ class TestSplitTrainTest:
     @settings(max_examples=200, deadline=None)
     def test_splitting_on_indices_equals_splitting_the_gathered_shard(self, case):
         rng = np.random.default_rng(case["seed"])
-        num_classes = len(case["per_class"])
-        labels = rng.permutation(np.repeat(np.arange(num_classes), case["per_class"]))
+        per_client = case["per_client"]
+        num_classes, num_clients = len(per_client[0]), len(per_client)
+        labels = np.concatenate(
+            [np.repeat(np.arange(num_classes), counts) for counts in per_client]
+            + [rng.integers(0, num_classes, case["unowned"])]
+        )
+        owners = np.repeat(np.arange(num_clients + 1), [sum(counts) for counts in per_client] + [case["unowned"]])
+        shuffle = rng.permutation(labels.size)
+        labels, owners = labels[shuffle], owners[shuffle]
         # every row distinct, so equal features mean the same samples in the same order
         features = np.arange(2.0 * labels.size).reshape(-1, 2)
         data = datahub.LabeledDataset(features, labels, num_classes)
-        indices = rng.choice(labels.size, size=case["size"], replace=False)
-        if case["ascending"]:
-            indices.sort()
-        got = datahub.split_train_test(data, indices, case["fraction"], seed=7)
-        want = _split_shard(data.subset(indices), case["fraction"], seed=7)
-        for part, expected in zip(got, want):
-            np.testing.assert_array_equal(part.features, expected.features)
-            np.testing.assert_array_equal(part.labels, expected.labels)
-            assert part.num_classes == num_classes
-            assert not np.shares_memory(part.features, data.features)
-            assert not np.shares_memory(part.labels, data.labels)
+        plan = [np.flatnonzero(owners == c) for c in range(num_clients)]
+        if not case["ascending"]:
+            plan = [rng.permutation(indices) for indices in plan]
+        seeds = rng.integers(0, 2**63, num_clients).tolist()
+        got = datahub.split_train_test(data, plan, case["fraction"], seeds)
+        assert len(got) == num_clients
+        for pair, indices, seed in zip(got, plan, seeds):
+            want = _split_shard(_rows(data, indices), case["fraction"], seed)
+            for part, expected in zip(pair, want):
+                np.testing.assert_array_equal(part.features, expected.features)
+                np.testing.assert_array_equal(part.labels, expected.labels)
+                assert part.num_classes == num_classes
+                assert not np.shares_memory(part.features, data.features)
+                assert not np.shares_memory(part.labels, data.labels)
+        for side in (0, 1):  # train, then test
+            _assert_row_ranges_of_one_matrix([pair[side].features for pair in got])
+            _assert_row_ranges_of_one_matrix([pair[side].labels for pair in got])
+
+    def test_plan_and_seeds_must_match(self):
+        data = datahub.gen_synthetic(2, 4, 10, 0.5, seed=2)
+        with pytest.raises(ConfigError, match="seeds"):
+            datahub.split_train_test(data, [np.arange(10), np.arange(10, 20)], 0.2, [1])
 
     def test_80_20(self):
         data = datahub.gen_synthetic(4, 4, 25, 0.5, seed=2)  # 100 samples
-        train, test = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
+        train, test = _split_one(data, np.arange(len(data)), 0.2, seed=4)
         assert len(train) == 80 and len(test) == 20
 
     def test_deterministic(self):
         data = datahub.gen_synthetic(4, 4, 25, 0.5, seed=2)
-        a = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
-        b = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=4)
+        a = _split_one(data, np.arange(len(data)), 0.2, seed=4)
+        b = _split_one(data, np.arange(len(data)), 0.2, seed=4)
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].labels, b[1].labels)
 
@@ -462,23 +521,23 @@ class TestSplitTrainTest:
         feats = np.random.default_rng(0).normal(size=(11, 3))
         labels = np.array([0] * 10 + [1], dtype=np.int64)
         shard = datahub.LabeledDataset(feats, labels, 2)
-        train, test = datahub.split_train_test(shard, np.arange(11), 0.2, seed=1)
+        train, test = _split_one(shard, np.arange(11), 0.2, seed=1)
         assert 1 in train.labels and 1 not in test.labels
 
     def test_stratification(self):
         data = datahub.gen_synthetic(2, 4, 50, 0.5, seed=3)  # 50/50 classes
-        train, test = datahub.split_train_test(data, np.arange(len(data)), 0.2, seed=9)
+        train, test = _split_one(data, np.arange(len(data)), 0.2, seed=9)
         assert np.all(np.bincount(test.labels, minlength=2) == 10)
 
     def test_tiny_shard_rejected(self):
         shard = datahub.LabeledDataset(np.zeros((1, 2)), np.array([0]), 1)
         with pytest.raises(ConfigError):
-            datahub.split_train_test(shard, np.arange(1), 0.2, seed=1)
+            _split_one(shard, np.arange(1), 0.2, seed=1)
 
     def test_never_empty_test(self):
         # all classes round to zero test samples; the guard promotes one
         feats = np.random.default_rng(1).normal(size=(8, 2))
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
         shard = datahub.LabeledDataset(feats, labels, 4)
-        train, test = datahub.split_train_test(shard, np.arange(8), 0.2, seed=6)
+        train, test = _split_one(shard, np.arange(8), 0.2, seed=6)
         assert len(test) >= 1 and len(train) + len(test) == 8

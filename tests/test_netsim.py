@@ -85,6 +85,20 @@ class TestMessages:
         with pytest.raises(ConfigError, match="both orientations"):
             Topology(3, frozenset({(0, 1), (1, 0), (1, 2)}))
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1.5), (0, 1, 2), ("0", 1), (0, True)],
+        ids=["float-id", "three-tuple", "string-id", "bool-id"],
+    )
+    def test_malformed_edge_rejected(self, edge):
+        # each was a KeyError, a ValueError, a TypeError or, for True, an edge to client 1
+        with pytest.raises(ConfigError, match="edge"):
+            Topology(3, frozenset({edge, (1, 2)}))
+
+    def test_numpy_integer_ids_accepted(self):
+        topo = Topology(3, frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
+        assert topo.neighbors(1) == (0, 2)
+
     def test_either_orientation_alone_is_one_edge(self):
         for edges in ({(0, 1), (1, 2)}, {(1, 0), (2, 1)}):
             topo = Topology(3, frozenset(edges))
