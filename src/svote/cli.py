@@ -325,7 +325,7 @@ def execute(cfg: ExperimentConfig) -> metrics.RunResult:
 
 def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int) -> int:
     """Bytes plain FedAvg would send on this topology: exact arithmetic."""
-    per_round = sum(topo.degree(c) for c in range(topo.num_clients))
+    per_round = int(np.count_nonzero(topo.adjacency))  # the degree total: two copies per edge
     return rounds * per_round * netsim.message_byte_size(param_count)
 
 

@@ -22,9 +22,10 @@ each round's per-client counts into its metrics records.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import compress
 
 import numpy as np
 
@@ -43,16 +44,42 @@ class MessageKind(Enum):
     NO_UPDATE = "no_update"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Undirected connected graph over client ids 0..num_clients-1."""
+    """Undirected simple graph over client ids 0..num_clients-1, held as its adjacency matrix.
 
-    num_clients: int
-    edges: frozenset[tuple[int, int]]
+    `adjacency` is a read-only n x n boolean matrix; building a Topology
+    copies it and checks that it is square, symmetric and has a zero diagonal
+    (no self-loops), raising `ConfigError` otherwise. Connectivity is not
+    checked here: `erdos_renyi` redraws until its graph is connected, and
+    `full_topology` is connected by construction. Two topologies are equal
+    when their matrices are.
+    """
+
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        edges = self.edges
-        adjacency: dict[int, list[int]] = {i: [] for i in range(self.num_clients)}
+        adjacency = np.array(self.adjacency)
+        if adjacency.dtype != bool or adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ConfigError(f"adjacency must be a square boolean matrix, got {adjacency.dtype} {adjacency.shape}")
+        n = len(adjacency)
+        cells = adjacency.tobytes()
+        if any(cells[:: n + 1]):
+            raise ConfigError(f"self-loop at client {int(adjacency.diagonal().argmax())}")
+        if cells != adjacency.T.tobytes():
+            raise ConfigError("adjacency is not symmetric")
+        adjacency.flags.writeable = False
+        # one byte per cell: row c's peers are the positions of its nonzero bytes, ascending
+        clients = range(n)
+        neighbors = tuple([tuple(compress(clients, cells[c * n : c * n + n])) for c in clients])
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "_neighbors", neighbors)
+        object.__setattr__(self, "_degrees", tuple(map(len, neighbors)))
+
+    @classmethod
+    def from_edges(cls, num_clients: int, edges: Iterable[tuple[int, int]]) -> Topology:
+        """The graph with these undirected edges, each one pair of client ids in either orientation."""
+        directed = np.zeros((num_clients, num_clients), dtype=bool)
         for edge in edges:
             if type(edge) is not tuple or len(edge) != 2:
                 raise ConfigError(f"edge {edge!r} is not a pair of client ids")
@@ -62,23 +89,29 @@ class Topology:
                 raise ConfigError(f"edge {edge!r}: client ids are integers")
             if a == b:
                 raise ConfigError(f"self-loop at client {a}")
-            if (b, a) in edges:
-                raise ConfigError(f"edge ({a},{b}) given in both orientations")
-            # adjacency holds exactly the ids in range
-            try:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-            except KeyError:
-                raise ConfigError(f"edge ({a},{b}) outside client range") from None
-        object.__setattr__(
-            self, "_adj", {i: tuple(sorted(peers)) for i, peers in adjacency.items()}
-        )
+            if not (0 <= a < num_clients and 0 <= b < num_clients):
+                raise ConfigError(f"edge ({a},{b}) outside client range")
+            directed[a, b] = True
+        both = np.argwhere(directed & directed.T)
+        if len(both):
+            a, b = both[0].tolist()
+            raise ConfigError(f"edge ({a},{b}) given in both orientations")
+        return cls(directed | directed.T)
+
+    @property
+    def num_clients(self) -> int:
+        return len(self._degrees)
 
     def neighbors(self, client: int) -> tuple[int, ...]:
-        return self._adj[client]
+        return self._neighbors[client]
 
     def degree(self, client: int) -> int:
-        return len(self._adj[client])
+        return self._degrees[client]
+
+    def __eq__(self, other):
+        if not isinstance(other, Topology):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency)
 
 
 def _is_client_id(v) -> bool:
@@ -100,20 +133,30 @@ def full_topology(n: int) -> Topology:
     """Complete graph K_n."""
     if n < 2:
         raise ConfigError("topology needs n >= 2")
-    return Topology(n, frozenset(combinations(range(n), 2)))
+    return Topology(~np.eye(n, dtype=bool))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Topology:
-    """G(n, p) conditioned on connectivity via seeded redraws."""
+    """G(n, p) conditioned on connectivity via seeded redraws.
+
+    Each attempt draws one uniform per client pair (i < j) in row-major
+    order and keeps the edge when the draw is below p.
+    """
     if n < 2:
         raise ConfigError("topology needs n >= 2")
     if not 0 < p <= 1:
         raise ConfigError("edge probability must be in (0, 1]")
-    pairs = list(combinations(range(n), 2))
+    # boolean-mask assignment fills in row-major order: the pairs of np.triu_indices(n, 1)
+    clients = np.arange(n)
+    upper = clients[:, None] < clients
+    pairs = n * (n - 1) // 2
     for attempt in range(_MAX_GRAPH_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, "erdos-attempt", attempt))
-        mask = rng.random(len(pairs)) < p
-        topo = Topology(n, frozenset(pair for pair, keep in zip(pairs, mask) if keep))
+        draw = rng.random(pairs) < p
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[upper] = draw
+        adjacency.T[upper] = draw  # the mirror: pair (i, j) also at (j, i)
+        topo = Topology(adjacency)
         if _is_connected(topo):
             return topo
     raise GraphError(f"no connected graph in {_MAX_GRAPH_ATTEMPTS} draws (n={n}, p={p})")

@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from svote import netsim
 from svote.errors import ConfigError, ProtocolError
 from svote.netsim import MessageBus, MessageKind, RoundMessage, Topology, TrafficLedger
+from svote.seeding import derive_seed
+
+
+def _edge_count(topo):
+    return int(topo.adjacency.sum()) // 2
 
 
 class TestFullTopology:
     def test_k10_edge_count(self):
-        assert len(netsim.full_topology(10).edges) == 45
+        assert _edge_count(netsim.full_topology(10)) == 45
 
     def test_k2(self):
-        assert len(netsim.full_topology(2).edges) == 1
+        assert _edge_count(netsim.full_topology(2)) == 1
 
     def test_degrees(self):
         topo = netsim.full_topology(7)
@@ -32,10 +37,10 @@ class TestErdosRenyi:
     def test_p1_is_complete(self):
         for seed in (0, 1, 2):
             topo = netsim.erdos_renyi(8, 1.0, seed)
-            assert len(topo.edges) == 28
+            assert _edge_count(topo) == 28
 
     def test_mean_edge_count(self):
-        counts = [len(netsim.erdos_renyi(10, 0.5, s).edges) for s in range(200)]
+        counts = [_edge_count(netsim.erdos_renyi(10, 0.5, s)) for s in range(200)]
         assert abs(np.mean(counts) - 22.5) / 22.5 < 0.10
 
     def test_always_connected(self):
@@ -51,11 +56,102 @@ class TestErdosRenyi:
             assert len(seen) == 10
 
     def test_deterministic(self):
-        assert netsim.erdos_renyi(12, 0.4, 7).edges == netsim.erdos_renyi(12, 0.4, 7).edges
+        assert netsim.erdos_renyi(12, 0.4, 7) == netsim.erdos_renyi(12, 0.4, 7)
 
     def test_bad_p_rejected(self):
         with pytest.raises(ConfigError):
             netsim.erdos_renyi(5, 0.0, 1)
+
+
+class TestPinnedGraphs:
+    """Neighbor lists recorded from the edge-set implementation: the draw order must not change."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed, draws, neighbors",
+        [
+            # the first three draws are disconnected, so this pins the redraw too
+            (6, 0.3, 1, 4, [(2, 3, 5), (3, 4, 5), (0,), (0, 1, 4), (1, 3), (0, 1)]),
+            (8, 0.4, 5, 1, [(4, 6), (3, 4), (4, 5, 6, 7), (1, 4, 7), (0, 1, 2, 3), (2, 7), (0, 2, 7), (2, 3, 5, 6)]),
+            (10, 0.5, 3, 1, [(2, 3, 4, 5, 6, 8, 9), (2, 4, 7, 8, 9), (0, 1, 4, 6, 9), (0, 4, 6, 8, 9),
+                          (0, 1, 2, 3, 5, 7), (0, 4, 6, 7, 8), (0, 2, 3, 5, 7, 9), (1, 4, 5, 6),
+                          (0, 1, 3, 5), (0, 1, 2, 3, 6)]),
+        ],
+    )
+    def test_erdos_renyi_neighbor_lists(self, monkeypatch, n, p, seed, draws, neighbors):
+        attempts = []
+
+        def spy(*parts):
+            attempts.append(parts[-1])
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(netsim, "derive_seed", spy)
+        topo = netsim.erdos_renyi(n, p, seed)
+        assert [topo.neighbors(c) for c in range(n)] == neighbors
+        assert [topo.degree(c) for c in range(n)] == [len(peers) for peers in neighbors]
+        assert attempts == list(range(draws))
+
+    def test_full_topology_neighbor_lists(self):
+        topo = netsim.full_topology(5)
+        assert [topo.neighbors(c) for c in range(5)] == [
+            (1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 4), (0, 1, 2, 3),
+        ]
+
+    def test_neighbors_and_degrees_are_plain_ints(self):
+        # they reach the ledger and summary.json, which serialise plain ints only
+        topo = netsim.erdos_renyi(10, 0.5, 3)
+        assert all(type(peer) is int for c in range(10) for peer in topo.neighbors(c))
+        assert all(type(topo.degree(c)) is int for c in range(10))
+        assert type(topo.num_clients) is int
+
+
+class TestTopologyValue:
+    def test_adjacency_is_read_only(self):
+        topo = netsim.full_topology(4)
+        with pytest.raises(ValueError):
+            topo.adjacency[0, 1] = False
+
+    def test_adjacency_is_copied_from_the_caller(self):
+        adjacency = ~np.eye(3, dtype=bool)
+        topo = Topology(adjacency)
+        adjacency[0, 1] = adjacency[1, 0] = False
+        assert topo.neighbors(0) == (1, 2) and topo.degree(1) == 2
+
+    def test_equality_compares_adjacency(self):
+        assert Topology.from_edges(3, {(0, 1), (1, 2), (0, 2)}) == netsim.full_topology(3)
+        assert Topology.from_edges(3, {(0, 1), (1, 2)}) != netsim.full_topology(3)
+        assert netsim.full_topology(3) != netsim.full_topology(4)
+        assert netsim.full_topology(3) != object()
+
+    @pytest.mark.parametrize(
+        "adjacency, match",
+        [
+            (np.zeros((2, 3), dtype=bool), "square"),
+            (np.zeros(4, dtype=bool), "square"),
+            (np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64), "boolean"),
+            (np.triu(~np.eye(3, dtype=bool)), "symmetric"),
+            (np.ones((3, 3), dtype=bool), "self-loop at client 0"),
+        ],
+        ids=["non-square", "one-dimensional", "integer", "asymmetric", "set-diagonal"],
+    )
+    def test_malformed_matrix_rejected(self, adjacency, match):
+        with pytest.raises(ConfigError, match=match):
+            Topology(adjacency)
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    @settings(max_examples=60, deadline=None)
+    def test_neighbors_match_a_loop_over_the_matrix(self, cells):
+        n = int(len(cells) ** 0.5)
+        upper = np.triu(np.array(cells, dtype=bool).reshape(n, n), 1)
+        topo = Topology(upper | upper.T)
+        for c in range(n):
+            assert topo.neighbors(c) == tuple(j for j in range(n) if upper[c, j] or upper[j, c])
+            assert topo.degree(c) == len(topo.neighbors(c))
+        assert topo.num_clients == n
+
+    def test_connectivity_is_not_checked(self):
+        # only erdos_renyi guarantees a connected graph
+        topo = Topology.from_edges(3, {(0, 1)})
+        assert topo.neighbors(2) == () and topo.degree(2) == 0
 
 
 class TestMessages:
@@ -78,12 +174,12 @@ class TestMessages:
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError):
-            Topology(3, frozenset({(1, 1)}))
+            Topology.from_edges(3, frozenset({(1, 1)}))
 
     def test_edge_in_both_orientations_rejected(self):
         # (0,1) and (1,0) would make client 1 a double neighbor of client 0
         with pytest.raises(ConfigError, match="both orientations"):
-            Topology(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+            Topology.from_edges(3, frozenset({(0, 1), (1, 0), (1, 2)}))
 
     @pytest.mark.parametrize(
         "edge",
@@ -93,15 +189,20 @@ class TestMessages:
     def test_malformed_edge_rejected(self, edge):
         # each was a KeyError, a ValueError, a TypeError or, for True, an edge to client 1
         with pytest.raises(ConfigError, match="edge"):
-            Topology(3, frozenset({edge, (1, 2)}))
+            Topology.from_edges(3, frozenset({edge, (1, 2)}))
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 1)], ids=["past-the-end", "negative"])
+    def test_edge_outside_client_range_rejected(self, edge):
+        with pytest.raises(ConfigError, match="outside client range"):
+            Topology.from_edges(3, frozenset({edge, (1, 2)}))
 
     def test_numpy_integer_ids_accepted(self):
-        topo = Topology(3, frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
+        topo = Topology.from_edges(3, frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
         assert topo.neighbors(1) == (0, 2)
 
     def test_either_orientation_alone_is_one_edge(self):
         for edges in ({(0, 1), (1, 2)}, {(1, 0), (2, 1)}):
-            topo = Topology(3, frozenset(edges))
+            topo = Topology.from_edges(3, frozenset(edges))
             assert topo.neighbors(1) == (0, 2) and topo.neighbors(0) == (1,)
 
 
@@ -113,7 +214,7 @@ def _bus(n=4):
 
 class TestBusAndLedger:
     def test_non_neighbor_send_rejected(self):
-        topo = Topology(3, frozenset({(0, 1)}))
+        topo = Topology.from_edges(3, frozenset({(0, 1)}))
         bus = MessageBus(topo, TrafficLedger(3))
         msg = RoundMessage(0, (2,), MessageKind.VOTE, 32)
         with pytest.raises(ProtocolError):
@@ -151,7 +252,7 @@ class TestBusAndLedger:
         assert ledger.take_round()[0][0] == 9 * 432
 
     def test_degree_limited_broadcast(self):
-        topo = Topology(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}))
+        topo = Topology.from_edges(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}))
         bus = MessageBus(topo, TrafficLedger(5))
         assert netsim.broadcast(bus, 0, MessageKind.VOTE, 0) == 3
 
@@ -185,7 +286,7 @@ class TestMulticast:
     def test_ledger_and_delivery_match_per_receiver_oracle(self, data):
         n = data.draw(st.integers(2, 7), label="n")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        topo = Topology(n, frozenset(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges")))
+        topo = Topology.from_edges(n, frozenset(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges")))
         ledger = TrafficLedger(n)
         bus = MessageBus(topo, ledger)
         kind_bytes, kind_count = defaultdict(int), defaultdict(int)  # the run's, across rounds
@@ -215,7 +316,7 @@ class TestMulticast:
         assert ledger.take_round() == ([0] * n, [0] * n)
 
     def test_one_non_neighbor_rejects_whole_message(self):
-        topo = Topology(4, frozenset({(0, 1), (0, 2), (2, 3)}))
+        topo = Topology.from_edges(4, frozenset({(0, 1), (0, 2), (2, 3)}))
         ledger = TrafficLedger(4)
         bus = MessageBus(topo, ledger)
         bus.send(RoundMessage(0, (1, 2), MessageKind.MODEL_UPDATE, 432))

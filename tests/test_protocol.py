@@ -313,7 +313,7 @@ def _connected_topologies(draw, max_clients=6):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges |= {pair for pair, kept in zip(pairs, keep) if kept}
-    return netsim.Topology(n, frozenset(edges))
+    return netsim.Topology.from_edges(n, frozenset(edges))
 
 
 @pytest.fixture
