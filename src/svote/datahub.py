@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .kernels import DTYPE
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -23,12 +24,12 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
-    features: np.ndarray  # (n, input_dim) float64
+    features: np.ndarray  # (n, input_dim) in the data-plane dtype, kernels.DTYPE
     labels: np.ndarray  # (n,) int64, values in [0, num_classes)
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=DTYPE)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ConfigError("features/labels shape mismatch")
@@ -53,7 +54,11 @@ class LabeledDataset:
 def gen_synthetic(
     num_classes: int, input_dim: int, per_class: int, spread: float, seed: int
 ) -> LabeledDataset:
-    """Gaussian mixture: seeded unit-sphere mean per class, isotropic noise."""
+    """Gaussian mixture: seeded unit-sphere mean per class, isotropic noise.
+
+    The draws are float64, made in the order of one draw for all samples;
+    each feature is their float64 sum rounded once to the data-plane dtype.
+    """
     if num_classes < 1 or input_dim < 1 or per_class < 1:
         raise ConfigError("num_classes, input_dim, per_class must be >= 1")
     if not 0 < spread < np.inf:
@@ -62,10 +67,18 @@ def gen_synthetic(
     means = rng.normal(size=(num_classes, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    features = rng.normal(scale=spread, size=(labels.shape[0], input_dim))
-    # labels run class by class, so each class is one block of rows
-    features.reshape(num_classes, per_class, input_dim)[...] += means[:, None]
-    return LabeledDataset(features, labels, num_classes)
+    # labels run class by class, so each class is one block of rows, drawn into
+    # one reused float64 buffer (spread * standard_normal is rng.normal's own
+    # arithmetic), offset by its mean and rounded once; the draws continue one
+    # stream, and no float64 matrix of the whole dataset is held.
+    features = np.empty((num_classes, per_class, input_dim), dtype=DTYPE)
+    noise = np.empty((per_class, input_dim))
+    for block, mean in zip(features, means):
+        rng.standard_normal(out=noise)
+        noise *= spread
+        noise += mean
+        block[...] = noise
+    return LabeledDataset(features.reshape(labels.shape[0], input_dim), labels, num_classes)
 
 
 def _read_exact(f, n: int, path: str) -> bytes:
@@ -86,9 +99,10 @@ def _open_binary(path: str):
 def load_idx(images_path: str, labels_path: str, limit: int) -> LabeledDataset:
     """Load an IDX image/label file pair, keeping the first `limit` samples.
 
-    Pixels are scaled to [0, 1] and images flattened row-major. The class
-    count comes from the whole label file, so a prefix that misses the top
-    class still gives the model every output of the full data set.
+    Pixels are scaled to [0, 1] in the data-plane dtype and images flattened
+    row-major. The class count comes from the whole label file, so a prefix
+    that misses the top class still gives the model every output of the full
+    data set.
     """
     if limit < 1:
         raise ConfigError("limit must be >= 1")
@@ -110,7 +124,7 @@ def load_idx(images_path: str, labels_path: str, limit: int) -> LabeledDataset:
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)[:take]
     all_labels = np.frombuffer(raw_labels, dtype=np.uint8)
     num_classes = int(all_labels.max()) + 1 if count else 1
-    return LabeledDataset(images / 255.0, all_labels[:take].astype(np.int64), num_classes)
+    return LabeledDataset(np.divide(images, 255, dtype=DTYPE), all_labels[:take].astype(np.int64), num_classes)
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# The float type of the whole data plane: features, models, gradients and
+# control variates. The wire format prices a parameter at its itemsize
+# (netsim.BYTES_PER_PARAM); the kernels themselves run in any float dtype.
+DTYPE = np.dtype(np.float32)
+
 
 def _softmax_in_place(z):
     """Row-wise softmax of the logits z, overwriting z."""

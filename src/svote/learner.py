@@ -1,8 +1,9 @@
 """Desk-scale differentiable models and the three local-update variants.
 
-Models are flat float64 parameter vectors so that exchange, averaging, and
-cosine comparison all operate on one array type. Supported architectures:
-softmax regression and a one-hidden-layer tanh MLP.
+Models are flat parameter vectors in the data-plane dtype (`kernels.DTYPE`,
+float32, the precision the wire format prices) so that exchange, averaging,
+and cosine comparison all operate on one array type. Supported
+architectures: softmax regression and a one-hidden-layer tanh MLP.
 """
 
 from __future__ import annotations
@@ -75,9 +76,12 @@ def _views(w: np.ndarray, spec: ModelSpec):
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    """Seeded uniform [-INIT_SCALE, INIT_SCALE] initialization."""
+    """Seeded uniform [-INIT_SCALE, INIT_SCALE] initialization in the data-plane dtype.
+
+    The draw is float64, rounded once, so the seed stream is the same in any dtype.
+    """
     rng = np.random.default_rng(seed)
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=spec.param_count)
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=spec.param_count).astype(kernels.DTYPE)
 
 
 def _check_batch(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec):
@@ -96,15 +100,17 @@ def loss_and_grad(
 ):
     """Mean cross-entropy over the batch and its gradient w.r.t. w.
 
-    The gradient is written into `grad` when given (a float64 vector of w's
-    length that does not overlap w) and returned; otherwise into a new array.
+    The arithmetic runs in w's dtype (the engine's is `kernels.DTYPE`); X is
+    cast to it. The gradient is written into `grad` when given (a vector of
+    w's length and dtype that does not overlap w) and returned; otherwise
+    into a new array.
     """
     _check_batch(w, X, y, spec)
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=w.dtype)
     y = np.ascontiguousarray(y, dtype=np.int64)
     if grad is None:
         grad = np.empty_like(w)
-    elif grad.shape != w.shape or grad.dtype != np.float64:
+    elif grad.shape != w.shape or grad.dtype != w.dtype:
         raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
     kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
     try:
@@ -171,7 +177,8 @@ def scaffold_update_cv(
 
 
 def logits(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """Class scores of each row of X, computed in w's dtype."""
+    X = np.asarray(X, dtype=w.dtype)
     if spec.kind == SOFTMAX:
         W, b = _views(w, spec)
         return X @ W + b

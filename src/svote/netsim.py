@@ -12,11 +12,13 @@ MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD's also delivers row
 p of the control-variate matrix).
 
 Wire-format accounting: every copy a receiver gets costs a 32-byte header; a
-model update adds 4 bytes per carried parameter (32-bit reals), votes and
-no-update notices are header-only. The ledger books a message once per
-receiver, so its totals equal those of one point-to-point message per
-(sender, receiver) pair. It books one round at a time: the round engine takes
-each round's per-client counts into its metrics records.
+model update adds 4 bytes per carried parameter, the itemsize of the float32
+the engine trains and averages in (`kernels.DTYPE`), so the bytes priced are
+the bytes the engine holds; votes and no-update notices are header-only. The
+ledger books a message once per receiver, so its totals equal those of one
+point-to-point message per (sender, receiver) pair. It books one round at a
+time: the round engine takes each round's per-client counts into its metrics
+records.
 """
 
 from __future__ import annotations
@@ -118,15 +120,20 @@ def _is_client_id(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _is_connected(topo: Topology) -> bool:
+def _is_connected(adjacency: np.ndarray) -> bool:
+    """Whether every client of a boolean n x n adjacency matrix is reachable from client 0."""
+    n = len(adjacency)
+    cells = adjacency.tobytes()  # row c's peers are the positions of its nonzero bytes
+    clients = range(n)
     seen = {0}
     stack = [0]
     while stack:
-        for peer in topo.neighbors(stack.pop()):
+        c = stack.pop()
+        for peer in compress(clients, cells[c * n : c * n + n]):
             if peer not in seen:
                 seen.add(peer)
                 stack.append(peer)
-    return len(seen) == topo.num_clients
+    return len(seen) == n
 
 
 def full_topology(n: int) -> Topology:
@@ -156,9 +163,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
         adjacency = np.zeros((n, n), dtype=bool)
         adjacency[upper] = draw
         adjacency.T[upper] = draw  # the mirror: pair (i, j) also at (j, i)
-        topo = Topology(adjacency)
-        if _is_connected(topo):
-            return topo
+        if _is_connected(adjacency):
+            return Topology(adjacency)
     raise GraphError(f"no connected graph in {_MAX_GRAPH_ATTEMPTS} draws (n={n}, p={p})")
 
 

@@ -36,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .kernels import DTYPE
 from .learner import (
     HyperParams,
     ModelSpec,
@@ -61,7 +62,9 @@ P_ESCALATION_START = 0.1
 P_ESCALATION_STEP = 0.1
 
 # slack for the inclusive >= of the selection rule: identical similarities must
-# all clear a threshold equal to their own mean despite round-off
+# all clear a threshold equal to their own mean despite round-off. The slack is
+# far below float32's resolution (about 6e-8 near 1), so it holds only because
+# cosine_similarity builds its Gram matrix in float64 from the float32 models.
 _SELECT_EPS = 1e-12
 
 
@@ -103,7 +106,7 @@ class SVoteConfig:
 
 
 def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise arithmetic mean, written into `out` when given, else into a new array.
+    """Elementwise arithmetic mean, written into `out` when given, else into a new array of the models' dtype.
 
     The models are summed in sequence order into one output, which is then
     divided once: the same float operations as a mean over a stacked k x P
@@ -116,7 +119,7 @@ def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
         if m.shape[0] != length:
             raise ProtocolError("model length mismatch in aggregation")
     if out is None:
-        out = np.empty(length)
+        out = np.empty(length, dtype=models[0].dtype)
     out[...] = models[0]
     for m in models[1:]:
         out += m
@@ -125,13 +128,16 @@ def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
 
 
 def cosine_similarity(models: np.ndarray) -> np.ndarray:
-    """Cosine of every pair of rows of one n x P matrix, from one Gram matrix.
+    """Cosine of every pair of rows of one n x P matrix, from one float64 Gram matrix.
 
-    A zero-norm row ranks at -1 against every row: the engine floors models
-    whose similarity is undefined below everything.
+    The rows are cast to float64 first whatever their dtype, so the
+    similarities resolve far below the selection rule's slack. A zero-norm
+    row ranks at -1 against every row: the engine floors models whose
+    similarity is undefined below everything.
     """
     if models.ndim != 2:
         raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
+    models = models.astype(np.float64, copy=False)
     gram = models @ models.T
     norms = np.sqrt(np.diag(gram))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,9 +284,10 @@ def _run(
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
-    variates = np.zeros((2, n, model_spec.param_count)) if method == SCAFFOLD else None  # local, global
+    shape = (2, n, model_spec.param_count)
+    variates = np.zeros(shape, dtype=DTYPE) if method == SCAFFOLD else None  # local, global
     # this round's models and the next round's, which the share phase fills
-    models, mixed = np.empty((2, n, model_spec.param_count))
+    models, mixed = np.empty(shape, dtype=DTYPE)
     for cid in range(n):
         models[cid] = init_params(model_spec, derive_seed(seed, "init", cid))
     selected: list[set[int]] = [set() for _ in range(n)]

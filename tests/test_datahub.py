@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_class_splits
+from conftest import counted_class_splits, peak_traced_bytes
 from svote import datahub, learner
 from svote.errors import ConfigError, FormatError
+from svote.kernels import DTYPE
 
 
 # ------------------------------------------------------------ synthetic data
@@ -42,7 +43,8 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize("shape", [(6, 16, 200), (10, 784, 30), (2, 1, 1), (3, 5, 7)])
     def test_same_bytes_as_the_gathered_means_plus_noise(self, shape):
-        # the class means are added in place; the sum is the same float sum
+        # the float64 draws are summed in float64 and rounded once to the
+        # data-plane dtype: the same bytes as the sum cast afterwards
         num_classes, input_dim, per_class = shape
         rng = np.random.default_rng(5)
         means = rng.normal(size=(num_classes, input_dim))
@@ -50,8 +52,16 @@ class TestGenSynthetic:
         labels = np.repeat(np.arange(num_classes), per_class)
         noise = rng.normal(scale=0.7, size=(labels.size, input_dim))
         data = datahub.gen_synthetic(num_classes, input_dim, per_class, 0.7, seed=5)
-        assert data.features.tobytes() == (means[labels] + noise).tobytes()
+        assert data.features.dtype == DTYPE
+        assert data.features.tobytes() == (means[labels] + noise).astype(DTYPE).tobytes()
         np.testing.assert_array_equal(data.labels, labels)
+
+    def test_holds_no_float64_copy_of_the_dataset(self):
+        # one class's float64 block beside the output, not a float64 matrix of all rows
+        shape = (10, 784, 300)
+        out_bytes = shape[0] * shape[1] * shape[2] * DTYPE.itemsize
+        peak = peak_traced_bytes(lambda: datahub.gen_synthetic(*shape, 0.3, seed=1))
+        assert peak < 1.5 * out_bytes
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -115,6 +125,14 @@ class TestLoadIdx:
         data = datahub.load_idx(img, lab, limit=1)
         np.testing.assert_allclose(data.features[0], [0, 0, 0, 1.0, 0, 0])
         assert data.labels[0] == 7
+
+    def test_pixels_scaled_in_the_data_plane_dtype(self, tmp_path):
+        # every byte value, rounded once: the same as float64 scaling cast afterwards
+        images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        img, lab = write_idx_pair(str(tmp_path), images, np.array([0], dtype=np.uint8))
+        data = datahub.load_idx(img, lab, limit=1)
+        assert data.features.dtype == DTYPE
+        assert data.features.tobytes() == (images.reshape(1, -1) / 255.0).astype(DTYPE).tobytes()
 
     def test_num_classes_from_the_full_label_file(self, tmp_path):
         # the kept prefix holds classes 0..2 only; the file also holds class 4

@@ -1,10 +1,14 @@
-"""Golden artifacts: sha256 of metrics.csv and summary.json for pinned configs.
+"""Golden artifacts: sha256 of metrics.csv and summary.json for pinned configs,
+and of the model weights the engine evaluates for three of them.
 
 The determinism contract is checked rerun-against-rerun elsewhere; these
-digests also catch silent numeric drift across refactors. A change that
-alters a digest on purpose (a new float summation order, say) records the
-new digest here and explains the drift; one that alters it by accident is a
-regression.
+digests also catch silent numeric drift across refactors. The artifact
+digests pin only decisions made from the weights (argmax predictions,
+selections, gates), so a change that moves the weights by round-off passes
+them until some decision flips; the weight digests catch it at once. A
+change that alters a digest on purpose (a new float summation order, say)
+records the new digest here and explains the drift; one that alters it by
+accident is a regression.
 
 Recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (Python 3.11, x86-64);
 summary.json records the numpy version, so another numpy moves its digest.
@@ -18,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import counted_class_splits
+from conftest import counted_class_splits, evaluated_models
 from svote import cli, datahub
 from svote.seeding import derive_seed
 
@@ -125,6 +129,26 @@ def test_artifacts_match_golden_digests(name, tmp_path):
         with open(tmp_path / artifact, "rb") as f:
             digests.append(hashlib.sha256(f.read()).hexdigest())
     assert tuple(digests) == GOLDEN[name]
+
+
+# sha256 over every model the engine evaluates, in evaluation order (round-major,
+# client order within a round), each as its dtype, shape and bytes
+WEIGHT_GOLDEN = {
+    "scaffold_noniid": "0b942a3822f777fbce22628e6f274a2c7b6810ebc1086a7245d2e2e0526b4133",
+    "svote_full40": "3e20c3323d31e6276dba55fa97db103ac20b9035e3a27521b4de3679589b9f92",
+    "svote_mlp": "5f7e68501b3c848b31c4285bab1e72d6ff13c6d4bb9a2fbab33f052b54ff689a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_GOLDEN))
+def test_evaluated_models_match_golden_digests(name, tmp_path):
+    with evaluated_models() as models:
+        cli.run_experiment(cli.parse_config_text(_config_text(name), source=name), str(tmp_path))
+    digest = hashlib.sha256()
+    for w in models:
+        digest.update(f"{w.dtype.str}{w.shape}".encode())
+        digest.update(w.tobytes())
+    assert digest.hexdigest() == WEIGHT_GOLDEN[name]
 
 
 # the dense-100 benchmark partition: 100 clients, 6 x 4,000 samples, alpha 0.5,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import fd_gradient, peak_traced_bytes
 from svote import learner
 from svote.errors import ConfigError, ProtocolError
+from svote.kernels import DTYPE
 from svote.learner import HyperParams, ModelSpec
 
 
@@ -328,10 +329,11 @@ class TestBuffers:
         "spec", [ModelSpec(learner.SOFTMAX, 7, 4), ModelSpec(learner.MLP, 7, 4, hidden_dim=5)]
     )
     def test_loss_and_grad_fills_and_returns_the_buffer(self, spec):
+        # in the engine's dtype: the buffer must match w's
         X, y = _batch(spec, n=11, seed=3)
-        w = np.random.default_rng(4).normal(scale=0.3, size=spec.param_count)
+        w = np.random.default_rng(4).normal(scale=0.3, size=spec.param_count).astype(DTYPE)
         loss, fresh = learner.loss_and_grad(w, X, y, spec)
-        buf = np.full(spec.param_count, np.nan)
+        buf = np.full(spec.param_count, np.nan, dtype=DTYPE)
         loss_buf, out = learner.loss_and_grad(w, X, y, spec, buf)
         assert out is buf
         assert loss_buf == loss
@@ -353,7 +355,7 @@ class TestBuffers:
         hp = HyperParams(lr=0.2, local_epochs=2, batch_size=16, prox_mu=0.3)
         w0 = learner.init_params(spec, 8)
         anchor = learner.init_params(spec, 9)
-        local_c, global_c = np.full(spec.param_count, 0.01), np.full(spec.param_count, -0.02)
+        local_c, global_c = np.full(spec.param_count, 0.01, DTYPE), np.full(spec.param_count, -0.02, DTYPE)
         fresh = {
             "plain": lambda g, w: g,
             "fedprox": lambda g, w: g + hp.prox_mu * (w - anchor),
@@ -367,7 +369,7 @@ class TestBuffers:
                 idx = order[start : start + hp.batch_size]
                 _, g = learner.loss_and_grad(w, X[idx], y[idx], spec)
                 w = w - hp.lr * fresh(g, w)
-        direction = np.empty(spec.param_count)
+        direction = np.empty_like(w0)
         transform = {
             "plain": None,
             "fedprox": lambda g, w: learner.prox_grad(g, w, anchor, hp.prox_mu, out=direction),

@@ -62,6 +62,27 @@ class TestErdosRenyi:
         with pytest.raises(ConfigError):
             netsim.erdos_renyi(5, 0.0, 1)
 
+    def test_rejected_draws_build_no_topology(self, monkeypatch):
+        # (6, 0.3, 1) discards three disconnected draws (TestPinnedGraphs)
+        built = []
+        check = Topology.__post_init__
+        monkeypatch.setattr(Topology, "__post_init__", lambda self: built.append(check(self)))
+        netsim.erdos_renyi(6, 0.3, 1)
+        assert len(built) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.data())
+    def test_connectivity_matches_the_transitive_closure(self, n, data):
+        pairs = n * (n - 1) // 2
+        upper_cells = data.draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[np.triu_indices(n, 1)] = upper_cells
+        adjacency |= adjacency.T
+        reach = adjacency | np.eye(n, dtype=bool)
+        for _ in range(n):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        assert netsim._is_connected(adjacency) == bool(reach[0].all())
+
 
 class TestPinnedGraphs:
     """Neighbor lists recorded from the edge-set implementation: the draw order must not change."""

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
-from svote import metrics, netsim, protocol
-from svote.errors import ProtocolError
+from svote import learner, metrics, netsim, protocol
+from svote.errors import ConfigError, ProtocolError
+from svote.kernels import DTYPE
 from svote.learner import MLP, HyperParams, ModelSpec
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
 from svote.protocol import (
@@ -182,6 +183,29 @@ class TestSelectPeers:
         assert select_peers(0, sims, 0.3) == select_peers(0, scaled, 0.3)
 
 
+class TestSelectionSlack:
+    """Models with equal similarities must all select each other, at the length of the wide MLP.
+
+    Identical rows give bit-equal dot products, so they pass whatever the
+    Gram matrix's dtype. Rows that are scaled copies of one row have cosine 1
+    up to round-off: a float32 Gram scatters it by about 1e-7, far beyond the
+    selection slack, and fails them.
+    """
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_parallel_rows_select_every_peer(self, scaled, tau):
+        n, params = 8, ModelSpec(MLP, 784, 10, hidden_dim=64).param_count  # P = 50,890
+        row = np.random.default_rng(7).uniform(-0.05, 0.05, size=params).astype(DTYPE)
+        scales = 0.37 * np.arange(1, n + 1, dtype=DTYPE) if scaled else np.ones(n, dtype=DTYPE)
+        models = scales[:, None] * row
+        assert models.dtype == DTYPE
+        sims = cosine_similarity(models)
+        for cid in range(n):
+            scores = {p: s for p, s in enumerate(sims[cid].tolist()) if p != cid}
+            assert select_peers(cid, scores, tau) == set(scores)
+
+
 class TestCastVotes:
     def test_selected_peers_gain_votes(self):
         topo = netsim.full_topology(10)
@@ -276,6 +300,64 @@ class TestEngineMemory:
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
         peak = peak_traced_bytes(lambda: run_baseline(method, spec, hp, topo, shards, 3, rounds=3))
         assert peak < (matrices * n + 3) * spec.param_count * 8
+
+
+class TestDtypeContract:
+    """Data, models, gradients and variates are kernels.DTYPE, the precision the wire format prices."""
+
+    def test_wire_format_prices_the_compute_dtype(self):
+        assert netsim.BYTES_PER_PARAM == DTYPE.itemsize
+
+    def test_shards_models_and_variates(self):
+        _, shards, topo, spec = small_problem()
+        assert all(part.features.dtype == DTYPE for pair in shards for part in pair)
+        variates = []
+        refresh = protocol.scaffold_update_cv
+
+        def recorded(local_c, global_c, *args):
+            variates.append((local_c.dtype, global_c.dtype))
+            return refresh(local_c, global_c, *args)
+
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
+        with evaluated_models() as models, mock.patch.object(protocol, "scaffold_update_cv", recorded):
+            run_baseline("scaffold", spec, hp, topo, shards, 1, rounds=2)
+        assert len(models) == 2 * topo.num_clients and {w.dtype for w in models} == {DTYPE}
+        assert len(variates) == 2 * topo.num_clients and set(variates) == {(DTYPE, DTYPE)}
+
+    @pytest.mark.parametrize("method", ["fedprox", "scaffold"])
+    def test_training_transforms_do_not_upcast(self, method):
+        steps_seen, trained_dtypes = [], []
+        train = protocol.local_train
+
+        def recorded(w, X, y, spec, hp, rng, transform):
+            def checked(g, w_now):
+                out = transform(g, w_now)
+                steps_seen.append((g.dtype, w_now.dtype, out.dtype))
+                return out
+
+            trained, steps = train(w, X, y, spec, hp, rng, checked)
+            trained_dtypes.append(trained.dtype)
+            return trained, steps
+
+        _, shards, topo, spec = small_problem()
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
+        with mock.patch.object(protocol, "local_train", recorded):
+            run_baseline(method, spec, hp, topo, shards, 1, rounds=1)
+        assert steps_seen and set(steps_seen) == {(DTYPE, DTYPE, DTYPE)}
+        assert trained_dtypes == [DTYPE] * topo.num_clients
+
+    def test_gradient_buffer_of_another_dtype_rejected(self):
+        spec = ModelSpec(learner.SOFTMAX, 5, 3)
+        X = np.random.default_rng(2).normal(size=(4, 5))
+        y = np.array([0, 1, 2, 0])
+        w = learner.init_params(spec, 1)
+        assert w.dtype == DTYPE
+        with pytest.raises(ConfigError):
+            learner.loss_and_grad(w, X, y, spec, np.empty(spec.param_count, dtype=np.float64))
+        with pytest.raises(ConfigError):
+            learner.loss_and_grad(w.astype(np.float64), X, y, spec, np.empty(spec.param_count, dtype=DTYPE))
+        _, grad = learner.loss_and_grad(w, X, y, spec, np.empty(spec.param_count, dtype=DTYPE))
+        assert grad.dtype == DTYPE
 
 
 class TestSVoteConfig:
