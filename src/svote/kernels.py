@@ -1,13 +1,19 @@
 """Hot numeric kernels: cross-entropy forward/backward for both model kinds.
 
 Every kernel writes its gradients into the caller's arrays (views into one
-flat gradient vector) and allocates nothing of their size. On desk-scale
+flat gradient vector) and allocates nothing of their size. The kernels run in
+the dtype of their arrays. A float32 softmax rounds a label probability to 0
+at a logit gap of about 104, where a float64 one holds out to about 745, so a
+non-finite loss is judged again in float64 from the same logits: a float32
+model's loss turns infinite only where a float64 softmax's would. On desk-scale
 batches (32 x 6 logits) each numpy call costs more than its arithmetic, so
 reductions call the ufunc's `reduce` directly: `np.sum`, `ndarray.sum` and
 `ndarray.mean` run the same reduction behind 2-4 us of wrapper each.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +51,11 @@ def _loss_and_delta(p, y):
     return loss
 
 
+def _float64_loss(z, y):
+    """Mean cross-entropy of the logits z, with the softmax run on a float64 copy."""
+    return _loss_and_delta(_softmax_in_place(z.astype(np.float64)), y)
+
+
 def softmax_loss_grad(X, y, W, b, gW, gb):
     """Mean cross-entropy of softmax(X@W + b) against labels y.
 
@@ -55,6 +66,8 @@ def softmax_loss_grad(X, y, W, b, gW, gb):
     z += b
     d = _softmax_in_place(z)
     loss = _loss_and_delta(d, y)
+    if not math.isfinite(loss):
+        loss = _float64_loss(X @ W + b, y)
     np.matmul(X.T, d, out=gW)
     np.add.reduce(d, axis=0, out=gb)
     return loss
@@ -69,6 +82,8 @@ def mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2):
     z += b2
     d = _softmax_in_place(z)
     loss = _loss_and_delta(d, y)
+    if not math.isfinite(loss):
+        loss = _float64_loss(H @ W2 + b2, y)
     np.matmul(H.T, d, out=gW2)
     np.add.reduce(d, axis=0, out=gb2)
     dH = d @ W2.T

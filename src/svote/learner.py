@@ -103,7 +103,10 @@ def loss_and_grad(
     The arithmetic runs in w's dtype (the engine's is `kernels.DTYPE`); X is
     cast to it. The gradient is written into `grad` when given (a vector of
     w's length and dtype that does not overlap w) and returned; otherwise
-    into a new array.
+    into a new array. A non-finite loss raises ProtocolError; a float32
+    label probability that rounds to 0 (numpy warns of a divide by zero in
+    log) counts only if a float64 softmax of the same logits rounds it to 0
+    too (see `kernels`).
     """
     _check_batch(w, X, y, spec)
     X = np.ascontiguousarray(X, dtype=w.dtype)
@@ -216,13 +219,15 @@ def local_train(
     w = w.copy()
     grad = np.empty_like(w)
     steps = 0
-    for _ in range(hp.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            _, g = loss_and_grad(w, X[idx], y[idx], spec, grad)
-            if grad_transform is not None:
-                g = grad_transform(g, w)
-            sgd_step(w, g, hp.lr)
-            steps += 1
+    # a float32 label probability may round to 0 on the way to a finite loss
+    with np.errstate(divide="ignore"):
+        for _ in range(hp.local_epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, hp.batch_size):
+                idx = order[start : start + hp.batch_size]
+                _, g = loss_and_grad(w, X[idx], y[idx], spec, grad)
+                if grad_transform is not None:
+                    g = grad_transform(g, w)
+                sgd_step(w, g, hp.lr)
+                steps += 1
     return w, steps

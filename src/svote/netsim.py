@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from enum import Enum
 from itertools import compress
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, GraphError, ProtocolError
 from .seeding import derive_seed
 
 HEADER_BYTES = 32
-BYTES_PER_PARAM = 4
+BYTES_PER_PARAM = kernels.DTYPE.itemsize
 
 _MAX_GRAPH_ATTEMPTS = 100
 
@@ -55,12 +56,15 @@ class Topology:
     (no self-loops), raising `ConfigError` otherwise. Connectivity is not
     checked here: `erdos_renyi` redraws until its graph is connected, and
     `full_topology` is connected by construction. Two topologies are equal
-    when their matrices are.
+    when their matrices are. A caller that has already derived the matrix's
+    `_peer_rows` passes them as `peer_rows`, and they are not derived again.
     """
 
     adjacency: np.ndarray
+    _: KW_ONLY
+    peer_rows: InitVar[tuple[tuple[int, ...], ...] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, peer_rows):
         adjacency = np.array(self.adjacency)
         if adjacency.dtype != bool or adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise ConfigError(f"adjacency must be a square boolean matrix, got {adjacency.dtype} {adjacency.shape}")
@@ -71,9 +75,7 @@ class Topology:
         if cells != adjacency.T.tobytes():
             raise ConfigError("adjacency is not symmetric")
         adjacency.flags.writeable = False
-        # one byte per cell: row c's peers are the positions of its nonzero bytes, ascending
-        clients = range(n)
-        neighbors = tuple([tuple(compress(clients, cells[c * n : c * n + n])) for c in clients])
+        neighbors = _peer_rows(adjacency) if peer_rows is None else peer_rows
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "_neighbors", neighbors)
         object.__setattr__(self, "_degrees", tuple(map(len, neighbors)))
@@ -120,20 +122,24 @@ def _is_client_id(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _is_connected(adjacency: np.ndarray) -> bool:
-    """Whether every client of a boolean n x n adjacency matrix is reachable from client 0."""
+def _peer_rows(adjacency: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each client's peers, ascending, read off a boolean n x n adjacency matrix."""
     n = len(adjacency)
-    cells = adjacency.tobytes()  # row c's peers are the positions of its nonzero bytes
+    cells = adjacency.tobytes()  # one byte per cell: row c's peers are the positions of its nonzero bytes
     clients = range(n)
+    return tuple([tuple(compress(clients, cells[c * n : c * n + n])) for c in clients])
+
+
+def _is_connected(peer_rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether every client is reachable from client 0 over these peer rows."""
     seen = {0}
     stack = [0]
     while stack:
-        c = stack.pop()
-        for peer in compress(clients, cells[c * n : c * n + n]):
+        for peer in peer_rows[stack.pop()]:
             if peer not in seen:
                 seen.add(peer)
                 stack.append(peer)
-    return len(seen) == n
+    return len(seen) == len(peer_rows)
 
 
 def full_topology(n: int) -> Topology:
@@ -163,8 +169,9 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
         adjacency = np.zeros((n, n), dtype=bool)
         adjacency[upper] = draw
         adjacency.T[upper] = draw  # the mirror: pair (i, j) also at (j, i)
-        if _is_connected(adjacency):
-            return Topology(adjacency)
+        peer_rows = _peer_rows(adjacency)
+        if _is_connected(peer_rows):
+            return Topology(adjacency, peer_rows=peer_rows)
     raise GraphError(f"no connected graph in {_MAX_GRAPH_ATTEMPTS} draws (n={n}, p={p})")
 
 

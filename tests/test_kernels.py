@@ -13,8 +13,10 @@ def test_active_backend_is_known():
 
 # ---------------------------------------------------------------- oracle
 # Reference formulation through the numpy wrappers: ndarray.max, ndarray.sum,
-# ndarray.mean and np.sum, with a second label gather for the write-back. The
-# kernels must match it bit for bit: loss and every gradient entry.
+# ndarray.mean and np.sum, with a second label gather for the write-back; a
+# non-finite loss is recomputed from a float64 copy of the logits. The kernels
+# must match it bit for bit, in float64 and float32: loss and every gradient
+# entry.
 
 
 def _ref_softmax_in_place(z):
@@ -33,11 +35,18 @@ def _ref_loss_and_delta(p, y):
     return loss
 
 
+def _ref_loss(z, y):
+    d = _ref_softmax_in_place(z.copy())
+    loss = _ref_loss_and_delta(d, y)
+    if not np.isfinite(loss):
+        loss = _ref_loss_and_delta(_ref_softmax_in_place(z.astype(np.float64)), y)
+    return loss, d
+
+
 def _ref_softmax_loss_grad(X, y, W, b):
     z = X @ W
     z += b
-    d = _ref_softmax_in_place(z)
-    loss = _ref_loss_and_delta(d, y)
+    loss, d = _ref_loss(z, y)
     return loss, X.T @ d, np.sum(d, axis=0)
 
 
@@ -47,8 +56,7 @@ def _ref_mlp_loss_grad(X, y, W1, b1, W2, b2):
     np.tanh(H, out=H)
     z = H @ W2
     z += b2
-    d = _ref_softmax_in_place(z)
-    loss = _ref_loss_and_delta(d, y)
+    loss, d = _ref_loss(z, y)
     gW2 = H.T @ d
     gb2 = np.sum(d, axis=0)
     dH = d @ W2.T
@@ -73,6 +81,7 @@ _problem = st.fixed_dictionaries(
         "h": st.integers(1, 6),
         "scale": st.sampled_from([1e-3, 0.05, 1.0, 30.0, 1e4]),
         "seed": st.integers(0, 2**32 - 1),
+        "dtype": st.sampled_from([np.float64, np.float32]),
     }
 )
 
@@ -81,10 +90,10 @@ _problem = st.fixed_dictionaries(
 @settings(max_examples=150, deadline=None)
 def test_softmax_kernel_is_bit_equal_to_the_reference(p):
     rng = np.random.default_rng(p["seed"])
-    X = rng.normal(size=(p["n"], p["d"]))
+    X = rng.normal(size=(p["n"], p["d"])).astype(p["dtype"])
     y = rng.integers(0, p["c"], size=p["n"])
-    W = rng.normal(scale=p["scale"], size=(p["d"], p["c"]))
-    b = rng.normal(scale=p["scale"], size=p["c"])
+    W = rng.normal(scale=p["scale"], size=(p["d"], p["c"])).astype(p["dtype"])
+    b = rng.normal(scale=p["scale"], size=p["c"]).astype(p["dtype"])
     gW, gb = np.full_like(W, np.nan), np.full_like(b, np.nan)
     with np.errstate(all="ignore"):
         expected = _ref_softmax_loss_grad(X, y, W, b)
@@ -98,10 +107,9 @@ def test_softmax_kernel_is_bit_equal_to_the_reference(p):
 def test_mlp_kernel_is_bit_equal_to_the_reference(p):
     rng = np.random.default_rng(p["seed"])
     n, d, c, h = p["n"], p["d"], p["c"], p["h"]
-    X = rng.normal(size=(n, d))
+    X = rng.normal(size=(n, d)).astype(p["dtype"])
     y = rng.integers(0, c, size=n)
-    W1, b1 = rng.normal(scale=p["scale"], size=(d, h)), rng.normal(scale=p["scale"], size=h)
-    W2, b2 = rng.normal(scale=p["scale"], size=(h, c)), rng.normal(scale=p["scale"], size=c)
+    W1, b1, W2, b2 = (rng.normal(scale=p["scale"], size=shape).astype(p["dtype"]) for shape in ((d, h), h, (h, c), c))
     grads = [np.full_like(a, np.nan) for a in (W1, b1, W2, b2)]
     with np.errstate(all="ignore"):
         expected = _ref_mlp_loss_grad(X, y, W1, b1, W2, b2)

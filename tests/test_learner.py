@@ -150,6 +150,25 @@ class TestDivergence:
             learner.loss_and_grad(w, X, y, spec)
 
     @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
+    def test_float32_model_diverges_where_a_float64_model_would(self, spec):
+        # a logit gap of 200 puts the label probability near e^-200: below
+        # the smallest float32, a normal double; the loss stays finite
+        X, y = _batch(spec)
+        y = np.zeros_like(y)
+        w = np.zeros(spec.param_count, DTYPE)
+        b_out = learner._views(w, spec)[-1]
+        b_out[:] = 100
+        b_out[0] = -100
+        with np.errstate(all="ignore"):
+            loss, grad = learner.loss_and_grad(w, X, y, spec)
+        assert loss == pytest.approx(200 + np.log(spec.num_classes - 1))
+        assert grad.dtype == DTYPE and np.isfinite(grad).all()
+        # training on it neither stops nor warns (warnings are errors here)
+        hp = HyperParams(lr=1e-3, local_epochs=1, batch_size=4)
+        trained, steps = learner.local_train(w, X, y, spec, hp, np.random.default_rng(0))
+        assert steps == 3 and trained.dtype == DTYPE and np.isfinite(trained).all()
+
+    @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
     def test_local_train_stops_on_divergence(self, spec):
         # a step size of 1e300 overflows the weights after the first step
         X, y = _batch(spec, n=40)
@@ -382,14 +401,16 @@ class TestBuffers:
         assert steps == 6 and not np.shares_memory(trained, w_in)
 
     def test_wide_mlp_training_allocates_no_per_step_model_buffer(self):
-        # 10 steps; the copy of w and one gradient buffer are 2 P floats, the
-        # minibatch gathers and activations add under half a model
+        # 10 steps on features in the engine's dtype, as its shards hold them;
+        # the copy of w and one gradient buffer are 2 P floats, the minibatch
+        # gathers and activations add under a model
         spec = WIDE_MLP
         X, y = _batch(spec, n=320, seed=1)
+        X = X.astype(DTYPE)
         w = learner.init_params(spec, 2)
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=32)
         peak = peak_traced_bytes(lambda: learner.local_train(w, X, y, spec, hp, np.random.default_rng(0)))
-        assert peak < 3 * spec.param_count * 8
+        assert peak < 3 * spec.param_count * DTYPE.itemsize
 
     def test_transforms_write_into_the_given_buffer(self):
         rng = np.random.default_rng(12)

@@ -63,12 +63,15 @@ class TestErdosRenyi:
             netsim.erdos_renyi(5, 0.0, 1)
 
     def test_rejected_draws_build_no_topology(self, monkeypatch):
-        # (6, 0.3, 1) discards three disconnected draws (TestPinnedGraphs)
-        built = []
-        check = Topology.__post_init__
-        monkeypatch.setattr(Topology, "__post_init__", lambda self: built.append(check(self)))
+        # (6, 0.3, 1) discards three disconnected draws (TestPinnedGraphs);
+        # each draw's peer rows are derived once, the accepted draw's also
+        # serving its Topology
+        built, derived = [], []
+        check, peer_rows = Topology.__post_init__, netsim._peer_rows
+        monkeypatch.setattr(Topology, "__post_init__", lambda self, rows: built.append(check(self, rows)))
+        monkeypatch.setattr(netsim, "_peer_rows", lambda adjacency: derived.append(1) or peer_rows(adjacency))
         netsim.erdos_renyi(6, 0.3, 1)
-        assert len(built) == 1
+        assert (len(built), len(derived)) == (1, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.data())
@@ -81,7 +84,7 @@ class TestErdosRenyi:
         reach = adjacency | np.eye(n, dtype=bool)
         for _ in range(n):
             reach = (reach.astype(int) @ reach.astype(int)) > 0
-        assert netsim._is_connected(adjacency) == bool(reach[0].all())
+        assert netsim._is_connected(netsim._peer_rows(adjacency)) == bool(reach[0].all())
 
 
 class TestPinnedGraphs:
