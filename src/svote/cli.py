@@ -375,6 +375,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "actions": action_counts,
         "fedavg_equivalent_bytes": equiv,
         "byte_reduction_pct": 100.0 * (equiv - total_sent) / equiv if equiv else 0.0,
+        "final_models_sha256": result.final_models_sha256,
         "numpy_version": np.__version__,
     }
 

@@ -43,6 +43,7 @@ class RunResult:
     bytes_by_kind: dict[MessageKind, int]  # run total per message kind, every kind present
     message_counts: dict[MessageKind, int]  # copies sent per message kind, every kind present
     topology: Topology  # the graph the engine ran on
+    final_models_sha256: str  # sha256 of the final n x P model matrix: its dtype, shape, then bytes
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ rounds) reproduces plain federated averaging exactly.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -66,6 +67,10 @@ P_ESCALATION_STEP = 0.1
 # far below float32's resolution (about 6e-8 near 1), so it holds only because
 # cosine_similarity builds its Gram matrix in float64 from the float32 models.
 _SELECT_EPS = 1e-12
+
+# model-matrix columns cast to float64 at a time while the Gram matrix is
+# summed: an n x 2048 float64 block in place of a float64 copy of all P columns
+_GRAM_COLUMNS = 2048
 
 
 class Action(Enum):
@@ -130,15 +135,23 @@ def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
 def cosine_similarity(models: np.ndarray) -> np.ndarray:
     """Cosine of every pair of rows of one n x P matrix, from one float64 Gram matrix.
 
-    The rows are cast to float64 first whatever their dtype, so the
-    similarities resolve far below the selection rule's slack. A zero-norm
-    row ranks at -1 against every row: the engine floors models whose
-    similarity is undefined below everything.
+    The Gram matrix is summed over blocks of at most _GRAM_COLUMNS columns,
+    each cast to float64 into one reused n x _GRAM_COLUMNS buffer, so the
+    similarities resolve far below the selection rule's slack without a
+    float64 copy of the whole matrix. A matrix no wider than one block is
+    cast whole and multiplied once. A zero-norm row ranks at -1 against
+    every row: the engine floors models whose similarity is undefined below
+    everything.
     """
     if models.ndim != 2:
         raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
-    models = models.astype(np.float64, copy=False)
-    gram = models @ models.T
+    p = models.shape[1]
+    block = models[:, :_GRAM_COLUMNS].astype(np.float64)  # reused for every later block
+    gram = block @ block.T
+    for start in range(_GRAM_COLUMNS, p, _GRAM_COLUMNS):
+        part = block[:, : p - start]  # the last block may be narrower
+        part[...] = models[:, start : start + _GRAM_COLUMNS]
+        gram += part @ part.T
     norms = np.sqrt(np.diag(gram))
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
@@ -341,6 +354,8 @@ def _run(
                 )
             )
 
+    digest = hashlib.sha256(f"{models.dtype.str}{models.shape}".encode())
+    digest.update(models)  # the matrix's own buffer, not a bytes copy
     return RunResult(
         method=method,
         rounds=rounds,
@@ -349,6 +364,7 @@ def _run(
         bytes_by_kind={k: ledger.kind_bytes.get(k, 0) for k in MessageKind},
         message_counts={k: ledger.kind_count.get(k, 0) for k in MessageKind},
         topology=topo,
+        final_models_sha256=digest.hexdigest(),
     )
 
 

@@ -1,5 +1,6 @@
 """Config parsing, experiment artifacts, comparison, and exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluated_models
 from svote import cli, protocol
 from svote.errors import CompareError, ConfigError
 
@@ -276,6 +278,18 @@ class TestRunExperiment:
         for client, units in zip(column["client"], column["work_units"]):
             per_client[int(client)] += int(units)
         assert summary["work_units_per_client"] == per_client
+
+    @pytest.mark.parametrize("method", ["scaffold", "svote"])
+    def test_summary_digest_is_the_final_model_matrix(self, tmp_path, method):
+        # the last round evaluates every row of the final n x P model matrix,
+        # in client order; the digest hashes its dtype, shape, then bytes
+        cfg = cli.parse_config_text(FAST.format(method=method, seed=3))
+        with evaluated_models() as models:
+            summary = cli.run_experiment(cfg, str(tmp_path))
+        final = np.stack(models[-cfg.num_clients :])
+        digest = hashlib.sha256(f"{final.dtype.str}{final.shape}".encode())
+        digest.update(final.tobytes())
+        assert summary["final_models_sha256"] == digest.hexdigest()
 
     @pytest.mark.parametrize("blocked",["metrics.csv", "summary.json"])
     def test_failed_export_leaves_no_file_it_wrote(self, tmp_path, capsys, blocked):

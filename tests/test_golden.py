@@ -2,11 +2,12 @@
 and of the model weights the engine evaluates for three of them.
 
 The determinism contract is checked rerun-against-rerun elsewhere; these
-digests also catch silent numeric drift across refactors. The artifact
-digests pin only decisions made from the weights (argmax predictions,
-selections, gates), so a change that moves the weights by round-off passes
-them until some decision flips; the weight digests catch it at once. A
-change that alters a digest on purpose (a new float summation order, say)
+digests also catch silent numeric drift across refactors. metrics.csv pins
+only decisions made from the weights (argmax predictions, selections,
+gates), so a change that moves the weights by round-off passes it until some
+decision flips; summary.json carries the sha256 of the final model matrix
+(final_models_sha256), and the weight digests cover every evaluated model,
+so both catch it at once. A change that alters a digest on purpose (a new float summation order, say)
 records the new digest here and explains the drift; one that alters it by
 accident is a regression.
 
@@ -79,27 +80,27 @@ svote.v_min = half
 GOLDEN = {  # name -> sha256 of metrics.csv, of summary.json
     "svote_noniid": (
         "5f3d24374ac6952233f12a5689184c589d8532e2b04f75c6d81a3f1e859f52e7",
-        "1a31e9f94fea09fd8ac61a076fae6eec89e861237b6c72c81d09ab89159c68ab",
+        "2b8aa714d27c94272e51be76bc00146c46b324cdfc94251b45f438647f2bd268",
     ),
     "fedavg_noniid": (
         "c06b6df0fa6be6515201e09ae3d58c18bf977d803844ce825e5e7d777f70ae59",
-        "0db6b2e9e98be5e02a3e22b4ce9cc8578263ad9400364fd50d56c994790c8a38",
+        "f01d9de914002b067349c15e181d90760f9da6d3b3baa528e39a19bf64c9c0e5",
     ),
     "scaffold_noniid": (
         "40167bd5372ebbbb2f73171a458fd1f72abd37fccf2824c9b82dc02315e9463f",
-        "0283f691bcb1f50a7cb574b86ed960d751e886df9360889a759f689dddbdc0d2",
+        "8789d7da4f17684adb112d8a69fd3891d9ed79bf91a5bbe3c337483d69f04288",
     ),
     "svote_full40": (
         "5b2d05beeac55ff0caafe7a37ca87a194f9b4f6f8473f270925ecbb88b7d1761",
-        "b071a7128d30bc7d77907c93900b028d5e6f2d09b6df89363831b143dfc41b7b",
+        "fd2cad4f6ac5ffa0cae4f88bd9c104ae9ce481495b75bda2f8e2aaaae104df0e",
     ),
     "svote_mlp": (
         "a016b3f61668f209736611a15a247336794d7dc81b625668d04922ff30acda96",
-        "837040fb5af71181c131e154541e7c6846005cababfca4ef963bb9415155a41f",
+        "c5851c4d083f1c6e3ef5590ce64ecdfb912e7276e983fda7b889d9f2ba7e225f",
     ),
     "fedprox_noniid": (
         "0e8d386b4172eb456e6246fad75d6829c7b8f7f559901287de0308236124adc3",
-        "3bea23dba013e9f55c53c25d5db702b07f4324387069f1eb07a6fd861b85870c",
+        "1a50c1b354e84525a6a7455d102e9ec0506de7b25d00ddbbf5a35a89bb727684",
     ),
 }
 

@@ -135,6 +135,7 @@ def _result(per_client_f1, rounds=3):
         bytes_by_kind={k: 0 for k in netsim.MessageKind},
         message_counts={k: 0 for k in netsim.MessageKind},
         topology=netsim.full_topology(n),
+        final_models_sha256="",
     )
 
 
@@ -219,7 +220,7 @@ class TestWorkUnits:
                               0 if skipped else 100, 3)
             )
         no_traffic = {k: 0 for k in netsim.MessageKind}
-        res = metrics.RunResult("svote", 5, 10, records, no_traffic, no_traffic, netsim.full_topology(2))
+        res = metrics.RunResult("svote", 5, 10, records, no_traffic, no_traffic, netsim.full_topology(2), "")
         units = metrics.work_units(res)
         assert units[1] < units[0]
 

@@ -15,6 +15,7 @@ from svote.kernels import DTYPE
 from svote.learner import MLP, HyperParams, ModelSpec
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
 from svote.protocol import (
+    _GRAM_COLUMNS,
     P_ESCALATION_START,
     Action,
     SVoteConfig,
@@ -97,6 +98,11 @@ def _vector_cosine(a, b):
     return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
 
 
+# widths around one column block of the Gram matrix sum, and one that ends a
+# few columns into a third block
+_BLOCK_EDGE_WIDTHS = (_GRAM_COLUMNS - 1, _GRAM_COLUMNS, _GRAM_COLUMNS + 1, 2 * _GRAM_COLUMNS + 3)
+
+
 def _cosine(a, b):
     """The engine's cosine of two vectors: the off-diagonal of their 2 x P matrix."""
     return cosine_similarity(np.stack([a, b]))[0, 1]
@@ -124,20 +130,51 @@ class TestCosineSimilarity:
             sims = cosine_similarity(rng.normal(size=(3, 8)))
             assert np.all((sims >= -1.0) & (sims <= 1.0))
 
-    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @given(
+        st.integers(1, 6),
+        st.one_of(st.integers(1, 9), st.sampled_from(_BLOCK_EDGE_WIDTHS)),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=60)
-    def test_matrix_form_matches_vector_form(self, n, p, seed):
+    def test_matrix_form_matches_vector_form(self, n, p, dtype, seed):
         rng = np.random.default_rng(seed)
-        models = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        models = (rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))).astype(dtype)
         if n > 2:  # parallel and antiparallel rows sit on the clip bounds
             models[1] = 3.0 * models[0]
             models[2] = -models[0]
         sims = cosine_similarity(models)
         assert sims.shape == (n, n)
         assert np.all((sims >= -1.0) & (sims <= 1.0))
+        rows = models.astype(np.float64)  # the vector form in float64, as the Gram matrix is built
         for i in range(n):
             for j in range(n):
-                assert abs(sims[i, j] - _vector_cosine(models[i], models[j])) <= 1e-12
+                assert abs(sims[i, j] - _vector_cosine(rows[i], rows[j])) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1, 102, _GRAM_COLUMNS])
+    def test_one_block_is_one_product_of_the_whole_cast(self, p):
+        # a matrix no wider than one block, such as the P = 102 softmax, gets
+        # the arithmetic of casting the whole matrix and taking one product
+        models = np.random.default_rng(p).normal(size=(20, p)).astype(DTYPE)
+        models[3] = 0.0
+        whole = models.astype(np.float64)
+        gram = whole @ whole.T
+        norms = np.sqrt(np.diag(gram))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+        expected[3, :] = expected[:, 3] = -1.0
+        np.testing.assert_array_equal(cosine_similarity(models), expected)
+
+    def test_peak_memory_is_one_float64_block_not_the_cast_matrix(self):
+        n, params = 8, ModelSpec(MLP, 784, 10, hidden_dim=64).param_count  # P = 50,890
+        models = np.random.default_rng(8).uniform(-0.05, 0.05, size=(n, params)).astype(DTYPE)
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(cosine_similarity(models)))
+        # one n x _GRAM_COLUMNS float64 block, plus the n x n results and
+        # temporaries with their array headers; a float64 copy of the whole
+        # matrix is n x P floats, 25 times the block
+        assert peak < (n * _GRAM_COLUMNS + 32 * n * n) * 8
+        assert out[0].shape == (n, n)
 
     def test_matrix_form_floors_zero_norm_rows(self):
         models = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, -1.0], [3.0, 1.0]])
@@ -287,19 +324,25 @@ class TestVoteGate:
 class TestEngineMemory:
     """Above the shards, a run holds its model buffers and one client's training buffers."""
 
-    @pytest.mark.parametrize("method, matrices", [("fedavg", 2), ("scaffold", 4)])
+    @pytest.mark.parametrize("method, matrices", [("fedavg", 2), ("scaffold", 4), ("svote", 2)])
     def test_peak_is_the_buffers_plus_one_client_in_training(self, method, matrices):
         # two n x P model buffers, plus SCAFFOLD's local and global variate
         # matrices; above them, one training pass's copy of w and gradient
         # (see TestBuffers) and the run's batch-sized temporaries measure just
         # over 3 P floats, and the bound allows 4. One more n x P matrix at
         # any point, such as a model matrix stacked from a list, is n = 8 P
-        # floats more.
+        # floats more; a float64 cast of the whole model matrix for the
+        # similarity is 2n.
         n = 8
         _, shards, topo, _ = small_problem(num_clients=n, input_dim=196, per_class=60)
         spec = ModelSpec(MLP, 196, 4, hidden_dim=64)
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
-        peak = peak_traced_bytes(lambda: run_baseline(method, spec, hp, topo, shards, 3, rounds=3))
+        if method == "svote":
+            # a selection round, then two gated rounds that select again
+            cfg = SVoteConfig(total_rounds=4, t_init=1, n_diverge=0, refresh_selection=True)
+            peak = peak_traced_bytes(lambda: run_svote(cfg, spec, hp, topo, shards, 3))
+        else:
+            peak = peak_traced_bytes(lambda: run_baseline(method, spec, hp, topo, shards, 3, rounds=3))
         assert peak < (matrices * n + 4) * spec.param_count * DTYPE.itemsize
 
 
