@@ -2,7 +2,7 @@
 decentralized federated learning, with FedAvg/FedProx/SCAFFOLD baselines and
 byte-exact communication plus parametric energy accounting."""
 
-from .datahub import LabeledDataset, dirichlet_partition, gen_synthetic, load_idx, split_train_test
+from .datahub import LabeledDataset, Shards, dirichlet_partition, gen_synthetic, load_idx, split_train_test
 from .errors import (
     CompareError,
     ConfigError,

@@ -51,6 +51,34 @@ class LabeledDataset:
         return self
 
 
+class Shards(list):
+    """Every client's (train, test) pair, in client order, and the train rows they are cut from.
+
+    `train` holds every client's train rows in one client-major dataset;
+    client c's train shard is its rows bounds[c]:bounds[c + 1].
+    """
+
+    def __init__(self, pairs, train: LabeledDataset, bounds: np.ndarray):
+        super().__init__(pairs)
+        self.train, self.bounds = train, bounds
+
+
+def client_major_train(shards) -> tuple[LabeledDataset, np.ndarray]:
+    """The train rows of shards as one client-major dataset, and each client's row bounds (n + 1 offsets).
+
+    Shards from `split_train_test` hand over the matrix they are cut from;
+    any other sequence of (train, test) pairs has its train parts copied
+    into one.
+    """
+    if isinstance(shards, Shards):
+        return shards.train, shards.bounds
+    parts = [train for train, _ in shards]
+    bounds = np.concatenate(([0], np.cumsum([len(part) for part in parts])))
+    features = np.concatenate([part.features for part in parts])
+    labels = np.concatenate([part.labels for part in parts])
+    return LabeledDataset.of_checked(features, labels, parts[0].num_classes), bounds
+
+
 def gen_synthetic(
     num_classes: int, input_dim: int, per_class: int, spread: float, seed: int
 ) -> LabeledDataset:
@@ -213,7 +241,7 @@ def dirichlet_partition(
 
 def split_train_test(
     data: LabeledDataset, plan: list[np.ndarray], test_fraction: float, seeds: list[int]
-) -> list[tuple[LabeledDataset, LabeledDataset]]:
+) -> Shards:
     """Stratified-by-class split of every client's samples; singleton classes go entirely to train.
 
     plan[c] holds client c's sample indices (one `dirichlet_partition` plan)
@@ -226,7 +254,8 @@ def split_train_test(
 
     All train rows are gathered from `data` at once into one client-major
     matrix and all test rows into another; client c's (train, test) pair is a
-    row range of each.
+    row range of each. The Shards returned also hold the train matrix and
+    each client's row bounds in it, which lockstep training gathers from.
     """
     if not 0 < test_fraction < 1:
         raise ConfigError("test_fraction must be in (0, 1)")
@@ -273,17 +302,18 @@ def split_train_test(
     client_test[client_test == 0] = 1  # the fallback sample
     train_rows, test_rows = rows[~is_test], rows[is_test]
     del rows, is_test
-    test = _gathered(data, test_rows, client_test)
+    _, test = _gathered(data, test_rows, client_test)
     del test_rows
-    train = _gathered(data, train_rows, sizes - client_test)
-    return list(zip(train, test))
+    train, parts = _gathered(data, train_rows, sizes - client_test)
+    return Shards(zip(parts, test), train, np.concatenate(([0], np.cumsum(sizes - client_test))))
 
 
-def _gathered(data: LabeledDataset, rows: np.ndarray, sizes: np.ndarray) -> list[LabeledDataset]:
-    """data's rows gathered into one fresh matrix, cut into consecutive row ranges of the given sizes."""
+def _gathered(data: LabeledDataset, rows: np.ndarray, sizes: np.ndarray):
+    """data's rows gathered into one fresh dataset, and its consecutive row ranges of the given sizes."""
     features, labels = np.take(data.features, rows, axis=0), np.take(data.labels, rows)
+    whole = LabeledDataset.of_checked(features, labels, data.num_classes)
     ends = np.cumsum(sizes).tolist()
-    return [
+    return whole, [
         LabeledDataset.of_checked(features[end - n : end], labels[end - n : end], data.num_classes)
         for end, n in zip(ends, sizes.tolist())
     ]

@@ -9,7 +9,10 @@ control variate).
 
 Client cid's model is row cid of one n x P matrix, its SCAFFOLD variates are
 rows of two more, and its selection, votes and escalation p are entries of
-per-client lists.
+per-client lists. Every client that trains in a round trains in lockstep
+with the others (`learner.local_train`), in groups of at most
+_STACK_FLOATS parameters, on row ranges of the one client-major train
+matrix the shards are cut from.
 
 Round layout, with r total rounds:
   1..t_init                     train + share + aggregate all received + own
@@ -36,6 +39,7 @@ from enum import Enum
 
 import numpy as np
 
+from .datahub import client_major_train
 from .errors import ConfigError, ProtocolError
 from .kernels import DTYPE
 from .learner import (
@@ -44,8 +48,6 @@ from .learner import (
     init_params,
     local_train,
     predict_batch,
-    prox_grad,
-    scaffold_grad,
     scaffold_update_cv,
 )
 from .metrics import MetricsRecord, RunResult, macro_f1
@@ -71,6 +73,10 @@ _SELECT_EPS = 1e-12
 # model-matrix columns cast to float64 at a time while the Gram matrix is
 # summed: an n x 2048 float64 block in place of a float64 copy of all P columns
 _GRAM_COLUMNS = 2048
+
+# parameters of the models that train in one lockstep group: each model-sized
+# buffer of a training pass holds at most this many floats, or one model
+_STACK_FLOATS = 1 << 14
 
 
 class Action(Enum):
@@ -206,30 +212,44 @@ def vote_gate(
 # ------------------------------------------------------------ engine plumbing
 
 
-def _train_client(
-    cid: int, models: np.ndarray, variates, train, rng, model_spec: ModelSpec, hp: HyperParams, method: str
-) -> int:
-    """One local-training pass of row cid on the client's train shard; returns samples x epochs trained.
+def _train(
+    trainers: list[int], models: np.ndarray, variates, train, bounds, rngs, spec: ModelSpec, hp: HyperParams,
+    method: str,
+) -> list[int]:
+    """One local-training pass of every trainer, in lockstep groups; returns each trainer's step count.
 
-    local_train leaves the starting row untouched, so it serves as FedProx's
-    anchor and as SCAFFOLD's w_before until the trained model is copied in.
-    SCAFFOLD's variates[0] and variates[1] are the local and global
-    control-variate matrices.
+    Client cid trains row cid of models on rows bounds[cid]:bounds[cid + 1]
+    of the client-major train set with rngs[cid]. Groups of consecutive
+    trainers hold at most _STACK_FLOATS floats of parameters (or one model);
+    each trains in one `local_train` call, and its trained rows are copied
+    in once the group is done, so each starting row serves as FedProx's
+    anchor and as SCAFFOLD's w_before until then. SCAFFOLD's variates[0] and
+    variates[1] are the local and global control-variate matrices.
     """
-    w_start = models[cid]
-    if method == FEDPROX:
-        direction = np.empty_like(w_start)  # reused by every step of the pass
-        transform = lambda g, w: prox_grad(g, w, w_start, hp.prox_mu, out=direction)
-    elif method == SCAFFOLD:
-        local_c, global_c = variates[:, cid]
-        transform = lambda g, w: scaffold_grad(g, local_c, global_c, out=g)
-    else:
-        transform = None
-    w, steps = local_train(w_start, train.features, train.labels, model_spec, hp, rng, transform)
-    if method == SCAFFOLD:
-        scaffold_update_cv(local_c, global_c, w_start, w, hp.lr, steps)
-    w_start[...] = w
-    return train.labels.shape[0] * hp.local_epochs
+    per_group = max(1, _STACK_FLOATS // models.shape[1])
+    steps = []
+    for at in range(0, len(trainers), per_group):
+        group = trainers[at : at + per_group]
+        # consecutive clients are a view of the model matrix, others a gather
+        rows = slice(group[0], group[-1] + 1) if group[-1] - group[0] == len(group) - 1 else group
+        trained, group_steps = local_train(
+            models[rows],
+            train.features,
+            train.labels,
+            spec,
+            hp,
+            [rngs[cid] for cid in group],
+            [(bounds[cid], bounds[cid + 1]) for cid in group],
+            prox=method == FEDPROX,
+            variates=(variates[0, rows], variates[1, rows]) if method == SCAFFOLD else None,
+        )
+        if method == SCAFFOLD:
+            for i, cid in enumerate(group):
+                scaffold_update_cv(variates[0, cid], variates[1, cid], models[cid], trained[i], hp.lr, group_steps[i])
+        models[rows] = trained
+        del trained  # freed before the next group's buffers are made
+        steps += group_steps
+    return steps
 
 
 # -------------------------------------------------------------------- engine
@@ -297,6 +317,9 @@ def _run(
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
+    train, bounds = client_major_train(shards)
+    samples_per_pass = (np.diff(bounds) * hp.local_epochs).tolist()
+    bounds = bounds.tolist()
     shape = (2, n, model_spec.param_count)
     variates = np.zeros(shape, dtype=DTYPE) if method == SCAFFOLD else None  # local, global
     # this round's models and the next round's, which the share phase fills
@@ -326,10 +349,11 @@ def _run(
                 actions[cid] = vote_gate(cid, votes, p_escalation, cfg.v_min_for(degree), degree, gate_rngs[cid])
 
         # every client has its own train and gate streams, so gating all first changes nothing
+        trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]
+        _train(trainers, models, variates, train, bounds, train_rngs, model_spec, hp, method)
         samples = [0] * n
-        for cid, (train, _) in enumerate(shards):
-            if actions[cid] is not Action.SKIP:
-                samples[cid] = _train_client(cid, models, variates, train, train_rngs[cid], model_spec, hp, method)
+        for cid in trainers:
+            samples[cid] = samples_per_pass[cid]
 
         # divergence rounds are local-only, with zero traffic
         models_agg = [0] * n

@@ -1,4 +1,4 @@
-"""The kernel module: its reported implementation, and bit-equality with a reference formulation."""
+"""The kernel module: its reported implementation, and per-model bit-equality with a reference formulation."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -72,9 +72,12 @@ def _same_bits(a, b):
 
 
 # batch sizes 1-40 cover the ragged last batch of every batch size the
-# configs use; a scale up to 1e4 drives label probabilities to 0 (infinite loss)
+# configs use; a scale up to 1e4 drives label probabilities to 0 (infinite
+# loss). k models run as one stacked group (see `kernels`); k = 1 is a single
+# model's call.
 _problem = st.fixed_dictionaries(
     {
+        "k": st.integers(1, 4),
         "n": st.integers(1, 40),
         "d": st.integers(1, 6),
         "c": st.integers(2, 5),
@@ -86,34 +89,54 @@ _problem = st.fixed_dictionaries(
 )
 
 
+def _group(rng, p, shapes):
+    """k models' parameter blocks: (k * rows, cols) for a (rows, cols) matrix, (k, cols) for a (cols,) bias."""
+    k = p["k"]
+    sizes = [(k * s[0], s[1]) if len(s) == 2 else (k, s[0]) for s in shapes]
+    return [rng.normal(scale=p["scale"], size=size).astype(p["dtype"]) for size in sizes]
+
+
+def _slice(blocks, shapes, i):
+    """Model i's parameters, shaped as one model's: its rows of each stacked block."""
+    return [b[i * s[0] : (i + 1) * s[0]] if len(s) == 2 else b[i] for b, s in zip(blocks, shapes)]
+
+
 @given(_problem)
 @settings(max_examples=150, deadline=None)
 def test_softmax_kernel_is_bit_equal_to_the_reference(p):
     rng = np.random.default_rng(p["seed"])
-    X = rng.normal(size=(p["n"], p["d"])).astype(p["dtype"])
-    y = rng.integers(0, p["c"], size=p["n"])
-    W = rng.normal(scale=p["scale"], size=(p["d"], p["c"])).astype(p["dtype"])
-    b = rng.normal(scale=p["scale"], size=p["c"]).astype(p["dtype"])
-    gW, gb = np.full_like(W, np.nan), np.full_like(b, np.nan)
+    k, n, d, c = p["k"], p["n"], p["d"], p["c"]
+    X = rng.normal(size=(k * n, d)).astype(p["dtype"])
+    y = rng.integers(0, c, size=k * n)
+    shapes = [(d, c), (c,)]
+    params = _group(rng, p, shapes)
+    grads = [np.full_like(a, np.nan) for a in params]
     with np.errstate(all="ignore"):
-        expected = _ref_softmax_loss_grad(X, y, W, b)
-        loss = kernels.softmax_loss_grad(X, y, W, b, gW, gb)
-    for got, want in zip((loss, gW, gb), expected):
-        assert _same_bits(got, want)
+        losses = kernels.softmax_loss_grad(X, y, *params, *grads)
+        assert losses.shape == (k,)
+        for i in range(k):
+            rows = slice(i * n, (i + 1) * n)
+            expected = _ref_softmax_loss_grad(X[rows], y[rows], *_slice(params, shapes, i))
+            for got, want in zip((losses[i], *_slice(grads, shapes, i)), expected):
+                assert _same_bits(got, want)
 
 
 @given(_problem)
 @settings(max_examples=150, deadline=None)
 def test_mlp_kernel_is_bit_equal_to_the_reference(p):
     rng = np.random.default_rng(p["seed"])
-    n, d, c, h = p["n"], p["d"], p["c"], p["h"]
-    X = rng.normal(size=(n, d)).astype(p["dtype"])
-    y = rng.integers(0, c, size=n)
-    W1, b1, W2, b2 = (rng.normal(scale=p["scale"], size=shape).astype(p["dtype"]) for shape in ((d, h), h, (h, c), c))
-    grads = [np.full_like(a, np.nan) for a in (W1, b1, W2, b2)]
+    k, n, d, c, h = p["k"], p["n"], p["d"], p["c"], p["h"]
+    X = rng.normal(size=(k * n, d)).astype(p["dtype"])
+    y = rng.integers(0, c, size=k * n)
+    shapes = [(d, h), (h,), (h, c), (c,)]
+    params = _group(rng, p, shapes)
+    grads = [np.full_like(a, np.nan) for a in params]
     with np.errstate(all="ignore"):
-        expected = _ref_mlp_loss_grad(X, y, W1, b1, W2, b2)
-        loss = kernels.mlp_loss_grad(X, y, W1, b1, W2, b2, *grads)
-    gW1, gb1, gW2, gb2 = grads
-    for got, want in zip((loss, gW1, gb1, gW2, gb2), expected):
-        assert _same_bits(got, want)
+        losses = kernels.mlp_loss_grad(X, y, *params, *grads)
+        assert losses.shape == (k,)
+        for i in range(k):
+            rows = slice(i * n, (i + 1) * n)
+            expected = _ref_mlp_loss_grad(X[rows], y[rows], *_slice(params, shapes, i))
+            gW1, gb1, gW2, gb2 = _slice(grads, shapes, i)
+            for got, want in zip((losses[i], gW1, gb1, gW2, gb2), expected):
+                assert _same_bits(got, want)

@@ -367,17 +367,17 @@ class TestBuffers:
     @pytest.mark.parametrize("method", ["plain", "fedprox", "scaffold"])
     def test_local_train_matches_the_out_of_place_step_and_leaves_w(self, method):
         # the reference recomputes every step with fresh arrays, in the
-        # operation order of w - lr * transform(grad, w); SCAFFOLD's variate
-        # refresh relies on the caller's w staying untouched
+        # operation order of w - lr * direction(grad, w); FedProx anchors at
+        # the starting w, and SCAFFOLD's variate refresh relies on the
+        # caller's w staying untouched
         spec = ModelSpec(learner.MLP, 6, 3, hidden_dim=4)
         X, y = _batch(spec, n=40, seed=6)
         hp = HyperParams(lr=0.2, local_epochs=2, batch_size=16, prox_mu=0.3)
         w0 = learner.init_params(spec, 8)
-        anchor = learner.init_params(spec, 9)
         local_c, global_c = np.full(spec.param_count, 0.01, DTYPE), np.full(spec.param_count, -0.02, DTYPE)
         fresh = {
             "plain": lambda g, w: g,
-            "fedprox": lambda g, w: g + hp.prox_mu * (w - anchor),
+            "fedprox": lambda g, w: g + hp.prox_mu * (w - w0),
             "scaffold": lambda g, w: g - local_c + global_c,
         }[method]
         rng = np.random.default_rng(3)
@@ -388,14 +388,9 @@ class TestBuffers:
                 idx = order[start : start + hp.batch_size]
                 _, g = learner.loss_and_grad(w, X[idx], y[idx], spec)
                 w = w - hp.lr * fresh(g, w)
-        direction = np.empty_like(w0)
-        transform = {
-            "plain": None,
-            "fedprox": lambda g, w: learner.prox_grad(g, w, anchor, hp.prox_mu, out=direction),
-            "scaffold": lambda g, w: learner.scaffold_grad(g, local_c, global_c, out=g),
-        }[method]
+        rule = {"plain": {}, "fedprox": {"prox": True}, "scaffold": {"variates": (local_c, global_c)}}[method]
         w_in = w0.copy()
-        trained, steps = learner.local_train(w_in, X, y, spec, hp, np.random.default_rng(3), transform)
+        trained, steps = learner.local_train(w_in, X, y, spec, hp, np.random.default_rng(3), **rule)
         np.testing.assert_array_equal(trained, w)
         np.testing.assert_array_equal(w_in, w0)
         assert steps == 6 and not np.shares_memory(trained, w_in)

@@ -367,22 +367,27 @@ class TestDtypeContract:
 
     @pytest.mark.parametrize("method", ["fedprox", "scaffold"])
     def test_training_transforms_do_not_upcast(self, method):
+        # every step's direction is computed by the transform local_train
+        # looks up in learner, from the gradient and the current weights
+        # (FedProx) or the local variates (SCAFFOLD)
         steps_seen, trained_dtypes = [], []
         train = protocol.local_train
+        name = "prox_grad" if method == "fedprox" else "scaffold_grad"
+        transform = getattr(learner, name)
 
-        def recorded(w, X, y, spec, hp, rng, transform):
-            def checked(g, w_now):
-                out = transform(g, w_now)
-                steps_seen.append((g.dtype, w_now.dtype, out.dtype))
-                return out
+        def checked(g, other, *args, **kwargs):
+            out = transform(g, other, *args, **kwargs)
+            steps_seen.append((g.dtype, other.dtype, out.dtype))
+            return out
 
-            trained, steps = train(w, X, y, spec, hp, rng, checked)
-            trained_dtypes.append(trained.dtype)
+        def recorded(*args, **kwargs):
+            trained, steps = train(*args, **kwargs)
+            trained_dtypes.extend([trained.dtype] * len(steps))
             return trained, steps
 
         _, shards, topo, spec = small_problem()
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
-        with mock.patch.object(protocol, "local_train", recorded):
+        with mock.patch.object(protocol, "local_train", recorded), mock.patch.object(learner, name, checked):
             run_baseline(method, spec, hp, topo, shards, 1, rounds=1)
         assert steps_seen and set(steps_seen) == {(DTYPE, DTYPE, DTYPE)}
         assert trained_dtypes == [DTYPE] * topo.num_clients
@@ -701,12 +706,15 @@ class TestEngines:
     def test_zero_norm_arrival_ranks_at_floor(self, monkeypatch):
         data, shards, topo, spec = small_problem()
         zero_client = 2
-        zero_X = shards[zero_client][0].features
+        zero_start = shards.bounds[zero_client]  # the first of its rows in the client-major train set
         real_train, real_select = protocol.local_train, protocol.select_peers
 
-        def train(w, X, *args):
-            w, steps = real_train(w, X, *args)
-            return (np.zeros_like(w) if X is zero_X else w), steps
+        def train(w, X, y, spec, hp, rngs, ranges, **rule):
+            trained, steps = real_train(w, X, y, spec, hp, rngs, ranges, **rule)
+            for row, (start, _) in zip(trained, ranges):
+                if start == zero_start:
+                    row[...] = 0.0
+            return trained, steps
 
         seen = []
 
