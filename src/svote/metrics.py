@@ -68,12 +68,18 @@ class EnergyReport:
         return self.train + self.agg + self.comm
 
 
-def macro_f1(predictions, truth, num_classes: int) -> float:
-    """Unweighted mean of per-class F1.
+def macro_f1(predictions, truth, num_classes: int, bounds=None) -> float | list[float]:
+    """Unweighted mean of per-class F1; with `bounds`, the list of it for every segment.
 
     Classes absent from both truth and predictions are skipped (non-IID test
     shards routinely lack classes); a class that was predicted but never true
     scores 0.
+
+    bounds, when given, are S + 1 ascending offsets from 0 to the sequences'
+    length: segment i is predictions[bounds[i]:bounds[i + 1]] against the
+    same slice of truth, and each of the S values is bit-equal to macro_f1 of
+    its segment alone. All segments are counted in one bincount. An empty
+    segment raises MetricError, as an empty sequence does.
     """
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
@@ -81,21 +87,41 @@ def macro_f1(predictions, truth, num_classes: int) -> float:
         raise MetricError("empty prediction or truth sequence")
     if predictions.shape != truth.shape:
         raise MetricError("predictions/truth length mismatch")
+    side = num_classes + 1  # one more row and column for labels that name no class
     cells = _class_index(truth, num_classes)
-    cells *= num_classes + 1
+    cells *= side
     cells += _class_index(predictions, num_classes)
-    confusion = np.bincount(cells, minlength=(num_classes + 1) ** 2).reshape(num_classes + 1, num_classes + 1)
-    tp = confusion.diagonal()[:num_classes]
-    true_count = np.add.reduce(confusion[:num_classes, :], axis=1)
-    pred_count = np.add.reduce(confusion[:, :num_classes], axis=0)
-    present = (true_count > 0) | (pred_count > 0)
-    if not present.any():
-        raise MetricError("no class present in truth or predictions")
+    segments = 1
+    if bounds is not None:
+        bounds = np.asarray(bounds)
+        lengths = np.diff(bounds)
+        segments = lengths.size
+        if not segments or bounds[0] != 0 or bounds[-1] != cells.size:
+            raise MetricError(f"segment bounds must run from 0 to {cells.size}")
+        if (lengths <= 0).any():
+            raise MetricError("empty prediction or truth segment")
+        cells += np.repeat(np.arange(0, segments * side * side, side * side), lengths)
+    confusion = np.bincount(cells, minlength=segments * side * side).reshape(segments, side, side)
+    tp = confusion.diagonal(axis1=1, axis2=2)[:, :num_classes]
     # 2tp + fp + fn, with fp = pred_count - tp and fn = true_count - tp: positive
     # for every present class
-    scores = 2 * tp[present] / (true_count + pred_count)[present]
-    # the mean is the pairwise sum over the count, as np.mean computes it
-    return float(np.add.reduce(scores) / scores.size)
+    denominators = np.add.reduce(confusion[:, :num_classes, :], axis=2)
+    denominators += np.add.reduce(confusion[:, :, :num_classes], axis=1)
+    present = denominators > 0
+    classes = np.add.reduce(present, axis=1)
+    if not classes.all():
+        raise MetricError("no class present in truth or predictions")
+    # each segment's present classes in class order, segment after segment
+    scores = 2 * tp[present] / denominators[present]
+    # a mean is the pairwise sum over the count, as np.mean computes it; the
+    # pairwise sum blocks by 8, so segments with one count of present classes
+    # are summed together, as the rows of one matrix
+    starts = np.cumsum(classes) - classes
+    f1 = np.empty(segments)
+    for count in np.flatnonzero(np.bincount(classes)).tolist():
+        rows = np.flatnonzero(classes == count)
+        f1[rows] = np.add.reduce(scores[starts[rows, None] + np.arange(count)], axis=1) / count
+    return float(f1[0]) if bounds is None else f1.tolist()
 
 
 def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:

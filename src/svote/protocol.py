@@ -32,6 +32,7 @@ rounds) reproduces plain federated averaging exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -116,24 +117,34 @@ class SVoteConfig:
 # --------------------------------------------------------------- operations
 
 
-def aggregate(models: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+def aggregate(models: Sequence[np.ndarray] | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise arithmetic mean, written into `out` when given, else into a new array of the models' dtype.
 
-    The models are summed in sequence order into one output, which is then
-    divided once: the same float operations as a mean over a stacked k x P
-    matrix, without the matrix. out must not overlap any of the models.
+    models is a sequence of equal-length vectors or a k x P stack of them.
+    The models are summed in order into one output, which is then divided
+    once: the same float operations as a loop that adds one model at a time.
+    A C-contiguous stack of at least two columns, of the output's dtype, is
+    summed in one axis-0 reduction, which adds its rows in order; its start
+    value is -0.0, the additive identity that keeps a sum of negative zeros
+    negative, as the loop does. Any other input goes through that loop over
+    its rows: a one-column stack included, because a reduction down a single
+    column is summed pairwise. out must not overlap any of the models.
     """
     if not len(models):
         raise ProtocolError("cannot aggregate an empty model list")
     length = models[0].shape[0]
-    for m in models[1:]:
-        if m.shape[0] != length:
-            raise ProtocolError("model length mismatch in aggregation")
     if out is None:
         out = np.empty(length, dtype=models[0].dtype)
-    out[...] = models[0]
-    for m in models[1:]:
-        out += m
+    stacked = isinstance(models, np.ndarray) and models.ndim == 2 and models.flags.c_contiguous
+    if stacked and length > 1 and models.dtype == out.dtype:
+        np.add.reduce(models, axis=0, out=out, initial=-0.0)
+    else:
+        for m in models[1:]:
+            if m.shape[0] != length:
+                raise ProtocolError("model length mismatch in aggregation")
+        out[...] = models[0]
+        for m in models[1:]:
+            out += m
     out /= len(models)
     return out
 
@@ -255,6 +266,14 @@ def _train(
 # -------------------------------------------------------------------- engine
 
 
+def _aggregate_rows(matrix: np.ndarray, rows: list[int], stack: np.ndarray, out: np.ndarray) -> None:
+    """The mean of matrix[rows] into out: one `aggregate` of the rows gathered into stack, if they fit, else of row views."""
+    if len(rows) <= len(stack):
+        aggregate(np.take(matrix, rows, axis=0, out=stack[: len(rows)], mode="clip"), out=out)
+    else:
+        aggregate([matrix[r] for r in rows], out=out)
+
+
 def _share_and_aggregate(
     bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, rnd: int, actions: list[Action]
 ) -> list[int]:
@@ -268,8 +287,11 @@ def _share_and_aggregate(
     holds every similarity of the round. Client cid's mean is written into row
     cid of mixed, which the caller then swaps in as the next round's models,
     and SCAFFOLD's mean of variates into row cid of the global variates. A
-    client whose action is SKIP sends a header-only NO_UPDATE notice instead
-    of its model when suppress_nontrainer_updates is on.
+    group of rows that fits in _STACK_FLOATS floats is gathered into one
+    reused stack and averaged in one reduction, a larger group (every group,
+    once one model is larger) row by row; both add the rows in the same
+    order. A client whose action is SKIP sends a header-only NO_UPDATE notice
+    instead of its model when suppress_nontrainer_updates is on.
     """
     params = models.shape[1] if variates is None else 2 * models.shape[1]
     for cid, action in enumerate(actions):
@@ -281,8 +303,10 @@ def _share_and_aggregate(
     average_all = rnd <= cfg.t_init
     reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
     sims = cosine_similarity(models) if reselect else None
+    n = models.shape[0]
+    stack = np.empty((min(n, _STACK_FLOATS // models.shape[1]), models.shape[1]), dtype=models.dtype)
     counts = []
-    for cid in range(models.shape[0]):
+    for cid in range(n):
         senders = [m.sender for m in bus.take_inbox(cid) if m.kind is MessageKind.MODEL_UPDATE]
         if not average_all:
             if reselect:
@@ -292,10 +316,10 @@ def _share_and_aggregate(
                 cast_votes(bus, cid, selected[cid])
             senders = [p for p in senders if p in selected[cid]]
         group = [cid] + senders
-        aggregate([models[p] for p in group], out=mixed[cid])
+        _aggregate_rows(models, group, stack, mixed[cid])
         counts.append(len(group))
         if variates is not None:
-            aggregate([variates[0, p] for p in group], out=variates[1, cid])
+            _aggregate_rows(variates[0], group, stack, variates[1, cid])
     bus.flush()  # votes become visible to the next round's gate
     return counts
 
@@ -320,6 +344,11 @@ def _run(
     train, bounds = client_major_train(shards)
     samples_per_pass = (np.diff(bounds) * hp.local_epochs).tolist()
     bounds = bounds.tolist()
+    # every client's test predictions, client-major, scored in one macro_f1 call per round
+    tests = [test for _, test in shards]
+    test_bounds = [0, *itertools.accumulate(len(test) for test in tests)]
+    test_labels = np.concatenate([test.labels for test in tests])
+    preds = np.empty(test_bounds[-1], dtype=np.intp)
     shape = (2, n, model_spec.param_count)
     variates = np.zeros(shape, dtype=DTYPE) if method == SCAFFOLD else None  # local, global
     # this round's models and the next round's, which the share phase fills
@@ -363,13 +392,14 @@ def _run(
 
         sent, received = ledger.take_round()
         for cid in range(n):
-            test = shards[cid][1]
-            preds = predict_batch(models[cid], test.features, model_spec)
+            preds[test_bounds[cid] : test_bounds[cid + 1]] = predict_batch(models[cid], tests[cid].features, model_spec)
+        f1 = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
+        for cid in range(n):
             records.append(
                 MetricsRecord(
                     round=rnd,
                     client=cid,
-                    f1=macro_f1(preds, test.labels, model_spec.num_classes),
+                    f1=f1[cid],
                     bytes_sent=sent[cid],
                     bytes_received=received[cid],
                     action=actions[cid].value,

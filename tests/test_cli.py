@@ -1,9 +1,12 @@
 """Config parsing, experiment artifacts, comparison, and exit codes."""
 
+import glob
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import fields, replace
 
@@ -592,3 +595,33 @@ class TestCompare:
         cli.run_experiment(c2, d2)
         with pytest.raises(CompareError, match="per_class"):
             cli.compare_runs([d1, d2])
+
+
+_IMPORTED_BY_A_RUN = """
+import glob, json, os, sys
+import svote
+from svote import cli
+
+def numpy_modules():
+    return {name for name in sys.modules if name == "numpy" or name.startswith("numpy.")}
+
+before = numpy_modules()
+for i, path in enumerate(sorted(glob.glob(os.path.join("configs", "*.cfg")))):
+    cli.run_experiment(cli.parse_config(path), os.path.join(sys.argv[1], str(i)))
+print(json.dumps(sorted(numpy_modules() - before)))
+"""
+
+
+def test_sample_runs_import_no_numpy_module_but_numpy_random(tmp_path):
+    # a run's numpy modules are those `import svote` loads, plus the seeded
+    # generators' numpy.random; numpy.ma, which np.unique imports, added a
+    # megabyte to a fresh process's peak RSS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_BY_A_RUN, str(tmp_path)], capture_output=True, text=True, cwd=root, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = json.loads(proc.stdout)
+    assert len(glob.glob(os.path.join(root, "configs", "*.cfg"))) == 2 and len(os.listdir(tmp_path)) == 2
+    assert [m for m in loaded if m != "numpy.random" and not m.startswith("numpy.random.")] == []

@@ -96,6 +96,59 @@ class TestMacroF1:
             return
         assert macro_f1(preds, truth, k) == expected
 
+    @given(
+        st.integers(2, 20),
+        st.lists(st.integers(1, 60), min_size=1, max_size=8),
+        st.sampled_from([np.int64, np.int32, np.uint8, np.float64]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_segments_match_one_call_each(self, k, lengths, dtype, hit_rate, seed):
+        # ragged segments of up to 20 classes, so that a segment can hold 9
+        # or more present classes and its mean pass the pairwise sum's block
+        # of 8; labels -1 and k name no class, and a float label k - 0.5 is
+        # not integral
+        rng = np.random.default_rng(seed)
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        truth = rng.integers(-1, k + 1, size=bounds[-1])
+        preds = np.where(rng.random(bounds[-1]) < hit_rate, truth, rng.integers(-1, k + 1, size=bounds[-1]))
+        if np.dtype(dtype).kind == "f":
+            preds, truth = (np.where(side == k, k - 0.5, side) for side in (preds, truth))
+        preds, truth = preds.astype(dtype), truth.astype(dtype)
+        expected = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            try:
+                expected.append(_macro_f1_per_class_loop(preds[start:stop], truth[start:stop], k))
+            except MetricError:
+                with pytest.raises(MetricError):
+                    macro_f1(preds, truth, k, bounds)
+                return
+            assert macro_f1(preds[start:stop], truth[start:stop], k) == expected[-1]
+        assert macro_f1(preds, truth, k, bounds) == expected
+
+    def test_segments_past_the_pairwise_block(self):
+        # 20 classes, every one present in each segment but the first; the
+        # segments' means are sums of 3, 20 and 20 scores
+        rng = np.random.default_rng(25)
+        truth = np.concatenate([rng.integers(0, 3, size=30), rng.integers(0, 20, size=400)])
+        preds = np.where(rng.random(truth.size) < 0.7, truth, rng.integers(0, 20, size=truth.size))
+        preds[:30] = truth[:30]
+        preds[30 + np.arange(20)], preds[230 + np.arange(20)] = np.arange(20), np.arange(20)
+        bounds = [0, 30, 230, 430]
+        expected = [_macro_f1_per_class_loop(preds[a:b], truth[a:b], 20) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert macro_f1(preds, truth, 20, bounds) == expected
+
+    @pytest.mark.parametrize("bounds", [[0, 2, 2, 4], [0, 0, 4], [0, 4, 4], [0, 3, 1, 4]])
+    def test_an_empty_or_backward_segment_is_rejected(self, bounds):
+        with pytest.raises(MetricError):
+            macro_f1([0, 1, 0, 1], [0, 1, 1, 1], 2, bounds)
+
+    @pytest.mark.parametrize("bounds", [[0, 3], [1, 4], [0, 2, 5], [0], []])
+    def test_segments_must_cover_the_sequences(self, bounds):
+        with pytest.raises(MetricError):
+            macro_f1([0, 1, 0, 1], [0, 1, 1, 1], 2, bounds)
+
     def test_non_integral_float_labels_count_as_misses(self):
         preds, truth = np.array([0.0, 1.5, 1.0, 2.0]), np.array([0.0, 1.0, 1.5, 1.0])
         assert macro_f1(preds, truth, 3) == _macro_f1_per_class_loop(preds, truth, 3)

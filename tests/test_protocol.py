@@ -84,6 +84,39 @@ class TestAggregate:
         np.testing.assert_array_equal(matrix[1], aggregate([models[4], models[0], models[2]]))
         np.testing.assert_array_equal(matrix[[0, 2]], 0.0)
 
+    @given(
+        st.integers(1, 64),
+        st.integers(2, 600),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_stack_sums_its_rows_in_order(self, k, p, dtype, seed):
+        # the one-reduction form must give the bits of the loop over row
+        # views: rows of scales 1e-6 to 1e6, so the order of the additions
+        # shows in the low bits, and signed zeros, whole columns of -0.0
+        # among them
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-6, 7, size=(k, 1))
+        stack[rng.random(size=(k, p)) < 0.1] = 0.0
+        stack[rng.random(size=(k, p)) < 0.1] = -0.0
+        stack[:, rng.random(size=p) < 0.1] = -0.0
+        stack = stack.astype(dtype)
+        out = np.empty(p, dtype=dtype)
+        assert aggregate(stack, out=out) is out
+        assert out.tobytes() == aggregate(list(stack)).tobytes()
+
+    def test_a_one_column_stack_takes_the_row_loop(self):
+        # an axis-0 reduction down a single column is summed pairwise, which
+        # rounds differently from the ordered sum on these rows
+        scales = 10.0 ** np.arange(-4, 4).repeat(8)
+        column = (np.random.default_rng(24).normal(size=64) * scales).astype(np.float32)[:, None]
+        ordered = column[0].copy()
+        for row in column[1:]:
+            ordered += row
+        assert np.add.reduce(column, axis=0).tobytes() != ordered.tobytes()
+        assert aggregate(column).tobytes() == (ordered / 64).tobytes()
+
     def test_peak_memory_is_one_model_not_the_stack(self):
         k, length = 8, 50_000
         models = [np.full(length, float(i)) for i in range(k)]
@@ -628,6 +661,40 @@ class TestEngines:
         for rnd in range(8):
             for c in range(n):
                 np.testing.assert_array_equal(fed[rnd * n + c], sv[rnd * n + c])
+
+    @pytest.mark.parametrize("method, refresh", [("svote", True), ("svote", False), ("scaffold", None)])
+    def test_stacked_aggregation_equals_the_row_loop_bitwise(self, method, refresh):
+        # at the default cap every group of this problem is gathered into one
+        # stack; a cap of one float sends every aggregation through the loop
+        # over row views (and trains every model alone)
+        _, shards, topo, spec = small_problem(num_clients=8)
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
+        aggregate = protocol.aggregate
+
+        def run():
+            stacked = []
+
+            def recorded(models, out=None):
+                stacked.append(isinstance(models, np.ndarray))
+                return aggregate(models, out=out)
+
+            with evaluated_models() as models, mock.patch.object(protocol, "aggregate", recorded):
+                if method == "svote":
+                    cfg = SVoteConfig(total_rounds=10, t_init=2, n_diverge=1, tau=0.5, refresh_selection=refresh)
+                    result = run_svote(cfg, spec, hp, topo, shards, 4)
+                else:
+                    result = run_baseline(method, spec, hp, topo, shards, 4, rounds=5)
+            return models, result, stacked
+
+        models, result, stacked = run()
+        with mock.patch.object(protocol, "_STACK_FLOATS", 1):
+            looped_models, looped_result, looped = run()
+        assert all(stacked) and not any(looped) and len(stacked) == len(looped)
+        assert len(models) == len(looped_models) == result.rounds * topo.num_clients
+        for a, b in zip(models, looped_models):
+            assert a.tobytes() == b.tobytes()
+        assert result.final_models_sha256 == looped_result.final_models_sha256
+        assert result.records == looped_result.records
 
     def test_diverge_rounds_have_zero_traffic(self):
         data, shards, topo, spec = small_problem()
