@@ -7,11 +7,13 @@ architectures: softmax regression and a one-hidden-layer tanh MLP.
 
 `local_train` trains one model or a group of models in lockstep, as
 decentralized SGD analyses treat the nodes' local steps (Lian et al. 2017,
-D-PSGD): at each step, the models whose batches have one size make one
-kernel call over their stacked batches and weights, and one elementwise
-update covers every model still training. Each model keeps its own shuffle
-stream, and its arithmetic is the same as if it trained alone. The checks
-and casts of a pass run once, not once per step.
+D-PSGD): each step makes one gather of every training model's batch, one
+kernel call over those batches and the group's weights, with the step's
+runs of models whose batches have one size (see `kernels`), and one
+elementwise update of every model still training. Each model keeps its own
+shuffle stream, and its arithmetic is the same as if it trained alone. The
+checks and casts of a pass, the label check included, run once, not once
+per step.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ def _blocks(flat: np.ndarray, spec: ModelSpec, k: int):
     (k * rows, cols) matrix (see `kernels`), at k times the parameter's
     offsets in one model. For k = 1 the buffer is one flat parameter vector.
     """
-    return [flat[k * start : k * stop].reshape(k * rows, shape[-1]) for start, stop, shape, rows in _layout(spec)]
+    return tuple(
+        [flat[k * start : k * stop].reshape(k * rows, shape[-1]) for start, stop, shape, rows in _layout(spec)]
+    )
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -118,36 +122,41 @@ def _check_data(X: np.ndarray, y: np.ndarray, spec: ModelSpec):
         raise ConfigError("feature/label count mismatch")
 
 
-def _kernel_losses(spec: ModelSpec, X, y, w_blocks, grad_blocks) -> np.ndarray:
-    """The kernel's losses of a group of models whose batches were checked; raises on any non-finite one."""
+def _labels_outside(y: np.ndarray, num_classes: int) -> bool:
+    """Whether a label of the int64 vector y lies outside [0, num_classes).
+
+    Read as uint64, a negative label is above every class, so one max tells.
+    """
+    return y.size > 0 and np.maximum.reduce(y.view(np.uint64)) >= num_classes
+
+
+def _kernel_losses(spec: ModelSpec, X, y, w_blocks, grad_blocks, runs) -> np.ndarray:
+    """The kernel's losses of the models of a step whose batches were checked; raises on any non-finite one."""
     kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
-    try:
-        losses = kernel(X, y, *w_blocks, *grad_blocks)
-    except ValueError:
-        # the kernels' label gather is bounds-checked, so the labels cost no check of their own
-        raise ConfigError(f"label outside [0, {spec.num_classes})") from None
+    losses = kernel(X, y, *w_blocks, *grad_blocks, runs)
     if not kernels.all_finite(losses):
         raise ProtocolError("non-finite loss: model diverged")
     return losses
 
 
-def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None):
+def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None, runs=None):
     """Mean cross-entropy over the batch and its gradient w.r.t. w.
 
     The arithmetic runs in w's dtype (the engine's is `kernels.DTYPE`); X is
     cast to it. The gradient is written into `grad` when given (a vector of
     w's length and dtype that does not overlap w) and returned; otherwise
-    into a new array. A non-finite loss raises ProtocolError; a float32
-    label probability that rounds to 0 (numpy warns of a divide by zero in
-    log) counts only if a float64 softmax of the same logits rounds it to 0
-    too (see `kernels`).
+    into a new array. A label outside [0, num_classes) raises ConfigError. A
+    non-finite loss raises ProtocolError; a float32 label probability that
+    rounds to 0 (numpy warns of a divide by zero in log) counts only if a
+    float64 softmax of the same logits rounds it to 0 too (see `kernels`).
 
-    `local_train` calls it once per step group with the group's kernel
-    blocks as w and grad (tuples, see `_blocks`) and a batch it has checked
-    and cast once per pass; it then returns only the group's losses.
+    `local_train` calls it once per lockstep step with the group's kernel
+    blocks as w and grad (tuples, see `_blocks`), the step's batches, which
+    it has checked and cast once per pass, and the step's runs (see
+    `kernels`); it then returns only the losses of the step's models.
     """
     if isinstance(w, tuple):
-        return _kernel_losses(spec, X, y, w, grad)
+        return _kernel_losses(spec, X, y, w, grad, runs)
     if w.shape != (spec.param_count,):
         raise ConfigError(f"parameter vector has length {w.shape}, spec wants {spec.param_count}")
     _check_data(X, y, spec)
@@ -155,11 +164,13 @@ def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None):
         raise ConfigError("empty batch")
     X = np.ascontiguousarray(X, dtype=w.dtype)
     y = np.ascontiguousarray(y, dtype=np.int64)
+    if _labels_outside(y, spec.num_classes):
+        raise ConfigError(f"label outside [0, {spec.num_classes})")
     if grad is None:
         grad = np.empty_like(w)
     elif grad.shape != w.shape or grad.dtype != w.dtype:
         raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
-    losses = _kernel_losses(spec, X, y, _blocks(w, spec, 1), _blocks(grad, spec, 1))
+    losses = _kernel_losses(spec, X, y, _blocks(w, spec, 1), _blocks(grad, spec, 1), ((0, 1, X.shape[0]),))
     return float(losses[0]), grad
 
 
@@ -313,7 +324,9 @@ def local_train(
     rng; or a k x P matrix of starting models, where model i trains on rows
     ranges[i] = (start, stop) of X and y with the Generator rng[i]. Each
     model reshuffles its shard each epoch from its own stream, and keeps the
-    partial final batch. The caller's arrays are never modified.
+    partial final batch. The caller's arrays are never modified. A label
+    outside [0, num_classes) in the rows from the first range to the last
+    raises ConfigError.
 
     The update of each step is w - lr * direction, where the direction is
     the gradient; with prox (FedProx) it is grad + prox_mu * (w - w_start);
@@ -323,15 +336,17 @@ def local_train(
     Returns (trained, steps): the trained models, shaped like w, and the
     step count (one int, or a list of k).
 
-    The group trains in lockstep: at each step, every run of consecutive
-    models (ordered by shard size, largest first) whose batches have the
-    same size makes one kernel call, on one gather of its batches and the
-    block-major weights of its models, and one elementwise update covers
-    every model still training. Each model's arithmetic is the same as if it
-    trained alone. The batch checks and casts run once per pass. The
-    model-sized buffers of a pass are a block-major copy of w and a gradient
-    (FedProx adds its direction and, for k > 1, a copy of w_start; SCAFFOLD,
-    for k > 1, copies of its variates), k P floats each.
+    The group trains in lockstep: each step makes one kernel call, on one
+    gather of every training model's batch and the group's block-major
+    weights, with the step's runs of consecutive models (ordered by shard
+    size, largest first) whose batches have the same size; one elementwise
+    update then covers every model still training. Nothing is padded, and
+    each model's arithmetic is the same as if it trained alone. The batch
+    checks and casts run once per pass, and a step's gathered batch is freed
+    before the next step's gather. The model-sized buffers of a pass are a
+    block-major copy of w and a gradient (FedProx adds its direction and,
+    for k > 1, a copy of w_start; SCAFFOLD, for k > 1, copies of its
+    variates), k P floats each.
     """
     single = w.ndim == 1
     models = w[None] if single else w
@@ -343,30 +358,48 @@ def local_train(
     ranges = [(0, y.shape[0])] if ranges is None else ranges
     if len(ranges) != k or len(rngs) != k:
         raise ConfigError(f"{k} models need {k} row ranges and {k} generators")
+    starts, stops = zip(*ranges)
     if not all(0 <= start <= stop <= y.shape[0] for start, stop in ranges):
         raise ConfigError("row range outside the training data")
     if prox and variates is not None:
         raise ConfigError("FedProx and SCAFFOLD directions are exclusive")
     X = np.ascontiguousarray(X, dtype=models.dtype)
     y = np.ascontiguousarray(y, dtype=np.int64)
+    # one check of the labels from the first range to the last
+    if _labels_outside(y[min(starts) : max(stops)], spec.num_classes):
+        raise ConfigError(f"label outside [0, {spec.num_classes})")
 
     # largest shard first: the models still training are the first ones, and
     # models with equal batch sizes sit together
-    order = sorted(range(k), key=lambda i: ranges[i][0] - ranges[i][1])
-    sizes = [int(ranges[i][1] - ranges[i][0]) for i in order]
+    lens = [stop - start for start, stop in ranges]
+    order = sorted(range(k), key=lens.__getitem__, reverse=True)  # a stable sort, ties in model order
+    sizes = [int(lens[i]) for i in order]
     rngs = [rngs[i] for i in order]
-    schedule = _lockstep(tuple(sizes), hp.batch_size, hp.local_epochs)
+    B = hp.batch_size
+    schedule = _lockstep(tuple(sizes), B, hp.local_epochs)
     # each model's permutation of its rows of X for its current epoch, model
-    # after model
+    # after model: (begin, stop) in perm and its first row of X
     perm_at, end = [], 0
     for i, n in zip(order, sizes):
         perm_at.append((end, end + n, int(ranges[i][0])))
         end += n
     perm = np.empty(end, dtype=np.intp)
-    B = hp.batch_size
-    per_epoch = [max(-(-n // B), 1) for n in sizes]
-    if k > 1:  # row s: each model's batch offset in perm at step s, for the runs of several models
-        offsets = np.arange(len(schedule))[:, None] % per_epoch * B + [begin for begin, _, _ in perm_at]
+    per_epoch = max(-(-sizes[0] // B), 1)  # of model 0, whose permutation begins perm
+    if k > 1:
+        # a step's rows, model after model: row j of step s comes from
+        # perm[j + shift[s, i]] for the model i it belongs to, which has
+        # batch[s, i] rows there (none once it is done)
+        n_rows = np.array(sizes)
+        s = np.arange(len(schedule))[:, None]
+        shift = s % np.maximum(-(-n_rows // B), 1) * B
+        batch = np.minimum(n_rows - shift, B)
+        batch[s >= hp.local_epochs * -(-n_rows // B)] = 0
+        shift += [begin for begin, _, _ in perm_at]
+        shift += batch
+        shift -= np.cumsum(batch, axis=1)
+        # where each block starts in the flat buffers, and its size per
+        # model, for the steps that update only the first models
+        block_at = [(k * start, stop - start) for start, stop, _, _ in _layout(spec)]
 
     work = _block_major(models, order, spec, np.empty(k * P, models.dtype))
     grad = np.empty_like(work)
@@ -375,36 +408,35 @@ def local_train(
         buffers += [_held(models, order, spec), np.empty_like(work)]  # w_start, direction
     elif variates is not None:
         buffers += [_held(v[None] if single else v, order, spec) for v in variates]
-    blocks = [_blocks(buf, spec, k) for buf in buffers]
-    w_all, g_all = tuple(blocks[0]), tuple(blocks[1])
-    block_rows = [rows for *_, rows in _layout(spec)]
+    w_all, g_all = _blocks(work, spec, k), _blocks(grad, spec, k)
     lr, mu = hp.lr, hp.prox_mu
-    cols = np.arange(hp.batch_size)
     # a float32 label probability may round to 0 on the way to a finite loss
     with np.errstate(divide="ignore"):
         for step, (live, draws, runs) in enumerate(schedule):
             for i in draws:
                 begin, stop, start = perm_at[i]
                 np.add(rngs[i].permutation(stop - begin), start, out=perm[begin:stop])
-            for a, b, size in runs:
-                if b - a == 1:  # one model's batch is a slice of its permutation
-                    at = perm_at[a][0] + step % per_epoch[a] * B
-                    rows = perm[at : at + size]
-                else:
-                    rows = perm[(offsets[step, a:b, None] + cols[:size]).ravel()]
-                if b - a == k:
-                    w_run, g_run = w_all, g_all
-                else:
-                    w_run = tuple(blk[a * r : b * r] for blk, r in zip(blocks[0], block_rows))
-                    g_run = tuple(blk[a * r : b * r] for blk, r in zip(blocks[1], block_rows))
-                # ndarray.take gathers rows faster than fancy indexing, to the same bytes
-                loss_and_grad(w_run, X.take(rows, axis=0), y[rows], spec, g_run)
+            if live == 1:  # one model's batch is a slice of its permutation
+                at = step % per_epoch * B
+                rows = perm[at : at + runs[0][2]]
+            else:
+                rows = np.repeat(shift[step, :live], batch[step, :live])
+                rows += np.arange(len(rows))
+                rows = perm.take(rows)
+            # one gather of the step's batches; ndarray.take gathers rows
+            # faster than fancy indexing, to the same bytes. The row indices
+            # are freed before the kernel's buffers are made, and the batch
+            # before the next step's gather.
+            batch_Xy = X.take(rows, axis=0), y.take(rows)
+            del rows
+            loss_and_grad(w_all, *batch_Xy, spec, g_all, runs)
+            del batch_Xy
             # one elementwise update of every model still training: the whole
             # buffers, or the first `live` models of each block
             if live == k:
                 parts = [buffers]
             else:
-                parts = zip(*([blk[: live * r] for blk, r in zip(bufs, block_rows)] for bufs in blocks))
+                parts = [[buf[start : start + live * size] for buf in buffers] for start, size in block_at]
             for w_p, g_p, *rule in parts:
                 if prox:
                     g_p = prox_grad(g_p, w_p, rule[0], mu, out=rule[1])

@@ -320,6 +320,20 @@ class TestLocalTrain:
         )
         assert steps == 2
 
+    @pytest.mark.parametrize("kind", [learner.SOFTMAX, learner.MLP])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_a_label_outside_the_classes_in_one_shard_of_a_group_is_config_error(self, kind, bad):
+        # the kernels gather labels unchecked, so the pass checks them once:
+        # -1 would train class c-1, and c another row's entry
+        spec = ModelSpec(kind, 5, 3, hidden_dim=4 if kind == learner.MLP else 0)
+        X, y = _batch(spec, n=30, seed=2)
+        y[17] = bad  # in the second of three shards
+        models = np.stack([learner.init_params(spec, seed) for seed in range(3)])
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=4)
+        with pytest.raises(ConfigError, match="label outside"):
+            learner.local_train(models, X, y, spec, hp, rngs, [(0, 10), (10, 20), (20, 30)])
+
     def test_hyperparams_validated(self):
         with pytest.raises(ConfigError):
             HyperParams(lr=0.0)

@@ -72,32 +72,41 @@ def _svote_with_skips():
 
 @pytest.mark.parametrize("method", [*protocol.BASELINES, protocol.SVOTE])
 def test_kernel_rows_are_the_samples_trained(method):
-    """The kernels see each trained sample once per epoch, in unpadded blocks of one client's batch."""
+    """The kernels see each trained sample once per epoch, in unpadded blocks of one client's batch, once per step."""
     _, shards, topo, spec = small_problem(num_clients=6)
     hp = HyperParams(lr=0.1, local_epochs=2, batch_size=16)
     owner = {row.tobytes(): cid for cid, (train, _) in enumerate(shards) for row in train.features}
     assert len(owner) == sum(len(train) for train, _ in shards)  # every row tells its client
-    calls = []
-    kernel = kernels.softmax_loss_grad
+    calls, steps = [], []
+    kernel, schedule = kernels.softmax_loss_grad, learner._lockstep
 
-    def recorded(X, y, W, b, *grads):
-        calls.append((X.copy(), b.shape[0]))
-        return kernel(X, y, W, b, *grads)
+    def recorded(X, y, W, b, gW, gb, runs):
+        calls.append((X.copy(), runs))
+        return kernel(X, y, W, b, gW, gb, runs)
 
-    with mock.patch.object(kernels, "softmax_loss_grad", recorded):
+    def counted(*args):
+        steps.append(len(schedule(*args)))
+        return schedule(*args)
+
+    with mock.patch.object(kernels, "softmax_loss_grad", recorded), mock.patch.object(learner, "_lockstep", counted):
         if method == protocol.SVOTE:
             res = run_svote(_svote_with_skips(), spec, hp, topo, shards, 3)
             assert any(r.action == Action.SKIP.value for r in res.records)
         else:
             res = run_baseline(method, spec, hp, topo, shards, 3, rounds=3)
+    assert len(calls) == sum(steps)  # one kernel call per lockstep step
     assert sum(X.shape[0] for X, _ in calls) == sum(r.samples_trained for r in res.records)
-    for X, k in calls:
-        batch, rest = divmod(X.shape[0], k)
-        assert rest == 0 and 1 <= batch <= hp.batch_size
-        for block in X.reshape(k, batch, -1):
-            # one client's rows, each sample once
-            assert len({owner[row.tobytes()] for row in block}) == 1
-            assert len({row.tobytes() for row in block}) == batch
+    for X, runs in calls:
+        r0 = 0
+        for a, b, batch in runs:
+            assert 1 <= batch <= hp.batch_size
+            for _ in range(a, b):
+                block = X[r0 : r0 + batch]
+                # one client's rows, each sample once
+                assert len({owner[row.tobytes()] for row in block}) == 1
+                assert len({row.tobytes() for row in block}) == batch
+                r0 += batch
+        assert r0 == X.shape[0]  # nothing but the runs' batches, unpadded
 
 
 def test_dense_100_shaped_group_holds_its_batch_and_a_few_model_buffers():
@@ -105,10 +114,11 @@ def test_dense_100_shaped_group_holds_its_batch_and_a_few_model_buffers():
     # 60-400 samples, as dense-100 trains in one group. Above the inputs it
     # holds each model's epoch permutation (one index per training row), one
     # step's gathered batches (k B d floats), the group's block-major weights
-    # and gradient (2 k P floats) and the step's batch-sized temporaries:
-    # logits and their transposed copy (2 k B c floats) and four int64 index
-    # or label vectors (8 k B floats). Those measure 8.3 k P floats here, and
-    # the bound allows 10 k P; one more copy of the batch would be 5 k P more.
+    # and gradient (2 k P floats), two int64 (steps x k) matrices that locate
+    # each step's batches, and the step's batch-sized temporaries: logits and
+    # their transposed copy (2 k B c floats) and int64 label and label-offset
+    # vectors. Those measure 9.2 k P floats here, and the bound allows
+    # 10 k P; one more copy of the batch would be 5 k P more.
     k, d, c, B = 100, 16, 6, 32
     spec = ModelSpec(SOFTMAX, d, c)
     rng = np.random.default_rng(4)
