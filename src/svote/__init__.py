@@ -27,7 +27,7 @@ from .learner import (
     scaffold_update_cv,
     sgd_step,
 )
-from .metrics import EnergyCoeffs, MetricsRecord, RunResult, energy, federation_summary, macro_f1, work_units
+from .metrics import EnergyCoeffs, RunResult, energy, federation_summary, macro_f1
 from .netsim import (
     BYTES_PER_PARAM,
     HEADER_BYTES,

@@ -330,26 +330,27 @@ def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int
 
 
 def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[str]:
-    lines = [CSV_HEADER]
-    for rec in result.records:
-        e_train, e_agg, e_comm = metrics.record_energy(rec, result.param_count, coeffs)
-        lines.append(
-            f"{rec.round},{rec.client},{rec.f1!r},{rec.bytes_sent},{rec.bytes_received},"
-            f"{rec.action},{e_train!r},{e_agg!r},{e_comm!r},{rec.work_units}"
-        )
-    return lines
+    n = result.topology.num_clients
+    work_units = result.samples_trained + result.models_aggregated
+    columns = (result.f1, result.bytes_sent, result.bytes_received, result.actions)
+    columns += (*metrics.energy(result, coeffs), work_units)
+    # record i of the round-major columns is round i // n + 1, client i % n
+    records = enumerate(zip(*(column.ravel().tolist() for column in columns)))
+    return [CSV_HEADER] + [
+        f"{i // n + 1},{i % n},{f1!r},{sent},{received},{action},{e_train!r},{e_agg!r},{e_comm!r},{units}"
+        for i, (f1, sent, received, action, e_train, e_agg, e_comm, units) in records
+    ]
 
 
 def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
     coeffs = metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm)
     f1_mean, f1_std, per_client = metrics.federation_summary(result)
-    report = metrics.energy(result, coeffs)
-    units = metrics.work_units(result)
+    # each energy total adds the records one at a time, in metrics.csv's order:
+    # a pairwise or compensated sum could round to another float
+    e_train, e_agg, e_comm = (float(np.cumsum(e, axis=None)[-1]) for e in metrics.energy(result, coeffs))
+    units = (result.samples_trained + result.models_aggregated).sum(axis=0).tolist()
     equiv = fedavg_equivalent_bytes(result.topology, result.rounds, result.param_count)
-    total_sent = sum(rec.bytes_sent for rec in result.records)
-    action_counts = {a.value: 0 for a in protocol.Action}
-    for rec in result.records:
-        action_counts[rec.action] += 1
+    total_sent = int(result.bytes_sent.sum())
     return {
         "config": dict(config_items(cfg)),
         "method": result.method,
@@ -361,18 +362,18 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         "final_f1_std": f1_std,
         "final_f1_per_client": per_client,
         "total_bytes_sent": total_sent,
-        "total_bytes_received": sum(rec.bytes_received for rec in result.records),
+        "total_bytes_received": int(result.bytes_received.sum()),
         "bytes_by_kind": {k.value: n for k, n in result.bytes_by_kind.items()},
         "message_counts": {k.value: n for k, n in result.message_counts.items()},
         "energy_kwh": {
-            "train": report.train,
-            "agg": report.agg,
-            "comm": report.comm,
-            "total": report.total,
+            "train": e_train,
+            "agg": e_agg,
+            "comm": e_comm,
+            "total": e_train + e_agg + e_comm,
         },
-        "work_units_per_client": [units[c] for c in range(result.topology.num_clients)],
-        "work_units_total": sum(units.values()),
-        "actions": action_counts,
+        "work_units_per_client": units,
+        "work_units_total": sum(units),
+        "actions": {a.value: int(np.count_nonzero(result.actions == a.value)) for a in protocol.Action},
         "fedavg_equivalent_bytes": equiv,
         "byte_reduction_pct": 100.0 * (equiv - total_sent) / equiv if equiv else 0.0,
         "final_models_sha256": result.final_models_sha256,

@@ -1,4 +1,10 @@
-"""Per-round evaluation and accounting: macro-F1, work units, parametric energy.
+"""Per-round evaluation and accounting: macro-F1 and parametric energy.
+
+A run's per-round quantities are rounds x n columns of its RunResult: row
+r - 1 holds round r and column c client c, so reading a column in C order
+visits the records round-major, clients in id order, as metrics.csv lists
+them. Work units, a counted-work proxy for elapsed time, are
+samples_trained + models_aggregated.
 
 Energy is a declared linear model, not a measurement: c_train per
 (sample x epoch) trained, c_agg per parameter entering an aggregation,
@@ -16,30 +22,18 @@ from .errors import ConfigError, MetricError
 from .netsim import MessageKind, Topology
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One client's view of one round."""
-
-    round: int
-    client: int
-    f1: float
-    bytes_sent: int
-    bytes_received: int
-    action: str
-    samples_trained: int  # samples x epochs this round (0 when the client sat out)
-    models_aggregated: int  # models entering the mean, own included; 0 if no aggregation
-
-    @property
-    def work_units(self) -> int:
-        return self.samples_trained + self.models_aggregated
-
-
 @dataclass
 class RunResult:
     method: str
     rounds: int
     param_count: int
-    records: list[MetricsRecord]  # the only per-round byte counts
+    # rounds x n columns, row rnd - 1 for round rnd
+    f1: np.ndarray  # float64 macro-F1 of each client's model on its own test split
+    bytes_sent: np.ndarray  # int64; with bytes_received the only per-round byte counts
+    bytes_received: np.ndarray  # int64
+    actions: np.ndarray  # object: each client's Action value, e.g. "skip"
+    samples_trained: np.ndarray  # int64 samples x epochs trained (0 when the client sat out)
+    models_aggregated: np.ndarray  # int64 models entering the mean, own included; 0 if no aggregation
     bytes_by_kind: dict[MessageKind, int]  # run total per message kind, every kind present
     message_counts: dict[MessageKind, int]  # copies sent per message kind, every kind present
     topology: Topology  # the graph the engine ran on
@@ -55,17 +49,6 @@ class EnergyCoeffs:
     def __post_init__(self):
         if not all(math.isfinite(c) and c >= 0 for c in (self.c_train, self.c_agg, self.c_comm)):
             raise ConfigError("energy coefficients must be finite and non-negative")
-
-
-@dataclass
-class EnergyReport:
-    train: float = 0.0
-    agg: float = 0.0
-    comm: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.train + self.agg + self.comm
 
 
 def macro_f1(predictions, truth, num_classes: int, bounds=None) -> float | list[float]:
@@ -143,38 +126,14 @@ def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def federation_summary(result: RunResult) -> tuple[float, float, list[float]]:
     """Mean and population std over clients' final-round F1, and the F1 of each client."""
-    by_client = {r.client: r.f1 for r in result.records if r.round == result.rounds}
-    clients = range(result.topology.num_clients)
-    if not by_client or by_client.keys() != set(clients):
-        raise MetricError("run lacks a final-round record for some client")
-    per_client = [by_client[c] for c in clients]
-    arr = np.asarray(per_client)
-    return float(arr.mean()), float(arr.std()), per_client
+    final = result.f1[-1]
+    return float(final.mean()), float(final.std()), final.tolist()
 
 
-def record_energy(rec: MetricsRecord, param_count: int, coeffs: EnergyCoeffs) -> tuple[float, float, float]:
-    """(train, agg, comm) kWh of one record under the three-phase linear model."""
+def energy(result: RunResult, coeffs: EnergyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(train, agg, comm) kWh of every (round, client) under the three-phase linear model, as rounds x n arrays."""
     return (
-        coeffs.c_train * rec.samples_trained,
-        coeffs.c_agg * param_count * rec.models_aggregated,
-        coeffs.c_comm * rec.bytes_sent,
+        coeffs.c_train * result.samples_trained,
+        coeffs.c_agg * result.param_count * result.models_aggregated,
+        coeffs.c_comm * result.bytes_sent,
     )
-
-
-def energy(result: RunResult, coeffs: EnergyCoeffs) -> EnergyReport:
-    """Three-phase linear energy model over a run's records."""
-    report = EnergyReport()
-    for rec in result.records:
-        e_train, e_agg, e_comm = record_energy(rec, result.param_count, coeffs)
-        report.train += e_train
-        report.agg += e_agg
-        report.comm += e_comm
-    return report
-
-
-def work_units(result: RunResult) -> dict[int, int]:
-    """Counted-work proxy for elapsed time: samples x epochs trained plus models aggregated."""
-    per_client = {c: 0 for c in range(result.topology.num_clients)}
-    for rec in result.records:
-        per_client[rec.client] += rec.work_units
-    return per_client

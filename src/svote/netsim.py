@@ -17,8 +17,8 @@ the engine trains and averages in (`kernels.DTYPE`), so the bytes priced are
 the bytes the engine holds; votes and no-update notices are header-only. The
 ledger books a message once per receiver, so its totals equal those of one
 point-to-point message per (sender, receiver) pair. It books one round at a
-time: the round engine takes each round's per-client counts into its metrics
-records.
+time: the round engine takes each round's per-client counts into that
+round's row of the run's bytes_sent and bytes_received columns.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .learner import (
     predict_batch,
     scaffold_update_cv,
 )
-from .metrics import MetricsRecord, RunResult, macro_f1
+from .metrics import RunResult, macro_f1
 from .netsim import MessageBus, MessageKind, RoundMessage, Topology, TrafficLedger, broadcast, message_byte_size
 from .seeding import derive_rng, derive_seed
 
@@ -342,7 +342,7 @@ def _run(
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
     train, bounds = client_major_train(shards)
-    samples_per_pass = (np.diff(bounds) * hp.local_epochs).tolist()
+    samples_per_pass = np.diff(bounds) * hp.local_epochs
     bounds = bounds.tolist()
     # every client's test predictions, client-major, scored in one macro_f1 call per round
     tests = [test for _, test in shards]
@@ -362,7 +362,10 @@ def _run(
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
     ledger = TrafficLedger(n)
     bus = MessageBus(topo, ledger)
-    records: list[MetricsRecord] = []
+    # the result's rounds x n columns; round rnd writes row rnd - 1
+    f1 = np.empty((rounds, n))
+    sent, received, samples, aggregated = np.zeros((4, rounds, n), dtype=np.int64)
+    action_values = np.empty((rounds, n), dtype=object)
 
     for rnd in range(1, rounds + 1):
         # initial federated rounds, divergence rounds and the selection round
@@ -380,33 +383,18 @@ def _run(
         # every client has its own train and gate streams, so gating all first changes nothing
         trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]
         _train(trainers, models, variates, train, bounds, train_rngs, model_spec, hp, method)
-        samples = [0] * n
-        for cid in trainers:
-            samples[cid] = samples_per_pass[cid]
+        samples[rnd - 1, trainers] = samples_per_pass[trainers]
+        action_values[rnd - 1] = [action.value for action in actions]
 
-        # divergence rounds are local-only, with zero traffic
-        models_agg = [0] * n
+        # divergence rounds are local-only, with zero traffic, and aggregate nothing
         if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            models_agg = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, rnd, actions)
+            aggregated[rnd - 1] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, rnd, actions)
             models, mixed = mixed, models
 
-        sent, received = ledger.take_round()
+        sent[rnd - 1], received[rnd - 1] = ledger.take_round()
         for cid in range(n):
             preds[test_bounds[cid] : test_bounds[cid + 1]] = predict_batch(models[cid], tests[cid].features, model_spec)
-        f1 = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
-        for cid in range(n):
-            records.append(
-                MetricsRecord(
-                    round=rnd,
-                    client=cid,
-                    f1=f1[cid],
-                    bytes_sent=sent[cid],
-                    bytes_received=received[cid],
-                    action=actions[cid].value,
-                    samples_trained=samples[cid],
-                    models_aggregated=models_agg[cid],
-                )
-            )
+        f1[rnd - 1] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
 
     digest = hashlib.sha256(f"{models.dtype.str}{models.shape}".encode())
     digest.update(models)  # the matrix's own buffer, not a bytes copy
@@ -414,7 +402,12 @@ def _run(
         method=method,
         rounds=rounds,
         param_count=model_spec.param_count,
-        records=records,
+        f1=f1,
+        bytes_sent=sent,
+        bytes_received=received,
+        actions=action_values,
+        samples_trained=samples,
+        models_aggregated=aggregated,
         bytes_by_kind={k: ledger.kind_bytes.get(k, 0) for k in MessageKind},
         message_counts={k: ledger.kind_count.get(k, 0) for k in MessageKind},
         topology=topo,

@@ -51,8 +51,8 @@ def peak_traced_bytes(fn):
 
 
 def traffic_totals(result):
-    """A run's (bytes sent, bytes received), summed over its metric records."""
-    return sum(r.bytes_sent for r in result.records), sum(r.bytes_received for r in result.records)
+    """A run's (bytes sent, bytes received), summed over its rounds x n byte columns."""
+    return int(result.bytes_sent.sum()), int(result.bytes_received.sum())
 
 
 @contextmanager

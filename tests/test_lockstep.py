@@ -91,11 +91,11 @@ def test_kernel_rows_are_the_samples_trained(method):
     with mock.patch.object(kernels, "softmax_loss_grad", recorded), mock.patch.object(learner, "_lockstep", counted):
         if method == protocol.SVOTE:
             res = run_svote(_svote_with_skips(), spec, hp, topo, shards, 3)
-            assert any(r.action == Action.SKIP.value for r in res.records)
+            assert (res.actions == Action.SKIP.value).any()
         else:
             res = run_baseline(method, spec, hp, topo, shards, 3, rounds=3)
     assert len(calls) == sum(steps)  # one kernel call per lockstep step
-    assert sum(X.shape[0] for X, _ in calls) == sum(r.samples_trained for r in res.records)
+    assert sum(X.shape[0] for X, _ in calls) == res.samples_trained.sum()
     for X, runs in calls:
         r0 = 0
         for a, b, batch in runs:

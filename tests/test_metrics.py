@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_problem
-from svote import metrics, netsim, protocol
+from svote import cli, metrics, netsim, protocol
 from svote.errors import ConfigError, MetricError
 from svote.learner import HyperParams
-from svote.metrics import EnergyCoeffs, MetricsRecord, macro_f1
+from svote.metrics import EnergyCoeffs, macro_f1
 
 
 def _macro_f1_per_class_loop(predictions, truth, num_classes):
@@ -163,33 +163,35 @@ class TestMacroF1:
         assert before == pytest.approx(after, abs=1e-12)
 
 
-def _result(per_client_f1, rounds=3):
+def _result(per_client_f1, rounds=3, samples_trained=50, models_aggregated=4, actions="train_local", param_count=10):
+    """A hand-built run: every round's F1 is 0.1 but the last one's; column arguments are scalars or rounds x n."""
     n = len(per_client_f1)
-    records = []
-    for rnd in range(1, rounds + 1):
-        for c in range(n):
-            records.append(
-                MetricsRecord(
-                    round=rnd,
-                    client=c,
-                    f1=per_client_f1[c] if rnd == rounds else 0.1,
-                    bytes_sent=100 * rnd,
-                    bytes_received=100 * rnd,
-                    action="train_local",
-                    samples_trained=50,
-                    models_aggregated=4,
-                )
-            )
+    shape = (rounds, n)
+    f1 = np.full(shape, 0.1)
+    f1[-1] = per_client_f1
+    traffic = np.repeat(100 * np.arange(1, rounds + 1), n).reshape(shape)
     return metrics.RunResult(
         method="fedavg",
         rounds=rounds,
-        param_count=10,
-        records=records,
+        param_count=param_count,
+        f1=f1,
+        bytes_sent=traffic,
+        bytes_received=traffic.copy(),
+        actions=np.broadcast_to(np.asarray(actions, dtype=object), shape).copy(),
+        samples_trained=np.broadcast_to(samples_trained, shape).copy(),
+        models_aggregated=np.broadcast_to(models_aggregated, shape).copy(),
         bytes_by_kind={k: 0 for k in netsim.MessageKind},
         message_counts={k: 0 for k in netsim.MessageKind},
         topology=netsim.full_topology(n),
         final_models_sha256="",
     )
+
+
+def _summary(result, **coeffs):
+    """build_summary of result under a fedavg config with the given energy keys (c_train, ...)."""
+    n = result.topology.num_clients
+    cfg = cli.ExperimentConfig(method="fedavg", dataset="synthetic", num_clients=n, seed=0, **coeffs)
+    return cli.build_summary(cfg, result)
 
 
 class TestFederationSummary:
@@ -202,12 +204,7 @@ class TestFederationSummary:
         mean, std, per = metrics.federation_summary(_result([0.8, 1.0]))
         assert mean == pytest.approx(0.9, abs=1e-12)
         assert std == pytest.approx(0.1, abs=1e-12)  # population std
-
-    def test_missing_final_round_record_rejected(self):
-        res = _result([0.5, 0.6, 0.7])
-        res.records = [r for r in res.records if (r.round, r.client) != (res.rounds, 1)]
-        with pytest.raises(MetricError):
-            metrics.federation_summary(res)
+        assert per == [0.8, 1.0]
 
     def test_order_invariance(self):
         a = metrics.federation_summary(_result([0.2, 0.5, 0.9]))
@@ -217,26 +214,56 @@ class TestFederationSummary:
 
 class TestEnergy:
     def test_zero_coefficients(self):
-        report = metrics.energy(_result([0.5, 0.5]), EnergyCoeffs(0.0, 0.0, 0.0))
-        assert report.total == 0.0
+        phases = metrics.energy(_result([0.5, 0.5]), EnergyCoeffs(0.0, 0.0, 0.0))
+        assert not any(e.any() for e in phases)
 
     def test_linearity_per_phase(self):
         res = _result([0.5, 0.5])
         base = metrics.energy(res, EnergyCoeffs(1e-7, 1e-10, 1e-10))
         double_comm = metrics.energy(res, EnergyCoeffs(1e-7, 1e-10, 2e-10))
-        assert double_comm.comm == pytest.approx(2 * base.comm)
-        assert double_comm.train == base.train
-        assert double_comm.agg == base.agg
+        np.testing.assert_array_equal(double_comm[2], 2 * base[2])
+        np.testing.assert_array_equal(double_comm[0], base[0])
+        np.testing.assert_array_equal(double_comm[1], base[1])
+
+    def test_each_record_is_priced_with_its_operands_in_order(self):
+        # (0.1 * 3) * 3 and 0.1 * (3 * 3) are different floats, so the
+        # aggregation price pins its operand order: (c_agg * P) * models
+        res = _result([0.5, 0.5], samples_trained=[[7, 0], [3, 5]], models_aggregated=[[3, 1], [0, 2]],
+                      rounds=2, param_count=3)
+        coeffs = EnergyCoeffs(0.1, 0.1, 0.3)
+        assert (0.1 * 3) * 3 != 0.1 * (3 * 3)
+        e_train, e_agg, e_comm = metrics.energy(res, coeffs)
+        for r in range(2):
+            for c in range(2):
+                assert e_train[r, c] == 0.1 * int(res.samples_trained[r, c])
+                assert e_agg[r, c] == 0.1 * 3 * int(res.models_aggregated[r, c])
+                assert e_comm[r, c] == 0.3 * int(res.bytes_sent[r, c])
+
+    def test_energy_totals_are_running_sums_in_record_order(self):
+        # a running sum of these, a pairwise sum (numpy's reductions) and a
+        # compensated one (math.fsum, builtin sum() from Python 3.12) are
+        # 2**53, 2**53 + 14 and 2**53 + 16: 2**53 + 1 rounds back to 2**53
+        samples = np.array([2**53] + [1] * 15).reshape(4, 4)
+        res = _result([0.5] * 4, rounds=4, samples_trained=samples, models_aggregated=0)
+        summary = _summary(res, c_train=1.0)
+        column = [line.split(",")[6] for line in cli._csv_lines(res, EnergyCoeffs(1.0, 1e-10, 1e-10))[1:]]
+        running = 0.0
+        for value in column:
+            running += float(value)
+        assert running == 2.0**53
+        assert summary["energy_kwh"]["train"] == running
+        assert summary["energy_kwh"]["total"] == running + summary["energy_kwh"]["agg"] + summary["energy_kwh"]["comm"]
 
     def test_skip_round_contributes_no_training_energy(self):
         data, shards, topo, spec = small_problem(seed=3)
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = protocol.SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
         res = protocol.run_svote(cfg, spec, hp, topo, shards, 3)
-        coeffs = EnergyCoeffs()
-        skip_records = [r for r in res.records if r.action == "skip"]
-        assert skip_records
-        assert all(coeffs.c_train * r.samples_trained == 0.0 for r in skip_records)
+        skipped = res.actions == "skip"
+        assert skipped.any()
+        e_train = metrics.energy(res, EnergyCoeffs())[0]
+        assert not e_train[skipped].any()
+        assert e_train[~skipped].all()
 
     def test_invalid_coeffs_rejected(self):
         with pytest.raises(Exception):
@@ -259,28 +286,21 @@ class TestWorkUnits:
         from svote.netsim import full_topology
 
         res = protocol.run_baseline("fedavg", spec, HyperParams(lr=0.1), full_topology(4), same, 5, rounds=4)
-        units = metrics.work_units(res)
-        assert len(set(units.values())) == 1
+        units = _summary(res)["work_units_per_client"]
+        assert len(set(units)) == 1
 
     def test_skipper_has_fewer_units(self):
-        # same shard size, same aggregation counts; client 1 skips two rounds
-        records = []
-        for rnd in range(1, 6):
-            records.append(MetricsRecord(rnd, 0, 0.5, 10, 10, "train_local", 100, 3))
-            skipped = rnd in (2, 4)
-            records.append(
-                MetricsRecord(rnd, 1, 0.5, 10, 10, "skip" if skipped else "train_local",
-                              0 if skipped else 100, 3)
-            )
-        no_traffic = {k: 0 for k in netsim.MessageKind}
-        res = metrics.RunResult("svote", 5, 10, records, no_traffic, no_traffic, netsim.full_topology(2), "")
-        units = metrics.work_units(res)
-        assert units[1] < units[0]
+        # same shard size, same aggregation counts; client 1 skips rounds 2 and 4
+        skipped = np.array([[False, rnd in (2, 4)] for rnd in range(1, 6)])
+        res = _result([0.5, 0.5], rounds=5, samples_trained=np.where(skipped, 0, 100), models_aggregated=3,
+                      actions=np.where(skipped, "skip", "train_local"))
+        units = _summary(res)["work_units_per_client"]
+        assert units == [5 * 103, 3 * 103 + 2 * 3]
 
     def test_units_reproducible(self):
         data, shards, topo, spec = small_problem(seed=6)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         cfg = protocol.SVoteConfig(total_rounds=10, t_init=2, n_diverge=1)
-        a = metrics.work_units(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
-        b = metrics.work_units(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
-        assert a == b
+        a = _summary(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
+        b = _summary(protocol.run_svote(cfg, spec, hp, topo, shards, 8))
+        assert a["work_units_per_client"] == b["work_units_per_client"]

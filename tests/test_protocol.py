@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
-from svote import learner, metrics, netsim, protocol
+from svote import cli, learner, metrics, netsim, protocol
 from svote.errors import ConfigError, ProtocolError
 from svote.kernels import DTYPE
 from svote.learner import MLP, HyperParams, ModelSpec
@@ -529,15 +529,23 @@ def _recorded_svote_run(cfg, topo, seed, epochs):
     return res, spec, selections, gates, updates, [train.labels.shape[0] * epochs for train, _ in shards]
 
 
+def _columns(res):
+    """The six rounds x n columns of a run's result."""
+    return (res.f1, res.bytes_sent, res.bytes_received, res.actions, res.samples_trained, res.models_aggregated)
+
+
+def _degrees(topo):
+    return np.array([topo.degree(cid) for cid in range(topo.num_clients)])
+
+
 def _assert_work_units(res, per_pass):
     """A skipper trains nothing, any other client one pass; work units = samples trained + models aggregated."""
-    for rec in res.records:
-        assert rec.samples_trained == (0 if rec.action == Action.SKIP.value else per_pass[rec.client])
-        assert rec.work_units == rec.samples_trained + rec.models_aggregated
-    totals = metrics.work_units(res)
-    for cid in range(res.topology.num_clients):
-        rows = [r for r in res.records if r.client == cid]
-        assert totals[cid] == sum(r.samples_trained + r.models_aggregated for r in rows)
+    assert all(column.shape == (res.rounds, res.topology.num_clients) for column in _columns(res))
+    skipped = res.actions == Action.SKIP.value
+    np.testing.assert_array_equal(res.samples_trained, np.where(skipped, 0, per_pass))
+    # metrics.csv lists the records round-major and prints each one's work units last
+    units = [int(line.rsplit(",", 1)[1]) for line in cli._csv_lines(res, metrics.EnergyCoeffs())[1:]]
+    assert units == (res.samples_trained + res.models_aggregated).ravel().tolist()
 
 
 class TestEngines:
@@ -550,13 +558,12 @@ class TestEngines:
         res = run_baseline(kind, spec, hp, topo, shards, seed, rounds=rounds)
         payload_vectors = 2 if kind == protocol.SCAFFOLD else 1
         size = netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * payload_vectors * spec.param_count
-        assert len(res.records) == rounds * topo.num_clients
-        for rec in res.records:
-            degree = topo.degree(rec.client)
-            assert rec.action == Action.TRAIN_LOCAL.value
-            assert rec.models_aggregated == degree + 1
-            assert rec.samples_trained == shards[rec.client][0].labels.shape[0] * epochs
-            assert rec.bytes_sent == degree * size
+        degrees = _degrees(topo)
+        assert all(column.shape == (rounds, topo.num_clients) for column in _columns(res))
+        assert (res.actions == Action.TRAIN_LOCAL.value).all()
+        assert (res.models_aggregated == degrees + 1).all()
+        assert (res.samples_trained == [train.labels.shape[0] * epochs for train, _ in shards]).all()
+        assert (res.bytes_sent == degrees * size).all()
         assert res.bytes_by_kind[MessageKind.VOTE] == 0
         assert res.bytes_by_kind[MessageKind.NO_UPDATE] == 0
 
@@ -580,22 +587,23 @@ class TestEngines:
             assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
             assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
         gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
-        for rec in res.records:
-            degree = topo.degree(rec.client)
-            if rec.round <= cfg.t_init:
-                assert rec.action == Action.TRAIN_LOCAL.value
-                assert (rec.bytes_sent, rec.models_aggregated) == (degree * update, degree + 1)
-            elif rec.round < cfg.selection_round:
-                assert (rec.bytes_sent, rec.bytes_received, rec.models_aggregated) == (0, 0, 0)
+        degrees = _degrees(topo)
+        for rnd, sent, received, actions, aggregated in zip(
+            range(1, cfg.total_rounds + 1), res.bytes_sent, res.bytes_received, res.actions, res.models_aggregated
+        ):
+            if rnd <= cfg.t_init:
+                assert (actions == Action.TRAIN_LOCAL.value).all()
+                assert (sent == degrees * update).all() and (aggregated == degrees + 1).all()
+            elif rnd < cfg.selection_round:
+                assert not sent.any() and not received.any() and not aggregated.any()
             else:
-                assert rec.action == gate_actions.get((rec.round, rec.client), Action.TRAIN_LOCAL.value)
-                selected = selections[(rec.round, rec.client)]
-                assert rec.models_aggregated == 1 + len(selected)
-                size = notice if suppress and rec.action == Action.SKIP.value else update
-                assert rec.bytes_sent == degree * size + notice * len(selected)
-        for rnd in range(1, cfg.total_rounds + 1):
-            rows = [r for r in res.records if r.round == rnd]
-            assert sum(r.bytes_sent for r in rows) == sum(r.bytes_received for r in rows)
+                for cid in range(n):
+                    assert actions[cid] == gate_actions.get((rnd, cid), Action.TRAIN_LOCAL.value)
+                    selected = selections[(rnd, cid)]
+                    assert aggregated[cid] == 1 + len(selected)
+                    size = notice if suppress and actions[cid] == Action.SKIP.value else update
+                    assert sent[cid] == degrees[cid] * size + notice * len(selected)
+            assert sent.sum() == received.sum()
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
            st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
@@ -620,20 +628,23 @@ class TestEngines:
             assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
             assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
         gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
-        for rec in res.records:
-            degree = topo.degree(rec.client)
-            if rec.round <= cfg.t_init:
-                assert (rec.bytes_sent, rec.models_aggregated) == (degree * update, degree + 1)
-            elif rec.round < cfg.selection_round:
-                assert (rec.bytes_sent, rec.bytes_received, rec.models_aggregated) == (0, 0, 0)
-            elif rec.round == cfg.selection_round:
-                assert rec.models_aggregated == 1 + len(frozen[rec.client])
-                assert rec.bytes_sent == degree * update + notice * len(frozen[rec.client])
+        degrees = _degrees(topo)
+        for rnd, sent, received, actions, aggregated in zip(
+            range(1, cfg.total_rounds + 1), res.bytes_sent, res.bytes_received, res.actions, res.models_aggregated
+        ):
+            if rnd <= cfg.t_init:
+                assert (sent == degrees * update).all() and (aggregated == degrees + 1).all()
+            elif rnd < cfg.selection_round:
+                assert not sent.any() and not received.any() and not aggregated.any()
+            elif rnd == cfg.selection_round:
+                assert aggregated.tolist() == [1 + len(frozen[cid]) for cid in range(n)]
+                assert sent.tolist() == [degrees[cid] * update + notice * len(frozen[cid]) for cid in range(n)]
             else:
-                assert rec.action == gate_actions[(rec.round, rec.client)]
-                assert rec.models_aggregated == 1 + len(frozen[rec.client] & updates[rec.round])
-                size = notice if suppress and rec.action == Action.SKIP.value else update
-                assert rec.bytes_sent == degree * size
+                for cid in range(n):
+                    assert actions[cid] == gate_actions[(rnd, cid)]
+                    assert aggregated[cid] == 1 + len(frozen[cid] & updates[rnd])
+                    size = notice if suppress and actions[cid] == Action.SKIP.value else update
+                    assert sent[cid] == degrees[cid] * size
         sent, received = traffic_totals(res)
         assert sent == received
 
@@ -694,18 +705,17 @@ class TestEngines:
         for a, b in zip(models, looped_models):
             assert a.tobytes() == b.tobytes()
         assert result.final_models_sha256 == looped_result.final_models_sha256
-        assert result.records == looped_result.records
+        for column, looped_column in zip(_columns(result), _columns(looped_result)):
+            np.testing.assert_array_equal(column, looped_column)
 
     def test_diverge_rounds_have_zero_traffic(self):
         data, shards, topo, spec = small_problem()
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=10, t_init=3, n_diverge=3)
         res = run_svote(cfg, spec, hp, topo, shards, 7)
-        for rec in res.records:
-            if 3 < rec.round <= 6:
-                assert rec.bytes_sent == 0 and rec.bytes_received == 0
-            else:
-                assert rec.bytes_sent > 0
+        diverging = slice(3, 6)  # rounds 4 to 6
+        assert not res.bytes_sent[diverging].any() and not res.bytes_received[diverging].any()
+        assert (np.delete(res.bytes_sent, diverging, axis=0) > 0).all()
 
     def test_same_seed_reproduces_records(self):
         data, shards, topo, spec = small_problem()
@@ -713,7 +723,8 @@ class TestEngines:
         cfg = SVoteConfig(total_rounds=9, t_init=2, n_diverge=1)
         a = run_svote(cfg, spec, hp, topo, shards, 3)
         b = run_svote(cfg, spec, hp, topo, shards, 3)
-        assert a.records == b.records
+        for column_a, column_b in zip(_columns(a), _columns(b)):
+            np.testing.assert_array_equal(column_a, column_b)
         assert (a.bytes_by_kind, a.message_counts) == (b.bytes_by_kind, b.message_counts)
 
     def test_fedprox_mu_zero_matches_fedavg(self):
@@ -806,11 +817,9 @@ class TestEngines:
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=10, t_init=2, n_diverge=2)
         res = run_svote(cfg, spec, hp, topo, shards, 4)
-        for rec in res.records:
-            if 2 < rec.round <= 4:  # divergence rounds do not aggregate
-                assert rec.models_aggregated == 0
-            else:
-                assert rec.models_aggregated >= 1
+        diverging = slice(2, 4)  # rounds 3 and 4 do not aggregate
+        assert not res.models_aggregated[diverging].any()
+        assert (np.delete(res.models_aggregated, diverging, axis=0) >= 1).all()
 
     def test_vote_symmetry_with_identical_models(self):
         # identical models -> unit similarity -> everyone selects all peers
@@ -838,7 +847,7 @@ class TestEngines:
             netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * spec.param_count
         )
         trained = {
-            rnd: all(r.action != Action.SKIP.value for r in res.records if r.round == rnd)
+            rnd: (res.actions[rnd - 1] != Action.SKIP.value).all()
             for rnd in range(cfg.selection_round + 1, cfg.total_rounds + 1)
         }
         saw_skip_round = False
@@ -859,12 +868,9 @@ class TestEngines:
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
-        skips = {c: 0 for c in range(res.topology.num_clients)}
-        for rec in res.records:
-            if rec.action == Action.SKIP.value:
-                skips[rec.client] += 1
-                assert rec.samples_trained == 0
-        assert sum(skips.values()) > 0
+        skipped = res.actions == Action.SKIP.value
+        assert skipped.any()
+        assert not res.samples_trained[skipped].any()
 
     def test_refresh_off_freezes_selection_and_votes(self, round_kind_bytes):
         data, shards, topo, spec = small_problem(seed=3)
@@ -889,8 +895,8 @@ class TestEngines:
         cfg = SVoteConfig(total_rounds=12, t_init=3, n_diverge=1,
                           refresh_selection=False, v_min_fixed=0)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
-        gated = [r for r in res.records if r.round > cfg.selection_round]
-        assert gated and all(r.action == Action.TRAIN_LOCAL.value for r in gated)
+        gated = res.actions[cfg.selection_round :]
+        assert gated.size and (gated == Action.TRAIN_LOCAL.value).all()
 
     def test_mlp_engine_run(self):
         data, shards, topo, _ = small_problem(seed=8)
@@ -900,7 +906,7 @@ class TestEngines:
         with evaluated_models() as models:
             res = run_svote(cfg, spec, hp, topo, shards, 8)
         assert res.param_count == spec.param_count
-        assert all(0.0 <= r.f1 <= 1.0 for r in res.records)
+        assert ((0.0 <= res.f1) & (res.f1 <= 1.0)).all()
         assert all(np.all(np.isfinite(w)) for w in models)
 
     def test_two_client_federation_always_trains(self):
@@ -910,17 +916,16 @@ class TestEngines:
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=8, t_init=2, n_diverge=1)
         res = run_svote(cfg, spec, hp, topo, shards[:2], 5)
-        assert all(r.action == Action.TRAIN_LOCAL.value for r in res.records)
-        gated = [r for r in res.records if r.round > cfg.selection_round]
-        assert gated and all(r.models_aggregated == 2 for r in gated)
+        assert (res.actions == Action.TRAIN_LOCAL.value).all()
+        gated = res.models_aggregated[cfg.selection_round :]
+        assert gated.size and (gated == 2).all()
 
     def test_unreachable_vote_floor_leans_on_escalation(self):
         data, shards, topo, spec = small_problem(seed=9)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=20, t_init=2, n_diverge=1, v_min_fixed=100)
         res = run_svote(cfg, spec, hp, topo, shards, 9)
-        gated = [r for r in res.records if r.round > cfg.selection_round]
-        actions = {r.action for r in gated}
+        actions = set(res.actions[cfg.selection_round :].ravel().tolist())
         assert Action.TRAIN_LOCAL.value not in actions  # floor unreachable
         assert Action.TRAIN_RANDOM.value in actions  # escalation rescues clients
 
