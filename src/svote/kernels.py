@@ -5,17 +5,18 @@ lockstep step: each model trains on one batch of its own, and `runs` lists
 the step's runs (a, b, size), models a..b-1 whose batches all have that
 size, in model order from model 0 (see the layout note below). A single
 model on one batch is the step of one run, ((0, 1, n),). Every kernel writes
-its gradients into the caller's arrays (views into one flat gradient buffer)
-and allocates nothing of their size. The kernels run in the dtype of their
+its gradients into the caller's arrays (views into one gradient matrix) and
+allocates nothing of their size. The kernels run in the dtype of their
 arrays. A float32 softmax rounds a label probability to 0 at a logit gap of
 about 104, where a float64 one holds out to about 745, so a non-finite loss
-is judged again in float64 from that model's own rows and weights: a
-float32 model's loss turns infinite only where a float64 softmax's would.
-Labels must lie in [0, c): the label gather is not bounds-checked, so
-callers check their labels once per pass. On desk-scale batches (32 x 6
-logits) each numpy call costs more than its arithmetic, so reductions call
-the ufunc's `reduce` directly: `np.sum`, `ndarray.sum` and `ndarray.mean`
-run the same reduction behind 2-4 us of wrapper each.
+is judged again in float64 from that model's own rows and weights, and a
+loss still non-finite then raises ProtocolError: a float32 model diverges
+only where a float64 softmax would. Labels must lie in [0, c): the label
+gather is not bounds-checked, so callers check their labels once per pass.
+On desk-scale batches (32 x 6 logits) each numpy call costs more than its
+arithmetic, so reductions call the ufunc's `reduce` directly: `np.sum`,
+`ndarray.sum` and `ndarray.mean` run the same reduction behind 2-4 us of
+wrapper each.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ProtocolError
 
 # The float type of the whole data plane: features, models, gradients and
 # control variates. The wire format prices a parameter at its itemsize
@@ -98,7 +101,8 @@ def all_finite(losses) -> bool:
 def _judged(losses, runs, y, logits):
     """The losses, with each non-finite one judged again in float64 from its model's logits.
 
-    logits(i, rows) computes model i's logits on its rows of the step.
+    logits(i, rows) computes model i's logits on its rows of the step. A
+    loss that is non-finite in float64 too raises ProtocolError.
     """
     losses = losses.astype(np.float64)
     r0 = 0
@@ -107,23 +111,24 @@ def _judged(losses, runs, y, logits):
             rows = slice(r0, r0 + size)
             if not math.isfinite(losses[i]):
                 losses[i] = _float64_loss(logits(i, rows), y[rows])
+                if not math.isfinite(losses[i]):
+                    raise ProtocolError("non-finite loss: model diverged")
             r0 += size
     return losses
 
 
 # A step is held run after run, and within a run model after model: the
 # features X are (N, d), the `size` rows of each model of a run in turn, and
-# the step's logits are laid out the same way. The parameters of the group's
-# k models are held client-major: a weight matrix of shape (r, s) per model
-# is one (k * r, s) block and a bias vector of length s one (k, s) block; the
-# step's runs cover its first models, and the others are left untouched. A
-# run of m > 1 models views its rows and its models' rows of each block as
-# (m, rows, cols) and transposes the last two axes: numpy's stacked matmul
-# runs the same BLAS call on each model's slice that a single model's 2-D
-# product runs. A run of one model uses its 2-D slices as they are, the same
-# arithmetic without the cost of numpy's stacked loops. Per run go the work
-# that needs one batch size: the matmuls, the bias adds, each model's loss
-# reduction and the bias-gradient reductions, and the MLP's tanh and its
+# the step's logits are laid out the same way. Each parameter of the group's
+# k models is a (k, rows, cols) view of their k x P matrix, a bias one row;
+# the step's runs cover its first models, and the others are left untouched.
+# A run of m > 1 models views its rows as (m, size, cols), takes its models'
+# (m, rows, cols) slices and transposes the last two axes: numpy's stacked
+# matmul runs the same BLAS call on each model's matrices that a single
+# model's 2-D product runs. A run of one model takes its 2-D matrices, the
+# same arithmetic without the cost of numpy's stacked loops. Per run go the
+# work that needs one batch size: the matmuls, the bias adds, each model's
+# loss reduction and the bias-gradient reductions, and the MLP's tanh and its
 # derivative, on the hidden activations its first matmul allocates. The
 # softmax and the label work run once over all the step's rows: the label
 # offsets, log, the label write-back and the divide by each row's batch size.
@@ -131,21 +136,20 @@ def _judged(losses, runs, y, logits):
 # model's loss and gradient are bit-equal to a step of that model alone.
 
 
-def _cuts(runs, k, rows, blocks, per_model):
-    """Per run, each step-row array of rows cut to the run's rows and each block of k models' parameters to its models.
+def _cuts(runs, rows, params):
+    """Per run, each step-row array of rows cut to the run's rows and each (k, rows, cols) parameter to its models.
 
-    per_model holds each block's rows per model. A run of m > 1 models gets
-    (m, rows, cols) views, a run of one 2-D slices; a step of one run uses
-    the step-row arrays whole, and a run of the whole group the blocks whole.
+    A run of m > 1 models gets 3-D views, a run of one 2-D ones.
     """
     cuts, r0 = [], 0
     for a, b, size in runs:
         m = b - a
         r1 = r0 + m * size
         cut = [*rows] if len(runs) == 1 else [arr[r0:r1] for arr in rows]
-        cut += blocks if m == k else [blk[a * r : b * r] for blk, r in zip(blocks, per_model)]
         if m > 1:
-            cut = [part.reshape(m, -1, part.shape[1]) for part in cut]
+            cut = [arr.reshape(m, size, arr.shape[1]) for arr in cut] + [p[a:b] for p in params]
+        else:
+            cut += [p[a] for p in params]
         cuts.append(cut)
         r0 = r1
     return cuts
@@ -154,18 +158,18 @@ def _cuts(runs, k, rows, blocks, per_model):
 def softmax_loss_grad(X, y, W, b, gW, gb, runs):
     """Mean cross-entropy of softmax(X@W + b) against labels y, per model of a lockstep step.
 
-    Writes dL/dW into gW and dL/db into gb for the models of runs, with no
-    temporary of their size; returns their losses.
+    W and gW are (k, d, c), b and gb (k, 1, c). Writes dL/dW into gW and
+    dL/db into gb for the models of runs, with no temporary of their size;
+    returns their losses.
     """
-    (k, c), d = b.shape, X.shape[1]
-    z = np.empty((X.shape[0], c), X.dtype)
-    cuts = _cuts(runs, k, (X, z), (W, b, gW, gb), (d, 1, d, 1))
+    z = np.empty((X.shape[0], b.shape[-1]), X.dtype)
+    cuts = _cuts(runs, (X, z), (W, b, gW, gb))
     for Xr, zr, Wr, br, _, _ in cuts:
         np.matmul(Xr, Wr, out=zr)
         zr += br
     losses = _losses_and_delta(_softmax_in_place(z), y, runs)
     if not all_finite(losses):
-        losses = _judged(losses, runs, y, lambda i, rows: X[rows] @ W[i * d : (i + 1) * d] + b[i])
+        losses = _judged(losses, runs, y, lambda i, rows: X[rows] @ W[i] + b[i])
     # z now holds dL/dz
     for Xr, zr, _, _, gWr, gbr in cuts:
         np.matmul(Xr.swapaxes(-1, -2), zr, out=gWr)
@@ -175,9 +179,8 @@ def softmax_loss_grad(X, y, W, b, gW, gb, runs):
 
 def mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2, runs):
     """Same contract for the one-hidden-layer tanh MLP."""
-    (k, h), c, d = b1.shape, b2.shape[1], X.shape[1]
-    z = np.empty((X.shape[0], c), X.dtype)
-    cuts = _cuts(runs, k, (X, z), (W1, b1, W2, b2, gW1, gb1, gW2, gb2), (d, 1, h, 1, d, 1, h, 1))
+    z = np.empty((X.shape[0], b2.shape[-1]), X.dtype)
+    cuts = _cuts(runs, (X, z), (W1, b1, W2, b2, gW1, gb1, gW2, gb2))
     # each run's hidden activations, tanh(X W1 + b1)
     hidden = []
     for Xr, zr, W1r, b1r, W2r, b2r, _, _, _, _ in cuts:
@@ -189,10 +192,7 @@ def mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2, runs):
         zr += b2r
     losses = _losses_and_delta(_softmax_in_place(z), y, runs)
     if not all_finite(losses):
-        def logits(i, rows):
-            return np.tanh(X[rows] @ W1[i * d : (i + 1) * d] + b1[i]) @ W2[i * h : (i + 1) * h] + b2[i]
-
-        losses = _judged(losses, runs, y, logits)
+        losses = _judged(losses, runs, y, lambda i, rows: np.tanh(X[rows] @ W1[i] + b1[i]) @ W2[i] + b2[i])
     # z now holds dL/dz
     for (Xr, zr, _, _, W2r, _, gW1r, gb1r, gW2r, gb2r), H in zip(cuts, hidden):
         np.matmul(H.swapaxes(-1, -2), zr, out=gW2r)

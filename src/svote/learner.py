@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 
 SOFTMAX = "softmax"
 MLP = "mlp"
@@ -75,35 +75,23 @@ class HyperParams:
 
 @functools.cache
 def _layout(spec: ModelSpec):
-    """(start, stop, shape, rows) of each weight matrix and bias vector of one model, in flat-vector order.
-
-    rows is the parameter's row count in the kernels' layout: a bias vector is one row.
-    """
+    """(start, stop, rows, cols) of each weight matrix and bias of one model, in flat-vector order; a bias is one row."""
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    shapes = ((d, c), (c,)) if spec.kind == SOFTMAX else ((d, h), (h,), (h, c), (c,))
+    shapes = ((d, c), (1, c)) if spec.kind == SOFTMAX else ((d, h), (1, h), (h, c), (1, c))
     layout, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        layout.append((at, at + size, shape, shape[0] if len(shape) == 2 else 1))
-        at += size
+    for rows, cols in shapes:
+        layout.append((at, at + rows * cols, rows, cols))
+        at += rows * cols
     return tuple(layout)
 
 
 def _views(w: np.ndarray, spec: ModelSpec):
-    """Split a flat parameter vector into weight/bias views (no copies)."""
-    return tuple(w[start:stop].reshape(shape) for start, stop, shape, _ in _layout(spec))
+    """Each parameter of a flat model as a (rows, cols) view, or of a k x P matrix of models as a (k, rows, cols) view.
 
-
-def _blocks(flat: np.ndarray, spec: ModelSpec, k: int):
-    """The kernel blocks of k models held block-major in one flat buffer (no copies).
-
-    Block j holds parameter j of every model, model after model, as one
-    (k * rows, cols) matrix (see `kernels`), at k times the parameter's
-    offsets in one model. For k = 1 the buffer is one flat parameter vector.
+    Each view splits w's last axis, which numpy can always do without a
+    copy, so writes through it land in w.
     """
-    return tuple(
-        [flat[k * start : k * stop].reshape(k * rows, shape[-1]) for start, stop, shape, rows in _layout(spec)]
-    )
+    return tuple(w[..., start:stop].reshape(*w.shape[:-1], rows, cols) for start, stop, rows, cols in _layout(spec))
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -130,15 +118,6 @@ def _labels_outside(y: np.ndarray, num_classes: int) -> bool:
     return y.size > 0 and np.maximum.reduce(y.view(np.uint64)) >= num_classes
 
 
-def _kernel_losses(spec: ModelSpec, X, y, w_blocks, grad_blocks, runs) -> np.ndarray:
-    """The kernel's losses of the models of a step whose batches were checked; raises on any non-finite one."""
-    kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
-    losses = kernel(X, y, *w_blocks, *grad_blocks, runs)
-    if not kernels.all_finite(losses):
-        raise ProtocolError("non-finite loss: model diverged")
-    return losses
-
-
 def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None, runs=None):
     """Mean cross-entropy over the batch and its gradient w.r.t. w.
 
@@ -146,17 +125,20 @@ def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None, r
     cast to it. The gradient is written into `grad` when given (a vector of
     w's length and dtype that does not overlap w) and returned; otherwise
     into a new array. A label outside [0, num_classes) raises ConfigError. A
-    non-finite loss raises ProtocolError; a float32 label probability that
-    rounds to 0 (numpy warns of a divide by zero in log) counts only if a
-    float64 softmax of the same logits rounds it to 0 too (see `kernels`).
+    non-finite loss raises ProtocolError (from the kernel); a float32 label
+    probability that rounds to 0 (numpy warns of a divide by zero in log)
+    counts only if a float64 softmax of the same logits rounds it to 0 too
+    (see `kernels`).
 
-    `local_train` calls it once per lockstep step with the group's kernel
-    blocks as w and grad (tuples, see `_blocks`), the step's batches, which
-    it has checked and cast once per pass, and the step's runs (see
-    `kernels`); it then returns only the losses of the step's models.
+    `local_train` calls it once per lockstep step with the (k, rows, cols)
+    views of the group's weights and gradient as w and grad (tuples, see
+    `_views`), the step's batches, which it has checked and cast once per
+    pass, and the step's runs (see `kernels`); it then returns only the
+    losses of the step's models.
     """
+    kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
     if isinstance(w, tuple):
-        return _kernel_losses(spec, X, y, w, grad, runs)
+        return kernel(X, y, *w, *grad, runs)
     if w.shape != (spec.param_count,):
         raise ConfigError(f"parameter vector has length {w.shape}, spec wants {spec.param_count}")
     _check_data(X, y, spec)
@@ -170,7 +152,7 @@ def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None, r
         grad = np.empty_like(w)
     elif grad.shape != w.shape or grad.dtype != w.dtype:
         raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
-    losses = _kernel_losses(spec, X, y, _blocks(w, spec, 1), _blocks(grad, spec, 1), ((0, 1, X.shape[0]),))
+    losses = kernel(X, y, *_views(w[None], spec), *_views(grad[None], spec), ((0, 1, X.shape[0]),))
     return float(losses[0]), grad
 
 
@@ -241,30 +223,9 @@ def predict_batch(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.argmax(logits(w, X, spec), axis=1)
 
 
-def _block_major(rows: np.ndarray, order: list[int], spec: ModelSpec, out: np.ndarray) -> np.ndarray:
-    """rows[order], one flat model per row, copied into out block-major (see `_blocks`); returns out."""
-    k = len(order)
-    if k == 1:  # one model's blocks are its flat vector: one copy, a third of the cost of the takes
-        out[...] = rows[order[0]]
-        return out
-    for start, stop, _, _ in _layout(spec):
-        np.take(rows[:, start:stop], order, axis=0, out=out[k * start : k * stop].reshape(k, -1), mode="clip")
-    return out
-
-
-def _row_major(flat: np.ndarray, order: list[int], spec: ModelSpec, out: np.ndarray) -> np.ndarray:
-    """The inverse of `_block_major`: model i of the block-major flat buffer copied into row order[i] of out."""
-    k = len(order)
-    for start, stop, _, _ in _layout(spec):
-        out[order, start:stop] = flat[k * start : k * stop].reshape(k, -1)
-    return out
-
-
-def _held(rows: np.ndarray, order: list[int], spec: ModelSpec) -> np.ndarray:
-    """rows[order] block-major, read-only: a view of the row of a group of one, else a copy."""
-    if len(order) == 1:
-        return rows[order[0]]
-    return _block_major(rows, order, spec, np.empty(rows.size, rows.dtype))
+def _held(rows: np.ndarray, order: list[int]) -> np.ndarray:
+    """rows[order], read-only: a view of the row of a group of one, else a copy."""
+    return rows[order[0], None] if len(order) == 1 else rows.take(order, axis=0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -337,16 +298,16 @@ def local_train(
     step count (one int, or a list of k).
 
     The group trains in lockstep: each step makes one kernel call, on one
-    gather of every training model's batch and the group's block-major
-    weights, with the step's runs of consecutive models (ordered by shard
-    size, largest first) whose batches have the same size; one elementwise
-    update then covers every model still training. Nothing is padded, and
+    gather of every training model's batch and the group's weights, with
+    the step's runs of consecutive models (ordered by shard size, largest
+    first) whose batches have the same size; one elementwise update then
+    covers every model still training. Nothing is padded, and
     each model's arithmetic is the same as if it trained alone. The batch
     checks and casts run once per pass, and a step's gathered batch is freed
     before the next step's gather. The model-sized buffers of a pass are a
-    block-major copy of w and a gradient (FedProx adds its direction and,
-    for k > 1, a copy of w_start; SCAFFOLD, for k > 1, copies of its
-    variates), k P floats each.
+    copy of w's rows in training order and a gradient, both k x P (FedProx
+    adds its direction and, for k > 1, a copy of w_start; SCAFFOLD, for
+    k > 1, copies of its variates), k P floats each.
     """
     single = w.ndim == 1
     models = w[None] if single else w
@@ -397,18 +358,15 @@ def local_train(
         shift += [begin for begin, _, _ in perm_at]
         shift += batch
         shift -= np.cumsum(batch, axis=1)
-        # where each block starts in the flat buffers, and its size per
-        # model, for the steps that update only the first models
-        block_at = [(k * start, stop - start) for start, stop, _, _ in _layout(spec)]
 
-    work = _block_major(models, order, spec, np.empty(k * P, models.dtype))
+    work = models.take(order, axis=0)
     grad = np.empty_like(work)
     buffers = [work, grad]
     if prox:
-        buffers += [_held(models, order, spec), np.empty_like(work)]  # w_start, direction
+        buffers += [_held(models, order), np.empty_like(work)]  # w_start, direction
     elif variates is not None:
-        buffers += [_held(v[None] if single else v, order, spec) for v in variates]
-    w_all, g_all = _blocks(work, spec, k), _blocks(grad, spec, k)
+        buffers += [_held(v[None] if single else v, order) for v in variates]
+    w_all, g_all = _views(work, spec), _views(grad, spec)
     lr, mu = hp.lr, hp.prox_mu
     # a float32 label probability may round to 0 on the way to a finite loss
     with np.errstate(divide="ignore"):
@@ -431,23 +389,19 @@ def local_train(
             del rows
             loss_and_grad(w_all, *batch_Xy, spec, g_all, runs)
             del batch_Xy
-            # one elementwise update of every model still training: the whole
-            # buffers, or the first `live` models of each block
-            if live == k:
-                parts = [buffers]
-            else:
-                parts = [[buf[start : start + live * size] for buf in buffers] for start, size in block_at]
-            for w_p, g_p, *rule in parts:
-                if prox:
-                    g_p = prox_grad(g_p, w_p, rule[0], mu, out=rule[1])
-                elif variates is not None:
-                    g_p = scaffold_grad(g_p, rule[0], rule[1], out=g_p)
-                sgd_step(w_p, g_p, lr)
+            # one elementwise update of the rows of every model still training
+            w_p, g_p, *rule = buffers if live == k else [buf[:live] for buf in buffers]
+            if prox:
+                g_p = prox_grad(g_p, w_p, rule[0], mu, out=rule[1])
+            elif variates is not None:
+                g_p = scaffold_grad(g_p, rule[0], rule[1], out=g_p)
+            sgd_step(w_p, g_p, lr)
 
     steps = [0] * k
     for i, n in zip(order, sizes):
         steps[i] = hp.local_epochs * -(-n // hp.batch_size)
-    trained = work if k == 1 else _row_major(work, order, spec, np.empty_like(models))
-    if single:
-        return trained, steps[0]
-    return trained.reshape(k, P), steps
+    trained = work
+    if k > 1:  # back to the caller's row order
+        trained = np.empty_like(work)
+        trained[order] = work
+    return (trained[0], steps[0]) if single else (trained, steps)

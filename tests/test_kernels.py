@@ -4,10 +4,12 @@ Each kernel call is checked as one run of k models and as a mixed lockstep step 
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svote import kernels
+from svote.errors import ProtocolError
 
 
 def test_active_backend_is_known():
@@ -113,14 +115,14 @@ _step = st.fixed_dictionaries(
 
 
 def _group(rng, p, k, shapes):
-    """k models' parameter blocks: (k * rows, cols) for a (rows, cols) matrix, (k, cols) for a (cols,) bias."""
-    sizes = [(k * s[0], s[1]) if len(s) == 2 else (k, s[0]) for s in shapes]
+    """k models' parameters: (k, rows, cols) for a (rows, cols) matrix, (k, 1, cols) for a (cols,) bias."""
+    sizes = [(k, *s) if len(s) == 2 else (k, 1, s[0]) for s in shapes]
     return [rng.normal(scale=p["scale"], size=size).astype(p["dtype"]) for size in sizes]
 
 
-def _slice(blocks, shapes, i):
-    """Model i's parameters, shaped as one model's: its rows of each stacked block."""
-    return [b[i * s[0] : (i + 1) * s[0]] if len(s) == 2 else b[i] for b, s in zip(blocks, shapes)]
+def _slice(params, shapes, i):
+    """Model i's parameters, shaped as one model's: index i of each stacked parameter, a bias as a vector."""
+    return [a[i] if len(s) == 2 else a[i, 0] for a, s in zip(params, shapes)]
 
 
 def _shapes(kind, p):
@@ -135,7 +137,8 @@ _REFERENCES = {"softmax": _ref_softmax_loss_grad, "mlp": _ref_mlp_loss_grad}
 def _check_step(kind, p, runs, idle=0):
     """Run one kernel call over the step's runs; every model's loss and gradients must equal its reference's bits.
 
-    The group holds `idle` more models than the runs cover; their gradients stay untouched.
+    The group holds `idle` more models than the runs cover; their gradients stay untouched. If a
+    reference loss is non-finite even in float64, the kernel must raise instead.
     """
     rng = np.random.default_rng(p["seed"])
     live = runs[-1][1]
@@ -146,16 +149,21 @@ def _check_step(kind, p, runs, idle=0):
     params = _group(rng, p, live + idle, shapes)
     grads = [np.full_like(a, np.nan) for a in params]
     with np.errstate(all="ignore"):
-        losses = _KERNELS[kind](X, y, *params, *grads, runs)
-        assert losses.shape == (live,)
-        r0 = 0
+        expected, r0 = [], 0
         for a, b, size in runs:
             for i in range(a, b):
                 at = slice(r0, r0 + size)
-                expected = _REFERENCES[kind](X[at], y[at], *_slice(params, shapes, i))
-                for got, want in zip((losses[i], *_slice(grads, shapes, i)), expected):
-                    assert _same_bits(got, want)
+                expected.append(_REFERENCES[kind](X[at], y[at], *_slice(params, shapes, i)))
                 r0 += size
+        if not all(np.isfinite(want[0]) for want in expected):
+            with pytest.raises(ProtocolError, match="non-finite loss: model diverged"):
+                _KERNELS[kind](X, y, *params, *grads, runs)
+            return
+        losses = _KERNELS[kind](X, y, *params, *grads, runs)
+    assert losses.shape == (live,)
+    for i, want in enumerate(expected):
+        for got, ref in zip((losses[i], *_slice(grads, shapes, i)), want):
+            assert _same_bits(got, ref)
     for i in range(live, live + idle):
         assert all(np.isnan(g).all() for g in _slice(grads, shapes, i))
 
@@ -194,7 +202,8 @@ def test_a_non_finite_loss_inside_a_mixed_step_is_judged_in_float64():
     rng = np.random.default_rng(p["seed"])
     X = rng.normal(size=(5 + 7 + 6, 3)).astype(np.float32)
     y = np.zeros(18, dtype=np.int64)
-    W, b = _group(rng, p, 4, _shapes("softmax", p))
+    shapes = _shapes("softmax", p)
+    W, b = _group(rng, p, 4, shapes)
     b[1] = [0.0, 300.0, 0.0, 0.0]  # class 1 beats the label 0 by 300
     gW, gb = np.empty_like(W), np.empty_like(b)
     with np.errstate(divide="ignore"):
@@ -202,6 +211,23 @@ def test_a_non_finite_loss_inside_a_mixed_step_is_judged_in_float64():
         single = np.empty(4, np.float64)
         for i, (r0, size) in enumerate([(0, 5), (5, 7), (12, 3), (15, 3)]):
             at = slice(r0, r0 + size)
-            single[i] = _ref_softmax_loss_grad(X[at], y[at], W[3 * i : 3 * (i + 1)], b[i])[0]
+            single[i] = _ref_softmax_loss_grad(X[at], y[at], *_slice([W, b], shapes, i))[0]
     assert np.isfinite(losses).all() and 295 < losses[1] < 305
     assert losses.dtype == np.float64 and losses.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_a_loss_non_finite_in_float64_too_raises_from_the_kernel(kind):
+    # model 1's output bias puts class 1 1,000 above the label 0: its label
+    # probability rounds to 0 in a float64 softmax as well, so the kernel
+    # itself stops the step
+    p = {"d": 3, "c": 4, "h": 2, "scale": 0.05, "seed": 3, "dtype": np.float32}
+    runs = ((0, 1, 5), (1, 3, 4))
+    rng = np.random.default_rng(p["seed"])
+    X = rng.normal(size=(5 + 8, 3)).astype(np.float32)
+    y = np.zeros(13, dtype=np.int64)
+    params = _group(rng, p, 3, _shapes(kind, p))
+    params[-1][1] = [0.0, 1000.0, 0.0, 0.0]
+    grads = [np.empty_like(a) for a in params]
+    with np.errstate(divide="ignore"), pytest.raises(ProtocolError, match="non-finite loss: model diverged"):
+        _KERNELS[kind](X, y, *params, *grads, runs)

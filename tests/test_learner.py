@@ -143,7 +143,7 @@ class TestDivergence:
         X, y = _batch(spec)
         y = np.zeros_like(y)
         w = np.zeros(spec.param_count)
-        b_out = learner._views(w, spec)[-1]
+        b_out = learner._views(w, spec)[-1][0]  # the 1 x c output bias row
         b_out[:] = 1e4
         b_out[0] = -1e4
         with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
@@ -156,7 +156,7 @@ class TestDivergence:
         X, y = _batch(spec)
         y = np.zeros_like(y)
         w = np.zeros(spec.param_count, DTYPE)
-        b_out = learner._views(w, spec)[-1]
+        b_out = learner._views(w, spec)[-1][0]  # the 1 x c output bias row
         b_out[:] = 100
         b_out[0] = -100
         with np.errstate(all="ignore"):
@@ -176,6 +176,24 @@ class TestDivergence:
         w = learner.init_params(spec, 3)
         with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
             learner.local_train(w, X, y, spec, hp, np.random.default_rng(0))
+
+
+class TestViews:
+    """`_views` must view, never copy: `reshape` copies silently when it cannot make a view."""
+
+    @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
+    @pytest.mark.parametrize("k", [None, 1, 3])  # None: one flat model
+    def test_writes_through_every_view_land_in_the_models(self, spec, k):
+        shape = (spec.param_count,) if k is None else (k, spec.param_count)
+        w = np.zeros(shape, DTYPE)
+        layout = learner._layout(spec)
+        for j, (view, (_, _, rows, cols)) in enumerate(zip(learner._views(w, spec), layout)):
+            assert view.shape == shape[:-1] + (rows, cols)
+            assert np.shares_memory(view, w)
+            view[...] = j + 1
+        # each parameter's entries, in every model, hold the value written through its view
+        want = np.concatenate([np.full(stop - start, j + 1, DTYPE) for j, (start, stop, _, _) in enumerate(layout)])
+        np.testing.assert_array_equal(w, np.broadcast_to(want, shape))
 
 
 class TestSgdStep:
@@ -272,7 +290,7 @@ class TestPredict:
     def test_dominant_logit_wins(self):
         spec = ModelSpec(learner.SOFTMAX, 4, 3)
         w = np.zeros(spec.param_count)
-        _, b = learner._views(w, spec)
+        b = learner._views(w, spec)[1][0]  # the 1 x c bias row
         b[2] = 5.0
         np.testing.assert_array_equal(learner.predict_batch(w, np.ones((3, 4)), spec), 2)
 
@@ -293,7 +311,7 @@ class TestPredict:
         w = rng.normal(size=spec.param_count)
         X = rng.normal(size=(20, 4))
         shifted = w.copy()
-        _, b = learner._views(shifted, spec)
+        b = learner._views(shifted, spec)[1][0]  # the 1 x c bias row
         b += delta
         np.testing.assert_array_equal(
             learner.predict_batch(w, X, spec), learner.predict_batch(shifted, X, spec)

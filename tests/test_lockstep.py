@@ -113,10 +113,11 @@ def test_dense_100_shaped_group_holds_its_batch_and_a_few_model_buffers():
     # one lockstep pass of 100 softmax models (P = 102) on 16-dim shards of
     # 60-400 samples, as dense-100 trains in one group. Above the inputs it
     # holds each model's epoch permutation (one index per training row), one
-    # step's gathered batches (k B d floats), the group's block-major weights
-    # and gradient (2 k P floats), two int64 (steps x k) matrices that locate
-    # each step's batches, and the step's batch-sized temporaries: logits and
-    # their transposed copy (2 k B c floats) and int64 label and label-offset
+    # step's gathered batches (k B d floats), the group's weights, copied
+    # into one k x P matrix in training order, and its gradient (2 k P
+    # floats), two int64 (steps x k) matrices that locate each step's
+    # batches, and the step's batch-sized temporaries: logits and their
+    # transposed copy (2 k B c floats) and int64 label and label-offset
     # vectors. Those measure 9.2 k P floats here, and the bound allows
     # 10 k P; one more copy of the batch would be 5 k P more.
     k, d, c, B = 100, 16, 6, 32
