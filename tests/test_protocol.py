@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine
 from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
 from svote import cli, learner, metrics, netsim, protocol
 from svote.errors import ConfigError, ProtocolError
@@ -938,3 +939,42 @@ class TestEngines:
         data, shards, topo, spec = small_problem()
         with pytest.raises(ProtocolError):
             run_baseline("fedavg", spec, HyperParams(), topo, shards[:-1], 1)
+
+
+class TestReferenceEngine:
+    """The round engine against the frozen per-message engine of tests/reference_engine.py (McKeeman 1998)."""
+
+    @given(_connected_topologies(max_clients=8), st.sampled_from((protocol.SVOTE, *protocol.BASELINES)),
+           st.booleans(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
+           st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 1, 2, 3]), st.booleans(),
+           st.booleans(), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_match_the_reference_engine_bitwise(self, topo, method, mlp, t_init, n_diverge, gated, tau, v_min,
+                                                     refresh, suppress, seed):
+        # v_min None is the "half" rule, ceil(degree / 2); gated rounds follow the selection round
+        n = topo.num_clients
+        _, shards, _, spec = small_problem(seed=seed, num_clients=n)
+        if mlp:
+            spec = ModelSpec(MLP, spec.input_dim, spec.num_classes, hidden_dim=6)
+        hp = HyperParams(lr=0.3, local_epochs=1, batch_size=16)
+        cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge, tau=tau,
+                          v_min_fixed=v_min, refresh_selection=refresh, suppress_nontrainer_updates=suppress)
+        rounds = cfg.total_rounds
+        with evaluated_models() as got:
+            if method == protocol.SVOTE:
+                result = run_svote(cfg, spec, hp, topo, shards, seed)
+            else:
+                result = run_baseline(method, spec, hp, topo, shards, seed, rounds=rounds)
+                cfg = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)  # run_baseline's schedule
+        with evaluated_models() as want:
+            expected = reference_engine._run(method, cfg, rounds, spec, hp, topo, shards, seed)
+        assert len(got) == len(want) == rounds * n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == DTYPE and a.tobytes() == b.tobytes()
+        for column, expected_column in zip(_columns(result), _columns(expected)):
+            assert column.dtype == expected_column.dtype
+            np.testing.assert_array_equal(column, expected_column)
+        assert result.bytes_by_kind == expected.bytes_by_kind
+        assert result.message_counts == expected.message_counts
+        assert all(type(v) is int for v in (*result.bytes_by_kind.values(), *result.message_counts.values()))
+        assert result.final_models_sha256 == expected.final_models_sha256
