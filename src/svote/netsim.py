@@ -1,31 +1,36 @@
-"""Topologies, deterministic message delivery, byte-exact traffic accounting.
+"""Topologies, phase-synchronous message delivery, byte-exact traffic accounting.
 
 Synchronous-round model: messages sent during a phase are invisible until the
-next phase boundary (bus.flush). One message names all of its receivers (a
-broadcast is one message to every neighbor); delivery order is canonical,
-sorted by sender, so every inbox is in (sender, send) order and replaying a
-seed reproduces the ledger bit-exactly.
+next phase boundary (bus.flush). A message is every copy of one kind that a
+phase sends, as one n x n boolean routes matrix, sender by receiver: a
+broadcast from a set of senders is their rows of the adjacency matrix, and a
+vote message is the selection mask. Delivery adds each message's routes into
+its kind's sender x receiver count matrix, so a receiver's arrivals are a
+column of it, in sender order, and replaying a seed reproduces the ledger
+bit-exactly.
 
 A message carries its kind and wire size, not the arrays it stands for: the
 round engine holds the round's models in one stacked matrix, and a
-MODEL_UPDATE from sender p delivers row p of it (SCAFFOLD's also delivers row
-p of the control-variate matrix).
+MODEL_UPDATE route from sender p delivers row p of it (SCAFFOLD's also
+delivers row p of the control-variate matrix).
 
-Wire-format accounting: every copy a receiver gets costs a 32-byte header; a
-model update adds 4 bytes per carried parameter, the itemsize of the float32
-the engine trains and averages in (`kernels.DTYPE`), so the bytes priced are
-the bytes the engine holds; votes and no-update notices are header-only. The
-ledger books a message once per receiver, so its totals equal those of one
-point-to-point message per (sender, receiver) pair. It books one round at a
-time: the round engine takes each round's per-client counts into that
-round's row of the run's bytes_sent and bytes_received columns.
+Wire-format accounting: every copy costs a 32-byte header; a model update
+adds 4 bytes per carried parameter, the itemsize of the float32 the engine
+trains and averages in (`kernels.DTYPE`), so the bytes priced are the bytes
+the engine holds; votes and no-update notices are header-only. The ledger
+books a message's copy size times each sender's route count (a row sum) as
+sent and times each receiver's (a column sum) as received, as int64 vectors,
+so its totals equal those of one point-to-point message per route and sent
+equals received by construction. It books one round at a time: the round
+engine takes each round's vectors into that round's row of the run's
+bytes_sent and bytes_received columns.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from itertools import compress
 
@@ -182,10 +187,9 @@ def message_byte_size(params: int) -> int:
 
 @dataclass(frozen=True)
 class RoundMessage:
-    """One message from `sender` to each of `receivers`; `byte_size` is per copy."""
+    """Every copy of one kind that a phase sends: n x n boolean routes, sender by receiver; `byte_size` is per copy."""
 
-    sender: int
-    receivers: tuple[int, ...]
+    routes: np.ndarray
     kind: MessageKind
     byte_size: int
 
@@ -193,67 +197,63 @@ class RoundMessage:
 class TrafficLedger:
     """Bytes each client sent and received in the round being booked, and run totals per message kind.
 
-    `sent` and `received` hold plain ints by client id, so they serialise
-    exactly; the ledger keeps no earlier round.
+    `sent` and `received` are int64 vectors by client id, and the kind totals
+    plain ints, so they serialise exactly; the ledger keeps no earlier round.
     """
 
     def __init__(self, num_clients: int):
-        self.sent = [0] * num_clients
-        self.received = [0] * num_clients
+        self.sent = np.zeros(num_clients, dtype=np.int64)
+        self.received = np.zeros(num_clients, dtype=np.int64)
         self.kind_bytes: dict[MessageKind, int] = defaultdict(int)
         self.kind_count: dict[MessageKind, int] = defaultdict(int)
 
     def record(self, msg: RoundMessage):
-        """Book one copy of the message per receiver."""
-        size = msg.byte_size
-        fanout = len(msg.receivers)
-        self.sent[msg.sender] += size * fanout
-        self.kind_bytes[msg.kind] += size * fanout
-        self.kind_count[msg.kind] += fanout
-        received = self.received
-        for receiver in msg.receivers:
-            received[receiver] += size
+        """Book one copy per route: its sender sends it and its receiver receives it."""
+        fanout = np.count_nonzero(msg.routes, axis=1)
+        self.sent += msg.byte_size * fanout
+        self.received += msg.byte_size * np.count_nonzero(msg.routes, axis=0)
+        copies = int(fanout.sum())
+        self.kind_bytes[msg.kind] += msg.byte_size * copies
+        self.kind_count[msg.kind] += copies
 
-    def take_round(self) -> tuple[list[int], list[int]]:
+    def take_round(self) -> tuple[np.ndarray, np.ndarray]:
         """The booked round's bytes sent and received per client; the next round starts at zero."""
         taken = self.sent, self.received
-        self.sent, self.received = [0] * len(self.sent), [0] * len(self.received)
+        self.sent, self.received = np.zeros_like(self.sent), np.zeros_like(self.received)
         return taken
 
 
-@dataclass
 class MessageBus:
     """Phase-synchronous delivery owned by the round engine."""
 
-    topo: Topology
-    ledger: TrafficLedger
-    _pending: list[RoundMessage] = field(default_factory=list)
-    _inboxes: dict[int, list[RoundMessage]] = field(default_factory=lambda: defaultdict(list))
+    def __init__(self, topo: Topology, ledger: TrafficLedger):
+        self.topo = topo
+        self.ledger = ledger
+        self._pending: list[RoundMessage] = []
+        self._delivered = defaultdict(lambda: np.zeros(topo.adjacency.shape, dtype=np.int64))
 
     def send(self, msg: RoundMessage):
-        """Queue one message; nothing is recorded unless every receiver is a neighbor."""
-        strays = set(msg.receivers).difference(self.topo.neighbors(msg.sender))
-        if strays:
-            raise ProtocolError(f"send from {msg.sender} to non-neighbor {min(strays)}")
+        """Queue one message; nothing is booked unless every route is an edge of the topology."""
+        strays = msg.routes > self.topo.adjacency  # a route where the graph has no edge
+        if strays.any():
+            sender, receiver = np.argwhere(strays)[0].tolist()
+            raise ProtocolError(f"send from {sender} to non-neighbor {receiver}")
         self.ledger.record(msg)
         self._pending.append(msg)
 
     def flush(self):
-        """Phase boundary: deliver pending messages in sender order to each receiver."""
-        self._pending.sort(key=lambda m: m.sender)
+        """Phase boundary: add every pending message's routes into its kind's delivered counts."""
         for msg in self._pending:
-            for receiver in msg.receivers:
-                self._inboxes[receiver].append(msg)
+            self._delivered[msg.kind] += msg.routes
         self._pending = []
 
-    def take_inbox(self, client: int) -> list[RoundMessage]:
-        msgs = self._inboxes[client]
-        self._inboxes[client] = []
-        return msgs
+    def take_inbox(self) -> dict[MessageKind, np.ndarray]:
+        """Each kind's delivered copies since the last take, sender x receiver; the counts restart at zero."""
+        taken = self._delivered
+        self._delivered = defaultdict(taken.default_factory)
+        return taken
 
 
-def broadcast(bus: MessageBus, sender: int, kind: MessageKind, params: int) -> int:
-    """One message carrying `params` parameters to every neighbor; returns the neighbor count."""
-    neighbors = bus.topo.neighbors(sender)
-    bus.send(RoundMessage(sender, neighbors, kind, message_byte_size(params)))
-    return len(neighbors)
+def broadcast(bus: MessageBus, senders: np.ndarray, kind: MessageKind, params: int):
+    """One message carrying `params` parameters from each client that `senders` marks to every neighbor."""
+    bus.send(RoundMessage(bus.topo.adjacency & senders[:, None], kind, message_byte_size(params)))

@@ -8,11 +8,12 @@ the model each pass starts from) and what is shared (SCAFFOLD adds its
 control variate).
 
 Client cid's model is row cid of one n x P matrix, its SCAFFOLD variates are
-rows of two more, and its selection, votes and escalation p are entries of
-per-client lists. Every client that trains in a round trains in lockstep
-with the others (`learner.local_train`), in groups of at most
-_STACK_FLOATS parameters, on row ranges of the one client-major train
-matrix the shards are cut from.
+rows of two more, its selection is row cid of an n x n mask, and its votes
+and escalation p are entries of per-client lists. Every client that trains
+in a round trains in lockstep with the others (`learner.local_train`), in
+groups of at most _STACK_FLOATS parameters, on row ranges of the one
+client-major train matrix the shards are cut from. A share phase sends each
+message kind as one sender x receiver message (`netsim`).
 
 Round layout, with r total rounds:
   1..t_init                     train + share + aggregate all received + own
@@ -178,27 +179,34 @@ def cosine_similarity(models: np.ndarray) -> np.ndarray:
     return sims
 
 
-def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
-    """Peers whose similarity reaches mean + tau * population std (inclusive).
+def select_peers(sims: np.ndarray, candidates: np.ndarray, tau: float) -> np.ndarray:
+    """Every client's selection as an n x n mask: its candidates at or above mean + tau * population std.
 
-    Empty results (possible when tau > 0) fall back to the single most
-    similar peer, ties broken toward the lowest id.
+    Row c of candidates marks client c's candidates and row c of sims their
+    similarities. Clients with equal candidate counts are reduced as one
+    matrix along its rows, which sums each row as a reduction of that row
+    alone does, so every threshold has a per-client rule's bits. An empty selection
+    (possible when tau > 0) falls back to the most similar candidate, ties
+    broken toward the lowest id; a client without candidates selects nothing.
     """
-    if not sims:
-        raise ProtocolError(f"client {local}: no similarities to select from")
-    values = np.fromiter(sims.values(), dtype=np.float64)
-    threshold = values.mean() + tau * values.std()
-    selected = {peer for peer, s in sims.items() if s >= threshold - _SELECT_EPS}
-    if not selected:
-        selected = {min(sims, key=lambda peer: (-sims[peer], peer))}
-    return selected
+    selection = np.zeros(candidates.shape, dtype=bool)
+    counts = np.count_nonzero(candidates, axis=1)
+    for count in set(counts.tolist()) - {0}:  # np.unique would import numpy.ma, a megabyte of peak RSS
+        clients = np.flatnonzero(counts == count)
+        among = candidates[clients]
+        values = sims[clients][among].reshape(len(clients), count)  # each row's candidates, ascending by id
+        threshold = values.mean(axis=1) + tau * values.std(axis=1)
+        kept = values >= (threshold - _SELECT_EPS)[:, None]
+        empty = ~kept.any(axis=1)
+        kept[empty, values[empty].argmax(axis=1)] = True  # argmax: the first, so the lowest id, of tied maxima
+        among[among] = kept.ravel()  # each candidate's entry now says whether it was kept
+        selection[clients] = among
+    return selection
 
 
-def cast_votes(bus: MessageBus, local: int, selected: set[int]) -> int:
-    """One vote to every selected peer, as one message; delivered at the next phase boundary."""
-    if selected:
-        bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, message_byte_size(0)))
-    return len(selected)
+def cast_votes(bus: MessageBus, selection: np.ndarray):
+    """Every client's vote for each peer in its row of selection, as one message delivered at the next flush."""
+    bus.send(RoundMessage(selection, MessageKind.VOTE, message_byte_size(0)))
 
 
 def vote_gate(
@@ -276,48 +284,42 @@ def _aggregate_rows(matrix: np.ndarray, rows: list[int], stack: np.ndarray, out:
 
 def _share_and_aggregate(
     bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, rnd: int, actions: list[Action]
-) -> list[int]:
+) -> np.ndarray:
     """Share phase and aggregation of one round; returns each client's aggregated-model count.
 
-    Initial federated rounds average every arrival. The selection round, and
-    each gated round when refresh_selection is on, select peers from the
-    round's arrivals and vote for them; other gated rounds keep the last
-    selection. A MODEL_UPDATE from sender p delivers row p of models (SCAFFOLD
-    also delivers row p of the local variates); one cosine matrix of models
-    holds every similarity of the round. Client cid's mean is written into row
-    cid of mixed, which the caller then swaps in as the next round's models,
-    and SCAFFOLD's mean of variates into row cid of the global variates. A
-    group of rows that fits in _STACK_FLOATS floats is gathered into one
-    reused stack and averaged in one reduction, a larger group (every group,
-    once one model is larger) row by row; both add the rows in the same
-    order. A client whose action is SKIP sends a header-only NO_UPDATE notice
-    instead of its model when suppress_nontrainer_updates is on.
+    Clients broadcast MODEL_UPDATE, or with suppress_nontrainer_updates on a
+    header-only NO_UPDATE when their action is SKIP; client c's arrivals are
+    column c of the delivered MODEL_UPDATE routes, and the update from p is
+    row p of models (SCAFFOLD's also row p of the local variates). Initial
+    federated rounds average every arrival. The selection round, and each
+    gated round when refresh_selection is on, select peers from one cosine
+    matrix of models and vote for them; other gated rounds keep the n x n
+    mask selected. Client cid's mean goes into row cid of mixed, which the
+    caller swaps in as the next round's models, and SCAFFOLD's mean of
+    variates into row cid of the global variates. A group that fits in
+    _STACK_FLOATS floats is averaged in one reduction of a reused stack, a
+    larger one row by row; both add the rows in the same order.
     """
-    params = models.shape[1] if variates is None else 2 * models.shape[1]
-    for cid, action in enumerate(actions):
-        if action is not Action.SKIP or not cfg.suppress_nontrainer_updates:
-            broadcast(bus, cid, MessageKind.MODEL_UPDATE, params)
-        else:
-            broadcast(bus, cid, MessageKind.NO_UPDATE, 0)
+    n, p = models.shape
+    updating = np.fromiter((a is not Action.SKIP or not cfg.suppress_nontrainer_updates for a in actions), bool, n)
+    broadcast(bus, updating, MessageKind.MODEL_UPDATE, p if variates is None else 2 * p)
+    if not updating.all():
+        broadcast(bus, ~updating, MessageKind.NO_UPDATE, 0)
     bus.flush()
-    average_all = rnd <= cfg.t_init
-    reselect = not average_all and (cfg.refresh_selection or rnd == cfg.selection_round)
-    sims = cosine_similarity(models) if reselect else None
-    n = models.shape[0]
-    stack = np.empty((min(n, _STACK_FLOATS // models.shape[1]), models.shape[1]), dtype=models.dtype)
-    counts = []
-    for cid in range(n):
-        senders = [m.sender for m in bus.take_inbox(cid) if m.kind is MessageKind.MODEL_UPDATE]
-        if not average_all:
-            if reselect:
-                row = sims[cid].tolist()
-                scores = {p: row[p] for p in senders}
-                selected[cid] = select_peers(cid, scores, cfg.tau) if scores else set()
-                cast_votes(bus, cid, selected[cid])
-            senders = [p for p in senders if p in selected[cid]]
-        group = [cid] + senders
+    arrivals = bus.take_inbox()[MessageKind.MODEL_UPDATE].T > 0  # row c: the senders whose update reached c
+    if rnd > cfg.t_init:
+        if cfg.refresh_selection or rnd == cfg.selection_round:
+            selected[...] = selection = select_peers(cosine_similarity(models), arrivals, cfg.tau)
+            cast_votes(bus, selection)
+        arrivals &= selected
+    counts = 1 + np.count_nonzero(arrivals, axis=1)
+    senders = np.nonzero(arrivals)[1].tolist()  # client after client, each one's senders ascending
+    stack = np.empty((min(n, _STACK_FLOATS // p), p), dtype=models.dtype)
+    end = 0
+    for cid, count in enumerate(counts.tolist()):
+        start, end = end, end + count - 1
+        group = [cid, *senders[start:end]]
         _aggregate_rows(models, group, stack, mixed[cid])
-        counts.append(len(group))
         if variates is not None:
             _aggregate_rows(variates[0], group, stack, variates[1, cid])
     bus.flush()  # votes become visible to the next round's gate
@@ -355,13 +357,12 @@ def _run(
     models, mixed = np.empty(shape, dtype=DTYPE)
     for cid in range(n):
         models[cid] = init_params(model_spec, derive_seed(seed, "init", cid))
-    selected: list[set[int]] = [set() for _ in range(n)]
+    selected = np.zeros((n, n), dtype=bool)  # row c: the peers client c selected
     votes = [0] * n
     p_escalation = [P_ESCALATION_START] * n
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
-    ledger = TrafficLedger(n)
-    bus = MessageBus(topo, ledger)
+    bus = MessageBus(topo, TrafficLedger(n))
     # the result's rounds x n columns; round rnd writes row rnd - 1
     f1 = np.empty((rounds, n))
     sent, received, samples, aggregated = np.zeros((4, rounds, n), dtype=np.int64)
@@ -373,10 +374,9 @@ def _run(
         actions = [Action.TRAIN_LOCAL] * n
         if rnd > cfg.selection_round:
             # gated rounds: votes from the previous round decide who trains
+            if cfg.refresh_selection or rnd == cfg.selection_round + 1:
+                votes = bus.take_inbox()[MessageKind.VOTE].sum(axis=0).tolist()  # the votes each client received
             for cid in range(n):
-                vote_count = sum(1 for m in bus.take_inbox(cid) if m.kind is MessageKind.VOTE)
-                if cfg.refresh_selection or rnd == cfg.selection_round + 1:
-                    votes[cid] = vote_count
                 degree = topo.degree(cid)
                 actions[cid] = vote_gate(cid, votes, p_escalation, cfg.v_min_for(degree), degree, gate_rngs[cid])
 
@@ -391,7 +391,7 @@ def _run(
             aggregated[rnd - 1] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, rnd, actions)
             models, mixed = mixed, models
 
-        sent[rnd - 1], received[rnd - 1] = ledger.take_round()
+        sent[rnd - 1], received[rnd - 1] = bus.ledger.take_round()
         for cid in range(n):
             preds[test_bounds[cid] : test_bounds[cid + 1]] = predict_batch(models[cid], tests[cid].features, model_spec)
         f1[rnd - 1] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
@@ -408,8 +408,8 @@ def _run(
         actions=action_values,
         samples_trained=samples,
         models_aggregated=aggregated,
-        bytes_by_kind={k: ledger.kind_bytes.get(k, 0) for k in MessageKind},
-        message_counts={k: ledger.kind_count.get(k, 0) for k in MessageKind},
+        bytes_by_kind={k: bus.ledger.kind_bytes.get(k, 0) for k in MessageKind},
+        message_counts={k: bus.ledger.kind_count.get(k, 0) for k in MessageKind},
         topology=topo,
         final_models_sha256=digest.hexdigest(),
     )
