@@ -33,7 +33,6 @@ from .netsim import (
     HEADER_BYTES,
     MessageBus,
     MessageKind,
-    RoundMessage,
     Topology,
     TrafficLedger,
     broadcast,

@@ -76,7 +76,7 @@ def _p_choice(*options: str):
     return parse
 
 
-def _p_vmin(s: str) -> str:
+def _p_vmin(s: str) -> int | str:
     if s == "half":
         return s
     try:
@@ -85,7 +85,7 @@ def _p_vmin(s: str) -> str:
         raise ValueError(f"expected 'half' or a non-negative integer, got {s!r}")
     if v < 0:
         raise ValueError(f"v_min must be >= 0, got {v}")
-    return str(v)
+    return v
 
 
 def _p_path(s: str) -> str:
@@ -144,7 +144,7 @@ class ExperimentConfig:
     tau: float = _key("svote.tau", _p_float(), protocol.SVoteConfig.tau)
     t_init: int = _key("svote.t_init", _p_int(1), protocol.SVoteConfig.t_init)
     n_diverge: int = _key("svote.n_diverge", _p_int(0), protocol.SVoteConfig.n_diverge)
-    v_min: str = _key("svote.v_min", _p_vmin, "half")  # "half" or a non-negative integer literal
+    v_min: int | str = _key("svote.v_min", _p_vmin, protocol.SVoteConfig.v_min)  # "half" or a non-negative int
     refresh_selection: bool = _key("svote.refresh_selection", _p_bool, protocol.SVoteConfig.refresh_selection)
     suppress_nontrainer_updates: bool = _key(
         "svote.suppress_nontrainer_updates", _p_bool, protocol.SVoteConfig.suppress_nontrainer_updates
@@ -315,7 +315,7 @@ def execute(cfg: ExperimentConfig) -> metrics.RunResult:
             t_init=cfg.t_init,
             n_diverge=cfg.n_diverge,
             tau=cfg.tau,
-            v_min_fixed=None if cfg.v_min == "half" else int(cfg.v_min),
+            v_min=cfg.v_min,
             refresh_selection=cfg.refresh_selection,
             suppress_nontrainer_updates=cfg.suppress_nontrainer_updates,
         )

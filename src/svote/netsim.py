@@ -1,13 +1,14 @@
 """Topologies, phase-synchronous message delivery, byte-exact traffic accounting.
 
-Synchronous-round model: messages sent during a phase are invisible until the
-next phase boundary (bus.flush). A message is every copy of one kind that a
-phase sends, as one n x n boolean routes matrix, sender by receiver: a
-broadcast from a set of senders is their rows of the adjacency matrix, and a
-vote message is the selection mask. Delivery adds each message's routes into
-its kind's sender x receiver count matrix, so a receiver's arrivals are a
-column of it, in sender order, and replaying a seed reproduces the ledger
-bit-exactly.
+A topology is its adjacency matrix. Synchronous-round model: messages sent
+during a phase are invisible until the next phase boundary (bus.flush). A
+message is every copy of one kind that a phase sends, given to `send` as one
+n x n boolean routes matrix, sender by receiver, with its kind and its size
+per copy: a broadcast from a set of senders is their rows of the adjacency
+matrix, and a vote message is the selection mask. Delivery adds each
+message's routes into its kind's sender x receiver count matrix, so a
+receiver's arrivals are a column of it, in sender order, and replaying a seed
+reproduces the ledger bit-exactly.
 
 A message carries its kind and wire size, not the arrays it stands for: the
 round engine holds the round's models in one stacked matrix, and a
@@ -29,10 +30,8 @@ bytes_sent and bytes_received columns.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 
 import numpy as np
 
@@ -60,16 +59,14 @@ class Topology:
     copies it and checks that it is square, symmetric and has a zero diagonal
     (no self-loops), raising `ConfigError` otherwise. Connectivity is not
     checked here: `erdos_renyi` redraws until its graph is connected, and
-    `full_topology` is connected by construction. Two topologies are equal
-    when their matrices are. A caller that has already derived the matrix's
-    `_peer_rows` passes them as `peer_rows`, and they are not derived again.
+    `full_topology` is connected by construction. Degrees are the matrix's
+    row counts, as plain ints; neighbors are read off a row when asked for.
+    Two topologies are equal when their matrices are.
     """
 
     adjacency: np.ndarray
-    _: KW_ONLY
-    peer_rows: InitVar[tuple[tuple[int, ...], ...] | None] = None
 
-    def __post_init__(self, peer_rows):
+    def __post_init__(self):
         adjacency = np.array(self.adjacency)
         if adjacency.dtype != bool or adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise ConfigError(f"adjacency must be a square boolean matrix, got {adjacency.dtype} {adjacency.shape}")
@@ -80,39 +77,16 @@ class Topology:
         if cells != adjacency.T.tobytes():
             raise ConfigError("adjacency is not symmetric")
         adjacency.flags.writeable = False
-        neighbors = _peer_rows(adjacency) if peer_rows is None else peer_rows
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "_neighbors", neighbors)
-        object.__setattr__(self, "_degrees", tuple(map(len, neighbors)))
-
-    @classmethod
-    def from_edges(cls, num_clients: int, edges: Iterable[tuple[int, int]]) -> Topology:
-        """The graph with these undirected edges, each one pair of client ids in either orientation."""
-        directed = np.zeros((num_clients, num_clients), dtype=bool)
-        for edge in edges:
-            if type(edge) is not tuple or len(edge) != 2:
-                raise ConfigError(f"edge {edge!r} is not a pair of client ids")
-            a, b = edge
-            # the fast test passes plain ints; numpy integers pass the second
-            if not (type(a) is type(b) is int or _is_client_id(a) and _is_client_id(b)):
-                raise ConfigError(f"edge {edge!r}: client ids are integers")
-            if a == b:
-                raise ConfigError(f"self-loop at client {a}")
-            if not (0 <= a < num_clients and 0 <= b < num_clients):
-                raise ConfigError(f"edge ({a},{b}) outside client range")
-            directed[a, b] = True
-        both = np.argwhere(directed & directed.T)
-        if len(both):
-            a, b = both[0].tolist()
-            raise ConfigError(f"edge ({a},{b}) given in both orientations")
-        return cls(directed | directed.T)
+        object.__setattr__(self, "_degrees", tuple(np.count_nonzero(adjacency, axis=1).tolist()))
 
     @property
     def num_clients(self) -> int:
-        return len(self._degrees)
+        return len(self.adjacency)
 
     def neighbors(self, client: int) -> tuple[int, ...]:
-        return self._neighbors[client]
+        """The client's neighbors, ascending, as plain ints."""
+        return tuple(np.flatnonzero(self.adjacency[client]).tolist())
 
     def degree(self, client: int) -> int:
         return self._degrees[client]
@@ -123,28 +97,17 @@ class Topology:
         return np.array_equal(self.adjacency, other.adjacency)
 
 
-def _is_client_id(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _peer_rows(adjacency: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Each client's peers, ascending, read off a boolean n x n adjacency matrix."""
-    n = len(adjacency)
-    cells = adjacency.tobytes()  # one byte per cell: row c's peers are the positions of its nonzero bytes
-    clients = range(n)
-    return tuple([tuple(compress(clients, cells[c * n : c * n + n])) for c in clients])
-
-
-def _is_connected(peer_rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether every client is reachable from client 0 over these peer rows."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        for peer in peer_rows[stack.pop()]:
-            if peer not in seen:
-                seen.add(peer)
-                stack.append(peer)
-    return len(seen) == len(peer_rows)
+def _is_connected(adjacency: np.ndarray) -> bool:
+    """Whether every client is reachable from client 0: the reached set grows by one boolean product per hop."""
+    reached = np.zeros(len(adjacency), dtype=bool)
+    reached[0] = True
+    count = 1
+    while True:
+        reached = reached | (reached @ adjacency)
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return count == len(adjacency)
+        count = grown
 
 
 def full_topology(n: int) -> Topology:
@@ -174,24 +137,14 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
         adjacency = np.zeros((n, n), dtype=bool)
         adjacency[upper] = draw
         adjacency.T[upper] = draw  # the mirror: pair (i, j) also at (j, i)
-        peer_rows = _peer_rows(adjacency)
-        if _is_connected(peer_rows):
-            return Topology(adjacency, peer_rows=peer_rows)
+        if _is_connected(adjacency):
+            return Topology(adjacency)
     raise GraphError(f"no connected graph in {_MAX_GRAPH_ATTEMPTS} draws (n={n}, p={p})")
 
 
 def message_byte_size(params: int) -> int:
     """Wire size of one copy of a message carrying `params` parameters."""
     return HEADER_BYTES + BYTES_PER_PARAM * params
-
-
-@dataclass(frozen=True)
-class RoundMessage:
-    """Every copy of one kind that a phase sends: n x n boolean routes, sender by receiver; `byte_size` is per copy."""
-
-    routes: np.ndarray
-    kind: MessageKind
-    byte_size: int
 
 
 class TrafficLedger:
@@ -207,14 +160,14 @@ class TrafficLedger:
         self.kind_bytes: dict[MessageKind, int] = defaultdict(int)
         self.kind_count: dict[MessageKind, int] = defaultdict(int)
 
-    def record(self, msg: RoundMessage):
-        """Book one copy per route: its sender sends it and its receiver receives it."""
-        fanout = np.count_nonzero(msg.routes, axis=1)
-        self.sent += msg.byte_size * fanout
-        self.received += msg.byte_size * np.count_nonzero(msg.routes, axis=0)
+    def record(self, routes: np.ndarray, kind: MessageKind, byte_size: int):
+        """Book one copy of byte_size bytes per route: its sender sends it and its receiver receives it."""
+        fanout = np.count_nonzero(routes, axis=1)
+        self.sent += byte_size * fanout
+        self.received += byte_size * np.count_nonzero(routes, axis=0)
         copies = int(fanout.sum())
-        self.kind_bytes[msg.kind] += msg.byte_size * copies
-        self.kind_count[msg.kind] += copies
+        self.kind_bytes[kind] += byte_size * copies
+        self.kind_count[kind] += copies
 
     def take_round(self) -> tuple[np.ndarray, np.ndarray]:
         """The booked round's bytes sent and received per client; the next round starts at zero."""
@@ -224,27 +177,27 @@ class TrafficLedger:
 
 
 class MessageBus:
-    """Phase-synchronous delivery owned by the round engine."""
+    """Phase-synchronous delivery over a topology, booking every message in its own ledger, `bus.ledger`."""
 
-    def __init__(self, topo: Topology, ledger: TrafficLedger):
+    def __init__(self, topo: Topology):
         self.topo = topo
-        self.ledger = ledger
-        self._pending: list[RoundMessage] = []
+        self.ledger = TrafficLedger(topo.num_clients)
+        self._pending: list[tuple[MessageKind, np.ndarray]] = []
         self._delivered = defaultdict(lambda: np.zeros(topo.adjacency.shape, dtype=np.int64))
 
-    def send(self, msg: RoundMessage):
-        """Queue one message; nothing is booked unless every route is an edge of the topology."""
-        strays = msg.routes > self.topo.adjacency  # a route where the graph has no edge
+    def send(self, routes: np.ndarray, kind: MessageKind, byte_size: int):
+        """Queue one message of sender x receiver routes; nothing is booked unless every route is a graph edge."""
+        strays = routes > self.topo.adjacency  # a route where the graph has no edge
         if strays.any():
             sender, receiver = np.argwhere(strays)[0].tolist()
             raise ProtocolError(f"send from {sender} to non-neighbor {receiver}")
-        self.ledger.record(msg)
-        self._pending.append(msg)
+        self.ledger.record(routes, kind, byte_size)
+        self._pending.append((kind, routes))
 
     def flush(self):
         """Phase boundary: add every pending message's routes into its kind's delivered counts."""
-        for msg in self._pending:
-            self._delivered[msg.kind] += msg.routes
+        for kind, routes in self._pending:
+            self._delivered[kind] += routes
         self._pending = []
 
     def take_inbox(self) -> dict[MessageKind, np.ndarray]:
@@ -256,4 +209,4 @@ class MessageBus:
 
 def broadcast(bus: MessageBus, senders: np.ndarray, kind: MessageKind, params: int):
     """One message carrying `params` parameters from each client that `senders` marks to every neighbor."""
-    bus.send(RoundMessage(bus.topo.adjacency & senders[:, None], kind, message_byte_size(params)))
+    bus.send(bus.topo.adjacency & senders[:, None], kind, message_byte_size(params))

@@ -53,7 +53,7 @@ from .learner import (
     scaffold_update_cv,
 )
 from .metrics import RunResult, macro_f1
-from .netsim import MessageBus, MessageKind, RoundMessage, Topology, TrafficLedger, broadcast, message_byte_size
+from .netsim import MessageBus, MessageKind, Topology, broadcast, message_byte_size
 from .seeding import derive_rng, derive_seed
 
 SVOTE = "svote"
@@ -93,7 +93,7 @@ class SVoteConfig:
     t_init: int = 5
     n_diverge: int = 2
     tau: float = 0.0
-    v_min_fixed: int | None = None  # None -> ceil(degree/2) per client
+    v_min: int | str = "half"  # the vote floor: "half" is ceil(degree / 2) per client, an int holds for every client
     refresh_selection: bool = True
     suppress_nontrainer_updates: bool = True
 
@@ -104,15 +104,16 @@ class SVoteConfig:
             raise ConfigError("need t_init + n_diverge < total_rounds")
         if not math.isfinite(self.tau):
             raise ConfigError("tau must be finite")
-        if self.v_min_fixed is not None and self.v_min_fixed < 0:
-            raise ConfigError("fixed v_min must be >= 0")
+        count = isinstance(self.v_min, (int, np.integer)) and not isinstance(self.v_min, bool) and self.v_min >= 0
+        if not (count or self.v_min == "half"):
+            raise ConfigError(f"v_min must be 'half' or a non-negative integer, got {self.v_min!r}")
 
     @property
     def selection_round(self) -> int:
         return self.t_init + self.n_diverge + 1
 
     def v_min_for(self, degree: int) -> int:
-        return self.v_min_fixed if self.v_min_fixed is not None else (degree + 1) // 2
+        return (degree + 1) // 2 if self.v_min == "half" else self.v_min
 
 
 # --------------------------------------------------------------- operations
@@ -206,7 +207,7 @@ def select_peers(sims: np.ndarray, candidates: np.ndarray, tau: float) -> np.nda
 
 def cast_votes(bus: MessageBus, selection: np.ndarray):
     """Every client's vote for each peer in its row of selection, as one message delivered at the next flush."""
-    bus.send(RoundMessage(selection, MessageKind.VOTE, message_byte_size(0)))
+    bus.send(selection, MessageKind.VOTE, message_byte_size(0))
 
 
 def vote_gate(
@@ -359,10 +360,12 @@ def _run(
         models[cid] = init_params(model_spec, derive_seed(seed, "init", cid))
     selected = np.zeros((n, n), dtype=bool)  # row c: the peers client c selected
     votes = [0] * n
+    degrees = [topo.degree(cid) for cid in range(n)]
+    floors = [cfg.v_min_for(degree) for degree in degrees]
     p_escalation = [P_ESCALATION_START] * n
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
-    bus = MessageBus(topo, TrafficLedger(n))
+    bus = MessageBus(topo)
     # the result's rounds x n columns; round rnd writes row rnd - 1
     f1 = np.empty((rounds, n))
     sent, received, samples, aggregated = np.zeros((4, rounds, n), dtype=np.int64)
@@ -377,8 +380,7 @@ def _run(
             if cfg.refresh_selection or rnd == cfg.selection_round + 1:
                 votes = bus.take_inbox()[MessageKind.VOTE].sum(axis=0).tolist()  # the votes each client received
             for cid in range(n):
-                degree = topo.degree(cid)
-                actions[cid] = vote_gate(cid, votes, p_escalation, cfg.v_min_for(degree), degree, gate_rngs[cid])
+                actions[cid] = vote_gate(cid, votes, p_escalation, floors[cid], degrees[cid], gate_rngs[cid])
 
         # every client has its own train and gate streams, so gating all first changes nothing
         trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]

@@ -23,6 +23,14 @@ def small_problem(seed=42, num_clients=6, num_classes=4, input_dim=8, per_class=
     return data, shards, topo, spec
 
 
+def adjacency_of(num_clients, edges):
+    """The boolean adjacency matrix of these undirected edges, each a pair of client ids in either orientation."""
+    adjacency = np.zeros((num_clients, num_clients), dtype=bool)
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
+
+
 def fd_gradient(w, X, y, spec, coords, eps=1e-5):
     """Central finite differences of the batch loss at the given coordinates."""
     out = {}

@@ -66,7 +66,7 @@ def test_criterion_1_degeneracy_oracle():
             cli.ExperimentConfig(
                 method="svote",
                 tau=-1e9,
-                v_min="0",
+                v_min=0,
                 suppress_nontrainer_updates=False,
                 t_init=5,
                 n_diverge=0,
@@ -130,7 +130,7 @@ def test_criterion_4_scaffold_payload_exactly_double():
 
 def test_criterion_5_noniid_f1_trend():
     start = time.perf_counter()
-    over = dict(TREND, topology="erdos", erdos_p=0.5, tau=0.5, v_min="1")
+    over = dict(TREND, topology="erdos", erdos_p=0.5, tau=0.5, v_min=1)
     fed_over = dict(TREND, topology="erdos", erdos_p=0.5)
     wins = 0
     pairs = []

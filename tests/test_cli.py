@@ -87,7 +87,7 @@ class TestParseConfig:
             cli.parse_config_text(text)
 
     def test_v_min_values(self):
-        assert cli.parse_config_text(MINIMAL + "svote.v_min = 3\n").v_min == "3"
+        assert cli.parse_config_text(MINIMAL + "svote.v_min = 3\n").v_min == 3
         with pytest.raises(ConfigError, match="v_min"):
             cli.parse_config_text(MINIMAL + "svote.v_min = -1\n")
 
@@ -136,7 +136,7 @@ VALID = {
     "tau": st.floats(**_FINITE),
     "t_init": st.integers(min_value=1),
     "n_diverge": st.integers(min_value=0),
-    "v_min": st.just("half") | st.integers(min_value=0).map(str),
+    "v_min": st.just("half") | st.integers(min_value=0),
     "refresh_selection": st.booleans(),
     "suppress_nontrainer_updates": st.booleans(),
     "c_train": _NON_NEGATIVE,
@@ -205,6 +205,7 @@ class TestConfigKeys:
             ("dataset", "foo"),
             ("num_clients", 3.5),
             ("v_min", "03"),
+            ("v_min", "3"),
             ("num_clients", "5"),
         ],
     )

@@ -67,7 +67,7 @@ def test_lockstep_round_is_bit_equal_to_the_per_client_trainer(case):
 
 def _svote_with_skips():
     # a vote floor above every vote count: clients train only on the escalating Bernoulli draw
-    return SVoteConfig(total_rounds=10, t_init=2, n_diverge=1, tau=0.5, v_min_fixed=6)
+    return SVoteConfig(total_rounds=10, t_init=2, n_diverge=1, tau=0.5, v_min=6)
 
 
 @pytest.mark.parametrize("method", [*protocol.BASELINES, protocol.SVOTE])

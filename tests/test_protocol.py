@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
-from conftest import booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
+from conftest import adjacency_of, booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
 from svote import cli, learner, metrics, netsim, protocol
 from svote.errors import ConfigError, ProtocolError
 from svote.kernels import DTYPE
@@ -361,8 +361,7 @@ class TestSelectionSlack:
 
 
 def _vote_bus(n):
-    topo = netsim.full_topology(n)
-    return MessageBus(topo, TrafficLedger(n))
+    return MessageBus(netsim.full_topology(n))
 
 
 def _votes_received(bus):
@@ -539,7 +538,11 @@ class TestSVoteConfig:
     def test_v_min_rules(self):
         assert SVoteConfig().v_min_for(9) == 5
         assert SVoteConfig().v_min_for(4) == 2
-        assert SVoteConfig(v_min_fixed=0).v_min_for(9) == 0
+        assert SVoteConfig(v_min=0).v_min_for(9) == 0
+        assert SVoteConfig(v_min=3).v_min_for(1) == 3
+        for value in ("1", "0", -1, True, None, 1.0, "Half"):
+            with pytest.raises(ConfigError, match="v_min"):
+                SVoteConfig(v_min=value)
 
 
 # ----------------------------------------------------------------- engines
@@ -551,7 +554,7 @@ def _run_pair(seed=42, rounds=8, **sv_over):
     hp = HyperParams(lr=0.1, local_epochs=2, batch_size=16)
     with evaluated_models() as fed:
         run_baseline("fedavg", spec, hp, topo, shards, seed, rounds=rounds)
-    cfg = SVoteConfig(total_rounds=rounds, t_init=3, n_diverge=0, tau=-1e9, v_min_fixed=0,
+    cfg = SVoteConfig(total_rounds=rounds, t_init=3, n_diverge=0, tau=-1e9, v_min=0,
                       suppress_nontrainer_updates=False, **sv_over)
     with evaluated_models() as sv:
         run_svote(cfg, spec, hp, topo, shards, seed)
@@ -566,7 +569,7 @@ def _connected_topologies(draw, max_clients=6):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges |= {pair for pair, kept in zip(pairs, keep) if kept}
-    return netsim.Topology.from_edges(n, frozenset(edges))
+    return netsim.Topology(adjacency_of(n, edges))
 
 
 @pytest.fixture
@@ -575,9 +578,9 @@ def round_kind_bytes():
     tally = defaultdict(int)
     record = TrafficLedger.record
 
-    def tallied(ledger, msg):
-        tally[(round_of(ledger), msg.kind)] += msg.byte_size * int(msg.routes.sum())
-        record(ledger, msg)
+    def tallied(ledger, routes, kind, byte_size):
+        tally[(round_of(ledger), kind)] += byte_size * int(routes.sum())
+        record(ledger, routes, kind, byte_size)
 
     with booked_rounds() as round_of, mock.patch.object(TrafficLedger, "record", tallied):
         yield tally
@@ -661,13 +664,13 @@ class TestEngines:
         assert res.bytes_by_kind[MessageKind.NO_UPDATE] == 0
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
-           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
+           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from(["half", 0, 2, 3, 5]), st.booleans(),
            st.integers(0, 2**16), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_svote_engine_invariants(self, topo, t_init, n_diverge, gated, tau, v_min, suppress, seed, epochs):
         n = topo.num_clients
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
-                          tau=tau, v_min_fixed=v_min, suppress_nontrainer_updates=suppress)
+                          tau=tau, v_min=v_min, suppress_nontrainer_updates=suppress)
         res, spec, selections, gates, _, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
         _assert_work_units(res, per_pass)
 
@@ -699,14 +702,14 @@ class TestEngines:
             assert sent.sum() == received.sum()
 
     @given(_connected_topologies(), st.integers(1, 2), st.integers(0, 1), st.integers(1, 4),
-           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([None, 0, 2, 3, 5]), st.booleans(),
+           st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from(["half", 0, 2, 3, 5]), st.booleans(),
            st.integers(0, 2**16), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_svote_engine_invariants_refresh_off(self, topo, t_init, n_diverge, gated, tau, v_min, suppress,
                                                  seed, epochs):
         n = topo.num_clients
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
-                          tau=tau, v_min_fixed=v_min, refresh_selection=False,
+                          tau=tau, v_min=v_min, refresh_selection=False,
                           suppress_nontrainer_updates=suppress)
         res, spec, selections, gates, updates, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
         _assert_work_units(res, per_pass)
@@ -749,7 +752,7 @@ class TestEngines:
         n, rounds = topo.num_clients, t_init + extra
         _, shards, _, spec = small_problem(seed=seed, num_clients=n)
         hp = HyperParams(lr=0.2, local_epochs=epochs, batch_size=16)
-        cfg = SVoteConfig(total_rounds=rounds, t_init=t_init, n_diverge=0, tau=-1e9, v_min_fixed=0,
+        cfg = SVoteConfig(total_rounds=rounds, t_init=t_init, n_diverge=0, tau=-1e9, v_min=0,
                           suppress_nontrainer_updates=False)
         with evaluated_models() as fed:
             run_baseline("fedavg", spec, hp, topo, shards, seed, rounds=rounds)
@@ -984,7 +987,7 @@ class TestEngines:
         # actions staying TRAIN_LOCAL even though no votes arrive after the
         # selection round
         cfg = SVoteConfig(total_rounds=12, t_init=3, n_diverge=1,
-                          refresh_selection=False, v_min_fixed=0)
+                          refresh_selection=False, v_min=0)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
         gated = res.actions[cfg.selection_round :]
         assert gated.size and (gated == Action.TRAIN_LOCAL.value).all()
@@ -1014,7 +1017,7 @@ class TestEngines:
     def test_unreachable_vote_floor_leans_on_escalation(self):
         data, shards, topo, spec = small_problem(seed=9)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
-        cfg = SVoteConfig(total_rounds=20, t_init=2, n_diverge=1, v_min_fixed=100)
+        cfg = SVoteConfig(total_rounds=20, t_init=2, n_diverge=1, v_min=100)
         res = run_svote(cfg, spec, hp, topo, shards, 9)
         actions = set(res.actions[cfg.selection_round :].ravel().tolist())
         assert Action.TRAIN_LOCAL.value not in actions  # floor unreachable
@@ -1039,18 +1042,18 @@ class TestReferenceEngine:
     @given(st.one_of(_connected_topologies(max_clients=8), st.integers(4, 8).map(netsim.full_topology)),
            st.sampled_from((protocol.SVOTE,) * 3 + protocol.BASELINES), st.booleans(), st.integers(1, 2),
            st.integers(0, 1), st.integers(1, 4), st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0]),
-           st.sampled_from([None, 0, 1, 3, 5]), st.booleans(), st.booleans(), st.integers(0, 2**16))
+           st.sampled_from(["half", 0, 1, 3, 5]), st.booleans(), st.booleans(), st.integers(0, 2**16))
     @settings(max_examples=120, deadline=None)
     def test_runs_match_the_reference_engine_bitwise(self, topo, method, mlp, t_init, n_diverge, gated, tau, v_min,
                                                      refresh, suppress, seed):
-        # v_min None is the "half" rule, ceil(degree / 2); gated rounds follow the selection round
+        # v_min "half" is ceil(degree / 2); gated rounds follow the selection round
         n = topo.num_clients
         _, shards, _, spec = small_problem(seed=seed, num_clients=n)
         if mlp:
             spec = ModelSpec(MLP, spec.input_dim, spec.num_classes, hidden_dim=6)
         hp = HyperParams(lr=0.3, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge, tau=tau,
-                          v_min_fixed=v_min, refresh_selection=refresh, suppress_nontrainer_updates=suppress)
+                          v_min=v_min, refresh_selection=refresh, suppress_nontrainer_updates=suppress)
         rounds = cfg.total_rounds
         with evaluated_models() as got:
             if method == protocol.SVOTE:
