@@ -46,6 +46,7 @@ from .protocol import (
     SCAFFOLD,
     SVOTE,
     Action,
+    Phase,
     SVoteConfig,
     aggregate,
     cast_votes,

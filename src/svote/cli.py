@@ -166,17 +166,23 @@ class ExperimentConfig:
                 raise ConfigError(f"key {f.metadata['key']!r}: {exc}") from None
             if parsed != value:
                 raise ConfigError(f"key {f.metadata['key']!r}: expected {parsed!r}, got {value!r}")
-        if self.method == protocol.SVOTE and self.t_init + self.n_diverge >= self.rounds:
-            raise ConfigError(
-                "svote needs svote.t_init + svote.n_diverge < rounds "
-                f"({self.t_init} + {self.n_diverge} >= {self.rounds})"
-            )
+        if self.method == protocol.SVOTE:
+            try:
+                self.svote_config()
+            except ConfigError as exc:
+                t, d, r = self.t_init, self.n_diverge, self.rounds
+                raise ConfigError(f"svote.t_init + svote.n_diverge = {t} + {d}, rounds = {r}: {exc}") from None
         if self.dataset == "idx":
             for key, path in (("idx.images", self.idx_images), ("idx.labels", self.idx_labels)):
                 if path is None:
                     raise ConfigError(f"dataset=idx requires key {key!r}")
                 if not os.path.isfile(path):
                     raise ConfigError(f"{key} file not found: {path}")
+
+    def svote_config(self) -> protocol.SVoteConfig:
+        """The SVoteConfig an svote run of this config runs: total_rounds is rounds, every other field its namesake."""
+        names = [f.name for f in fields(protocol.SVoteConfig) if f.name != "total_rounds"]
+        return protocol.SVoteConfig(total_rounds=self.rounds, **{name: getattr(self, name) for name in names})
 
 
 _KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
@@ -310,16 +316,7 @@ def execute(cfg: ExperimentConfig) -> metrics.RunResult:
         prox_mu=cfg.prox_mu,
     )
     if cfg.method == protocol.SVOTE:
-        svcfg = protocol.SVoteConfig(
-            total_rounds=cfg.rounds,
-            t_init=cfg.t_init,
-            n_diverge=cfg.n_diverge,
-            tau=cfg.tau,
-            v_min=cfg.v_min,
-            refresh_selection=cfg.refresh_selection,
-            suppress_nontrainer_updates=cfg.suppress_nontrainer_updates,
-        )
-        return protocol.run_svote(svcfg, spec, hp, topo, shards, cfg.seed)
+        return protocol.run_svote(cfg.svote_config(), spec, hp, topo, shards, cfg.seed)
     return protocol.run_baseline(cfg.method, spec, hp, topo, shards, cfg.seed, rounds=cfg.rounds)
 
 

@@ -60,8 +60,7 @@ class Topology:
     (no self-loops), raising `ConfigError` otherwise. Connectivity is not
     checked here: `erdos_renyi` redraws until its graph is connected, and
     `full_topology` is connected by construction. Degrees are the matrix's
-    row counts, as plain ints; neighbors are read off a row when asked for.
-    Two topologies are equal when their matrices are.
+    row counts, as plain ints. Two topologies are equal when their matrices are.
     """
 
     adjacency: np.ndarray
@@ -83,10 +82,6 @@ class Topology:
     @property
     def num_clients(self) -> int:
         return len(self.adjacency)
-
-    def neighbors(self, client: int) -> tuple[int, ...]:
-        """The client's neighbors, ascending, as plain ints."""
-        return tuple(np.flatnonzero(self.adjacency[client]).tolist())
 
     def degree(self, client: int) -> int:
         return self._degrees[client]

@@ -2,7 +2,7 @@
 
 Every method runs the same synchronous rounds (train, share, aggregate) with
 canonical client-id ordering everywhere, so two runs with one seed are
-bit-identical. A round schedule (SVoteConfig) decides which phases a round
+bit-identical. A run's schedule, one Phase per round, decides what a round
 runs; the method only decides the gradient transform (FedProx anchors it to
 the model each pass starts from) and what is shared (SCAFFOLD adds its
 control variate).
@@ -15,19 +15,10 @@ groups of at most _STACK_FLOATS parameters, on row ranges of the one
 client-major train matrix the shards are cut from. A share phase sends each
 message kind as one sender x receiver message (`netsim`).
 
-Round layout, with r total rounds:
-  1..t_init                     train + share + aggregate all received + own
-  ..+n_diverge                  train only, zero traffic
-  t_init+n_diverge+1            train + share + similarity/select/vote +
-                                aggregate selected received + own
-  remaining rounds until r      vote gate -> train per action, share per
-                                suppression rule, re-select/re-vote when
-                                refresh_selection, aggregate selected + own
-
-FedAvg, FedProx and SCAFFOLD run the schedule in which every round is an
-initial federated round, and the voting protocol with all-permissive
-settings (tau -> -inf, fixed vote floor 0, suppression off, no divergence
-rounds) reproduces plain federated averaging exactly.
+The voting protocol runs `SVoteConfig.phases()` and the baselines an
+all-FEDERATED table; with all-permissive settings (tau -> -inf, fixed vote
+floor 0, suppression off, no LOCAL rounds) the voting protocol reproduces
+plain federated averaging exactly.
 """
 
 from __future__ import annotations
@@ -87,6 +78,15 @@ class Action(Enum):
     SKIP = "skip"
 
 
+class Phase(Enum):
+    """What one round of a schedule runs."""
+
+    FEDERATED = "federated"  # train, share, aggregate every arrival and the own model
+    LOCAL = "local"  # train only: zero traffic, nothing aggregated
+    SELECT = "select"  # train, share, select peers by similarity and vote, aggregate the selected arrivals and own
+    GATED = "gated"  # vote gate -> train per action, then as SELECT, re-selecting only with refresh_selection on
+
+
 @dataclass(frozen=True)
 class SVoteConfig:
     total_rounds: int = 30
@@ -111,6 +111,15 @@ class SVoteConfig:
     @property
     def selection_round(self) -> int:
         return self.t_init + self.n_diverge + 1
+
+    def phases(self) -> tuple[Phase, ...]:
+        """The phase of every round, round 1 first."""
+        head = (Phase.FEDERATED,) * self.t_init + (Phase.LOCAL,) * self.n_diverge + (Phase.SELECT,)
+        return head + (Phase.GATED,) * (self.total_rounds - self.selection_round)
+
+    def votes_in(self, phase: Phase) -> bool:
+        """Whether a round of this phase selects peers and casts votes."""
+        return phase is Phase.SELECT or (phase is Phase.GATED and self.refresh_selection)
 
     def v_min_for(self, degree: int) -> int:
         return (degree + 1) // 2 if self.v_min == "half" else self.v_min
@@ -284,18 +293,18 @@ def _aggregate_rows(matrix: np.ndarray, rows: list[int], stack: np.ndarray, out:
 
 
 def _share_and_aggregate(
-    bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, rnd: int, actions: list[Action]
+    bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, phase: Phase, actions: list[Action]
 ) -> np.ndarray:
-    """Share phase and aggregation of one round; returns each client's aggregated-model count.
+    """Share phase and aggregation of one round of the given phase; returns each client's aggregated-model count.
 
     Clients broadcast MODEL_UPDATE, or with suppress_nontrainer_updates on a
     header-only NO_UPDATE when their action is SKIP; client c's arrivals are
     column c of the delivered MODEL_UPDATE routes, and the update from p is
-    row p of models (SCAFFOLD's also row p of the local variates). Initial
-    federated rounds average every arrival. The selection round, and each
-    gated round when refresh_selection is on, select peers from one cosine
-    matrix of models and vote for them; other gated rounds keep the n x n
-    mask selected. Client cid's mean goes into row cid of mixed, which the
+    row p of models (SCAFFOLD's also row p of the local variates). A
+    FEDERATED round averages every arrival. A SELECT round, and a GATED round
+    when refresh_selection is on, selects peers from one cosine matrix of
+    models and votes for them; other GATED rounds keep the n x n mask
+    selected. Client cid's mean goes into row cid of mixed, which the
     caller swaps in as the next round's models, and SCAFFOLD's mean of
     variates into row cid of the global variates. A group that fits in
     _STACK_FLOATS floats is averaged in one reduction of a reused stack, a
@@ -308,10 +317,10 @@ def _share_and_aggregate(
         broadcast(bus, ~updating, MessageKind.NO_UPDATE, 0)
     bus.flush()
     arrivals = bus.take_inbox()[MessageKind.MODEL_UPDATE].T > 0  # row c: the senders whose update reached c
-    if rnd > cfg.t_init:
-        if cfg.refresh_selection or rnd == cfg.selection_round:
-            selected[...] = selection = select_peers(cosine_similarity(models), arrivals, cfg.tau)
-            cast_votes(bus, selection)
+    if cfg.votes_in(phase):
+        selected[...] = selection = select_peers(cosine_similarity(models), arrivals, cfg.tau)
+        cast_votes(bus, selection)
+    if phase is not Phase.FEDERATED:
         arrivals &= selected
     counts = 1 + np.count_nonzero(arrivals, axis=1)
     senders = np.nonzero(arrivals)[1].tolist()  # client after client, each one's senders ascending
@@ -330,17 +339,18 @@ def _share_and_aggregate(
 def _run(
     method: str,
     cfg: SVoteConfig,
-    rounds: int,
+    phases: Sequence[Phase],
     model_spec: ModelSpec,
     hp: HyperParams,
     topo: Topology,
     shards,
     seed: int,
 ) -> RunResult:
-    """Rounds 1..rounds of the round schedule cfg, training and sharing as method does.
+    """One round per entry of phases, training and sharing as method does; cfg holds the vote settings.
 
     shards[cid] is client cid's (train, test) pair.
     """
+    rounds = len(phases)
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
@@ -366,18 +376,17 @@ def _run(
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
     bus = MessageBus(topo)
-    # the result's rounds x n columns; round rnd writes row rnd - 1
+    # the result's rounds x n columns; each round writes its row
     f1 = np.empty((rounds, n))
     sent, received, samples, aggregated = np.zeros((4, rounds, n), dtype=np.int64)
     action_values = np.empty((rounds, n), dtype=object)
 
-    for rnd in range(1, rounds + 1):
-        # initial federated rounds, divergence rounds and the selection round
-        # all train unconditionally
+    voted = False  # whether the previous round cast votes
+    for row, phase in enumerate(phases):
         actions = [Action.TRAIN_LOCAL] * n
-        if rnd > cfg.selection_round:
-            # gated rounds: votes from the previous round decide who trains
-            if cfg.refresh_selection or rnd == cfg.selection_round + 1:
+        if phase is Phase.GATED:
+            # the latest votes decide who trains: the previous round's, else the tally read before them
+            if voted:
                 votes = bus.take_inbox()[MessageKind.VOTE].sum(axis=0).tolist()  # the votes each client received
             for cid in range(n):
                 actions[cid] = vote_gate(cid, votes, p_escalation, floors[cid], degrees[cid], gate_rngs[cid])
@@ -385,18 +394,18 @@ def _run(
         # every client has its own train and gate streams, so gating all first changes nothing
         trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]
         _train(trainers, models, variates, train, bounds, train_rngs, model_spec, hp, method)
-        samples[rnd - 1, trainers] = samples_per_pass[trainers]
-        action_values[rnd - 1] = [action.value for action in actions]
+        samples[row, trainers] = samples_per_pass[trainers]
+        action_values[row] = [action.value for action in actions]
 
-        # divergence rounds are local-only, with zero traffic, and aggregate nothing
-        if rnd <= cfg.t_init or rnd >= cfg.selection_round:
-            aggregated[rnd - 1] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, rnd, actions)
+        if phase is not Phase.LOCAL:
+            aggregated[row] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, phase, actions)
             models, mixed = mixed, models
+        voted = cfg.votes_in(phase)
 
-        sent[rnd - 1], received[rnd - 1] = bus.ledger.take_round()
+        sent[row], received[row] = bus.ledger.take_round()
         for cid in range(n):
             preds[test_bounds[cid] : test_bounds[cid + 1]] = predict_batch(models[cid], tests[cid].features, model_spec)
-        f1[rnd - 1] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
+        f1[row] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
 
     digest = hashlib.sha256(f"{models.dtype.str}{models.shape}".encode())
     digest.update(models)  # the matrix's own buffer, not a bytes copy
@@ -425,8 +434,8 @@ def run_svote(
     shards,
     seed: int,
 ) -> RunResult:
-    """The voting protocol over cfg.total_rounds synchronous rounds."""
-    return _run(SVOTE, cfg, cfg.total_rounds, model_spec, hp, topo, shards, seed)
+    """The voting protocol over the cfg.total_rounds synchronous rounds of cfg.phases()."""
+    return _run(SVOTE, cfg, cfg.phases(), model_spec, hp, topo, shards, seed)
 
 
 def run_baseline(
@@ -438,11 +447,9 @@ def run_baseline(
     seed: int,
     rounds: int = SVoteConfig.total_rounds,
 ) -> RunResult:
-    """FedAvg / FedProx / SCAFFOLD: the engine with every round an initial federated round."""
+    """FedAvg / FedProx / SCAFFOLD: the engine with every round FEDERATED, which reads no vote setting."""
     if kind not in BASELINES:
         raise ConfigError(f"unknown baseline {kind!r}")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    # the selection round (rounds + 1) lies past the last round run
-    schedule = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)
-    return _run(kind, schedule, rounds, model_spec, hp, topo, shards, seed)
+    return _run(kind, SVoteConfig(), (Phase.FEDERATED,) * rounds, model_spec, hp, topo, shards, seed)

@@ -1,5 +1,6 @@
 """Protocol operations and round-engine behavior."""
 
+import itertools
 from collections import defaultdict
 from unittest import mock
 
@@ -19,6 +20,7 @@ from svote.protocol import (
     _GRAM_COLUMNS,
     P_ESCALATION_START,
     Action,
+    Phase,
     SVoteConfig,
     aggregate,
     cast_votes,
@@ -903,7 +905,7 @@ class TestEngines:
         matrix, candidates = seen[0]  # the selection round: every client trained, so every model arrived
         np.testing.assert_array_equal(candidates, topo.adjacency)
         for local in range(topo.num_clients):
-            sims = {p: matrix[local, p] for p in topo.neighbors(local)}
+            sims = {p: matrix[local, p] for p in np.flatnonzero(topo.adjacency[local]).tolist()}
             if local == zero_client:
                 assert set(sims.values()) == {-1.0}
             else:
@@ -1034,19 +1036,30 @@ class TestEngines:
             run_baseline("fedavg", spec, HyperParams(), topo, shards[:-1], 1)
 
 
+class _ListedTopology(netsim.Topology):
+    """A topology that lists each client's neighbors, as the frozen per-message engine reads them."""
+
+    def neighbors(self, client):
+        return tuple(np.flatnonzero(self.adjacency[client]).tolist())
+
+
 class TestReferenceEngine:
-    """The round engine against the frozen per-message engine of tests/reference_engine.py (McKeeman 1998)."""
+    """The round engine against the frozen per-message engine of tests/reference_engine.py (McKeeman 1998).
+
+    The oracle lays out rounds by its own round-number conditions, so every
+    run here checks the phase table too.
+    """
 
     # full graphs of 4 or more clients, half of svote's draws and vote floors above 2 make the gate skip
     # often enough that suppressed notices and one-way arrivals are common
     @given(st.one_of(_connected_topologies(max_clients=8), st.integers(4, 8).map(netsim.full_topology)),
            st.sampled_from((protocol.SVOTE,) * 3 + protocol.BASELINES), st.booleans(), st.integers(1, 2),
-           st.integers(0, 1), st.integers(1, 4), st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0]),
+           st.integers(0, 1), st.integers(0, 4), st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0]),
            st.sampled_from(["half", 0, 1, 3, 5]), st.booleans(), st.booleans(), st.integers(0, 2**16))
     @settings(max_examples=120, deadline=None)
     def test_runs_match_the_reference_engine_bitwise(self, topo, method, mlp, t_init, n_diverge, gated, tau, v_min,
                                                      refresh, suppress, seed):
-        # v_min "half" is ceil(degree / 2); gated rounds follow the selection round
+        # v_min "half" is ceil(degree / 2); gated rounds follow the selection round, and a run of none ends on it
         n = topo.num_clients
         _, shards, _, spec = small_problem(seed=seed, num_clients=n)
         if mlp:
@@ -1060,9 +1073,11 @@ class TestReferenceEngine:
                 result = run_svote(cfg, spec, hp, topo, shards, seed)
             else:
                 result = run_baseline(method, spec, hp, topo, shards, seed, rounds=rounds)
-                cfg = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)  # run_baseline's schedule
+                # the oracle's baseline schedule: every round before its selection round, which lies past the last
+                cfg = SVoteConfig(total_rounds=rounds + 1, t_init=rounds, n_diverge=0)
         with evaluated_models() as want:
-            expected = reference_engine._run(method, cfg, rounds, spec, hp, topo, shards, seed)
+            expected = reference_engine._run(method, cfg, rounds, spec, hp, _ListedTopology(topo.adjacency), shards,
+                                             seed)
         assert len(got) == len(want) == rounds * n
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == DTYPE and a.tobytes() == b.tobytes()
@@ -1073,3 +1088,73 @@ class TestReferenceEngine:
         assert result.message_counts == expected.message_counts
         assert all(type(v) is int for v in (*result.bytes_by_kind.values(), *result.message_counts.values()))
         assert result.final_models_sha256 == expected.final_models_sha256
+
+
+class TestPhases:
+    """The phase table against the round-number conditions the engine read before it had one."""
+
+    def test_table_matches_the_round_conditions(self):
+        for total in range(2, 13):
+            for t_init, n_diverge, refresh in itertools.product(range(1, total), range(total), (True, False)):
+                if t_init + n_diverge >= total:
+                    continue
+                cfg = SVoteConfig(total_rounds=total, t_init=t_init, n_diverge=n_diverge, refresh_selection=refresh)
+                phases = cfg.phases()
+                assert len(phases) == total
+                selection = cfg.selection_round
+                for rnd, phase in enumerate(phases, start=1):
+                    shares = rnd <= t_init or rnd >= selection
+                    assert (phase is Phase.GATED) == (rnd > selection)
+                    assert (phase is not Phase.LOCAL) == shares
+                    if shares:
+                        assert (phase is not Phase.FEDERATED) == (rnd > t_init)  # aggregate the selected arrivals
+                    assert cfg.votes_in(phase) == (shares and rnd > t_init and (refresh or rnd == selection))
+                    if phase is Phase.GATED:  # reads the votes of the round before
+                        assert cfg.votes_in(phases[rnd - 2]) == (refresh or rnd == selection + 1)
+
+    @pytest.mark.parametrize("refresh", [True, False])
+    @pytest.mark.parametrize("t_init, n_diverge, gated", [(1, 0, 0), (2, 1, 3), (1, 2, 4)])
+    def test_votes_are_read_when_the_previous_round_cast_them(self, refresh, t_init, n_diverge, gated):
+        _, shards, topo, spec = small_problem(seed=5)
+        cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge, tau=0.5,
+                          refresh_selection=refresh)
+        cast, read = [], []  # (round, votes each client got)
+        real_cast, real_take = protocol.cast_votes, MessageBus.take_inbox
+
+        def casting(bus, selection):
+            cast.append((round_of(bus.ledger), selection.sum(axis=0).tolist()))
+            return real_cast(bus, selection)
+
+        def taking(bus):
+            inbox = real_take(bus)
+            if MessageKind.MODEL_UPDATE not in inbox:  # the gate's read; a share phase's holds its updates
+                read.append((round_of(bus.ledger), inbox[MessageKind.VOTE].sum(axis=0).tolist()))
+            return inbox
+
+        with (
+            booked_rounds() as round_of,
+            mock.patch.object(protocol, "cast_votes", casting),
+            mock.patch.object(MessageBus, "take_inbox", taking),
+        ):
+            run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=1, batch_size=16), topo, shards, 5)
+        phases = cfg.phases()
+        assert [rnd for rnd, _ in cast] == [rnd for rnd, phase in enumerate(phases, start=1) if cfg.votes_in(phase)]
+        assert read == [(rnd + 1, votes) for rnd, votes in cast if rnd < cfg.total_rounds]
+
+    def test_engine_runs_each_method_s_table(self):
+        _, shards, topo, spec = small_problem()
+        hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
+        cfg = SVoteConfig(total_rounds=6, t_init=2, n_diverge=1)
+        tables = []
+        real_run = protocol._run
+
+        def recorded(method, schedule, phases, *rest):
+            tables.append((method, phases))
+            return real_run(method, schedule, phases, *rest)
+
+        with mock.patch.object(protocol, "_run", recorded):
+            run_svote(cfg, spec, hp, topo, shards, 1)
+            for kind in protocol.BASELINES:
+                run_baseline(kind, spec, hp, topo, shards, 1, rounds=3)
+        baselines = [(kind, (Phase.FEDERATED,) * 3) for kind in protocol.BASELINES]
+        assert tables == [(protocol.SVOTE, cfg.phases()), *baselines]
