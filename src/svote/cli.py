@@ -166,6 +166,8 @@ class ExperimentConfig:
                 raise ConfigError(f"key {f.metadata['key']!r}: {exc}") from None
             if parsed != value:
                 raise ConfigError(f"key {f.metadata['key']!r}: expected {parsed!r}, got {value!r}")
+            # keep the plain parsed value: a numpy scalar equal to it does not serialize to JSON
+            object.__setattr__(self, f.name, parsed)
         if self.method == protocol.SVOTE:
             try:
                 self.svote_config()
@@ -328,9 +330,8 @@ def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int
 
 def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[str]:
     n = result.topology.num_clients
-    work_units = result.samples_trained + result.models_aggregated
     columns = (result.f1, result.bytes_sent, result.bytes_received, result.actions)
-    columns += (*metrics.energy(result, coeffs), work_units)
+    columns += (*metrics.energy(result, coeffs), result.work_units)
     # record i of the round-major columns is round i // n + 1, client i % n
     records = enumerate(zip(*(column.ravel().tolist() for column in columns)))
     return [CSV_HEADER] + [
@@ -345,7 +346,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
     # each energy total adds the records one at a time, in metrics.csv's order:
     # a pairwise or compensated sum could round to another float
     e_train, e_agg, e_comm = (float(np.cumsum(e, axis=None)[-1]) for e in metrics.energy(result, coeffs))
-    units = (result.samples_trained + result.models_aggregated).sum(axis=0).tolist()
+    units = result.work_units.sum(axis=0).tolist()
     equiv = fedavg_equivalent_bytes(result.topology, result.rounds, result.param_count)
     total_sent = int(result.bytes_sent.sum())
     return {

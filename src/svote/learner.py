@@ -5,15 +5,14 @@ float32, the precision the wire format prices) so that exchange, averaging,
 and cosine comparison all operate on one array type. Supported
 architectures: softmax regression and a one-hidden-layer tanh MLP.
 
-`local_train` trains one model or a group of models in lockstep, as
-decentralized SGD analyses treat the nodes' local steps (Lian et al. 2017,
-D-PSGD): each step makes one gather of every training model's batch, one
-kernel call over those batches and the group's weights, with the step's
-runs of models whose batches have one size (see `kernels`), and one
-elementwise update of every model still training. Each model keeps its own
-shuffle stream, and its arithmetic is the same as if it trained alone. The
-checks and casts of a pass, the label check included, run once, not once
-per step.
+`local_train` trains a group of models in lockstep, as decentralized SGD
+analyses treat the nodes' local steps (Lian et al. 2017, D-PSGD): each step
+makes one gather of every training model's batch, one kernel call over those
+batches and the group's weights, with the step's runs of models whose
+batches have one size (see `kernels`), and one elementwise update of every
+model still training. Each model keeps its own shuffle stream, and its
+arithmetic is the same as if it trained alone. The checks and casts of a
+pass, the label check included, run once, not once per step.
 """
 
 from __future__ import annotations
@@ -223,100 +222,107 @@ def predict_batch(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.argmax(logits(w, X, spec), axis=1)
 
 
-def _held(rows: np.ndarray, order: list[int]) -> np.ndarray:
+def _held(rows: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     """rows[order], read-only: a view of the row of a group of one, else a copy."""
     return rows[order[0], None] if len(order) == 1 else rows.take(order, axis=0)
 
 
 @functools.lru_cache(maxsize=256)
-def _lockstep(sizes: tuple[int, ...], B: int, epochs: int):
-    """The steps of a lockstep pass over models with these shard sizes, largest first, at batch size B.
+def _lockstep(lens: tuple[int, ...], B: int, epochs: int):
+    """The plan of a lockstep pass over models with these shard sizes, in the caller's order, at batch size B.
 
-    Returns one (live, draws, runs) per step: the number of models still
-    training (the first ones), the models that start an epoch there and draw
-    its permutation, and the runs (a, b, size) that cover the live models:
+    Returns (order, counts, begins, shift, batch, steps). order lists the
+    models largest shard first, ties in model order, so the models still
+    training at a step are the first ones and models with equal batch sizes
+    sit together. counts holds each model's step count,
+    epochs * ceil(n / B), in the caller's order; the rest of the plan counts
+    models in training order. begins holds the k + 1 bounds of the models'
+    blocks in the permutation buffer, which holds each model's permutation
+    of its rows for its current epoch. Row j of step s comes from
+    perm[j + shift[s, i]] for the model i it belongs to, which has
+    batch[s, i] rows there (none once it is done). steps holds one
+    (live, draws, runs) per step: the number of models still training (the
+    first ones), the models that start an epoch there and draw its
+    permutation, and the runs (a, b, size) that cover the live models:
     models a..b-1, whose batches at this step all have that size. A model's
     batches are full but for the last of each epoch, so runs split only at
-    those. A client trains the same shard every round, so a schedule is
-    built once and reused.
+    those. A client trains the same shard every round, so a plan is built
+    once and reused; its arrays are read-only.
     """
-    per_epoch = [-(-n // B) for n in sizes]
-    total = epochs * max(per_epoch, default=0)
-    draws = [[] for _ in range(total)]
-    ragged = [[] for _ in range(total)]  # (model, size) of each short last batch
-    for i, (n, m) in enumerate(zip(sizes, per_epoch)):
-        for e in range(epochs if m else 0):  # an empty shard trains no step
-            draws[e * m].append(i)
-            if n % B:
-                ragged[e * m + m - 1].append((i, n % B))
-    steps, live = [], len(sizes)
-    for s in range(total):
-        while epochs * per_epoch[live - 1] <= s:
-            live -= 1
-        runs, a = [], 0
-        for i, size in ragged[s]:
-            if i > a:
-                runs.append((a, i, B))
-            if runs and runs[-1][1] == i and runs[-1][2] == size:
-                runs[-1] = (runs[-1][0], i + 1, size)
-            else:
-                runs.append((i, i + 1, size))
-            a = i + 1
-        if live > a:
-            runs.append((a, live, B))
-        steps.append((live, tuple(draws[s]), tuple(runs)))
-    return tuple(steps)
+    n = np.array(lens, dtype=np.intp)
+    order = np.argsort(-n, kind="stable")
+    counts = epochs * -(-n // B)
+    sizes = n[order]
+    per_epoch = -(-sizes // B)
+    begins = np.concatenate(([0], np.cumsum(sizes)))
+    s = np.arange(epochs * per_epoch.max(initial=0))[:, None]
+    shift = s % np.maximum(per_epoch, 1) * B  # each batch's start in its epoch's permutation
+    batch = np.minimum(sizes - shift, B)
+    batch[s >= epochs * per_epoch] = 0  # an empty shard trains no step
+    starts_epoch = (shift == 0) & (batch > 0)
+    shift += begins[:-1]
+    shift += batch
+    shift -= np.cumsum(batch, axis=1)
+    # a run begins at each live model whose batch differs in size from the one before
+    run_at = batch > 0
+    run_at[:, 1:] &= batch[:, 1:] != batch[:, :-1]
+    steps = []
+    for live, row, starts, at in zip(np.count_nonzero(batch, axis=1).tolist(), batch.tolist(), starts_epoch, run_at):
+        at = np.flatnonzero(at).tolist()
+        runs = tuple(zip(at, [*at[1:], live], [row[a] for a in at]))
+        steps.append((live, tuple(np.flatnonzero(starts).tolist()), runs))
+    for plan in begins, shift, batch:
+        plan.flags.writeable = False
+    return tuple(order.tolist()), tuple(counts.tolist()), begins, shift, batch, tuple(steps)
 
 
 def local_train(
-    w: np.ndarray,
+    models: np.ndarray,
     X: np.ndarray,
     y: np.ndarray,
     spec: ModelSpec,
     hp: HyperParams,
-    rng,
-    ranges=None,
+    rngs,
+    ranges,
     prox: bool = False,
     variates=None,
 ):
-    """Minibatch SGD for hp.local_epochs of one model, or of a group of models in lockstep.
+    """Minibatch SGD for hp.local_epochs of a group of models in lockstep.
 
-    w is one flat model, trained on all rows of X and y with the Generator
-    rng; or a k x P matrix of starting models, where model i trains on rows
-    ranges[i] = (start, stop) of X and y with the Generator rng[i]. Each
-    model reshuffles its shard each epoch from its own stream, and keeps the
-    partial final batch. The caller's arrays are never modified. A label
-    outside [0, num_classes) in the rows from the first range to the last
-    raises ConfigError.
+    models is a k x P matrix of starting models; model i trains on rows
+    ranges[i] = (start, stop) of X and y with the Generator rngs[i]. A
+    model array that is not 2-D raises ConfigError. Each model reshuffles
+    its shard each epoch from its own stream, and keeps the partial final
+    batch. The caller's arrays are never modified. A label outside
+    [0, num_classes) in the rows from the first range to the last raises
+    ConfigError.
 
     The update of each step is w - lr * direction, where the direction is
     the gradient; with prox (FedProx) it is grad + prox_mu * (w - w_start);
-    with variates = (local_c, global_c), each shaped like w (SCAFFOLD), it
-    is grad - local_c + global_c.
+    with variates = (local_c, global_c), each k x P (SCAFFOLD), it is
+    grad - local_c + global_c.
 
-    Returns (trained, steps): the trained models, shaped like w, and the
-    step count (one int, or a list of k).
+    Returns (trained, steps): the k x P trained models and the k step counts.
 
-    The group trains in lockstep: each step makes one kernel call, on one
-    gather of every training model's batch and the group's weights, with
-    the step's runs of consecutive models (ordered by shard size, largest
-    first) whose batches have the same size; one elementwise update then
-    covers every model still training. Nothing is padded, and
-    each model's arithmetic is the same as if it trained alone. The batch
-    checks and casts run once per pass, and a step's gathered batch is freed
-    before the next step's gather. The model-sized buffers of a pass are a
-    copy of w's rows in training order and a gradient, both k x P (FedProx
-    adds its direction and, for k > 1, a copy of w_start; SCAFFOLD, for
-    k > 1, copies of its variates), k P floats each.
+    The group trains in lockstep, by the plan `_lockstep` makes of its
+    shard sizes: each step makes one kernel call, on one gather of every
+    training model's batch and the group's weights, with the step's runs of
+    consecutive models (ordered by shard size, largest first) whose batches
+    have the same size; one elementwise update then covers every model
+    still training. Nothing is padded, and each model's arithmetic is the
+    same as if it trained alone. The batch checks and casts run once per
+    pass, and a step's gathered batch is freed before the next step's
+    gather. The model-sized buffers of a pass are a copy of the models in
+    training order and a gradient, both k x P (FedProx adds its direction
+    and, for k > 1, a copy of w_start; SCAFFOLD, for k > 1, copies of its
+    variates), k P floats each.
     """
-    single = w.ndim == 1
-    models = w[None] if single else w
-    rngs = [rng] if single else rng
+    if models.ndim != 2:
+        raise ConfigError(f"models of shape {models.shape} are not a k x P matrix")
     k, P = models.shape
     if P != spec.param_count:
         raise ConfigError(f"parameter vector has length {P}, spec wants {spec.param_count}")
     _check_data(X, y, spec)
-    ranges = [(0, y.shape[0])] if ranges is None else ranges
     if len(ranges) != k or len(rngs) != k:
         raise ConfigError(f"{k} models need {k} row ranges and {k} generators")
     starts, stops = zip(*ranges)
@@ -330,52 +336,28 @@ def local_train(
     if _labels_outside(y[min(starts) : max(stops)], spec.num_classes):
         raise ConfigError(f"label outside [0, {spec.num_classes})")
 
-    # largest shard first: the models still training are the first ones, and
-    # models with equal batch sizes sit together
-    lens = [stop - start for start, stop in ranges]
-    order = sorted(range(k), key=lens.__getitem__, reverse=True)  # a stable sort, ties in model order
-    sizes = [int(lens[i]) for i in order]
-    rngs = [rngs[i] for i in order]
-    B = hp.batch_size
-    schedule = _lockstep(tuple(sizes), B, hp.local_epochs)
-    # each model's permutation of its rows of X for its current epoch, model
-    # after model: (begin, stop) in perm and its first row of X
-    perm_at, end = [], 0
-    for i, n in zip(order, sizes):
-        perm_at.append((end, end + n, int(ranges[i][0])))
-        end += n
-    perm = np.empty(end, dtype=np.intp)
-    per_epoch = max(-(-sizes[0] // B), 1)  # of model 0, whose permutation begins perm
-    if k > 1:
-        # a step's rows, model after model: row j of step s comes from
-        # perm[j + shift[s, i]] for the model i it belongs to, which has
-        # batch[s, i] rows there (none once it is done)
-        n_rows = np.array(sizes)
-        s = np.arange(len(schedule))[:, None]
-        shift = s % np.maximum(-(-n_rows // B), 1) * B
-        batch = np.minimum(n_rows - shift, B)
-        batch[s >= hp.local_epochs * -(-n_rows // B)] = 0
-        shift += [begin for begin, _, _ in perm_at]
-        shift += batch
-        shift -= np.cumsum(batch, axis=1)
-
+    order, counts, begins, shift, batch, schedule = _lockstep(
+        tuple(stop - start for start, stop in ranges), hp.batch_size, hp.local_epochs
+    )
+    # each model's permutation of its rows of X for its current epoch, model after model
+    perm = np.empty(begins[-1], dtype=np.intp)
     work = models.take(order, axis=0)
     grad = np.empty_like(work)
     buffers = [work, grad]
     if prox:
         buffers += [_held(models, order), np.empty_like(work)]  # w_start, direction
     elif variates is not None:
-        buffers += [_held(v[None] if single else v, order) for v in variates]
+        buffers += [_held(v, order) for v in variates]
     w_all, g_all = _views(work, spec), _views(grad, spec)
     lr, mu = hp.lr, hp.prox_mu
     # a float32 label probability may round to 0 on the way to a finite loss
     with np.errstate(divide="ignore"):
         for step, (live, draws, runs) in enumerate(schedule):
             for i in draws:
-                begin, stop, start = perm_at[i]
-                np.add(rngs[i].permutation(stop - begin), start, out=perm[begin:stop])
+                start, stop = ranges[order[i]]
+                np.add(rngs[order[i]].permutation(stop - start), start, out=perm[begins[i] : begins[i + 1]])
             if live == 1:  # one model's batch is a slice of its permutation
-                at = step % per_epoch * B
+                at = shift[step, 0]
                 rows = perm[at : at + runs[0][2]]
             else:
                 rows = np.repeat(shift[step, :live], batch[step, :live])
@@ -397,11 +379,8 @@ def local_train(
                 g_p = scaffold_grad(g_p, rule[0], rule[1], out=g_p)
             sgd_step(w_p, g_p, lr)
 
-    steps = [0] * k
-    for i, n in zip(order, sizes):
-        steps[i] = hp.local_epochs * -(-n // hp.batch_size)
     trained = work
     if k > 1:  # back to the caller's row order
         trained = np.empty_like(work)
-        trained[order] = work
-    return (trained[0], steps[0]) if single else (trained, steps)
+        trained[list(order)] = work
+    return trained, list(counts)

@@ -39,6 +39,11 @@ class RunResult:
     topology: Topology  # the graph the engine ran on
     final_models_sha256: str  # sha256 of the final n x P model matrix: its dtype, shape, then bytes
 
+    @property
+    def work_units(self) -> np.ndarray:
+        """Each record's work units (see the module docstring), a rounds x n column."""
+        return self.samples_trained + self.models_aggregated
+
 
 @dataclass(frozen=True)
 class EnergyCoeffs:

@@ -364,6 +364,27 @@ class TestRunExperiment:
                 blob2 = f.read()
             assert blob1 == blob2
 
+    def test_numpy_scalar_fields_run_as_their_plain_values(self, tmp_path):
+        # a numpy scalar equal to a key's value is accepted and kept as the
+        # plain value it parses to: json.dumps of the summary's seed failed
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = cli.parse_config(os.path.join(root, "configs", "svote_noniid.cfg"))
+        numeric = {f.name: getattr(cfg, f.name) for f in fields(cfg) if type(getattr(cfg, f.name)) in (int, float)}
+        assert {"seed", "num_clients", "lr", "tau", "v_min"} <= numeric.keys()
+        scalars = replace(cfg, **{name: np.asarray(value)[()] for name, value in numeric.items()})
+        assert {name: type(getattr(scalars, name)) for name in numeric} == {
+            name: type(value) for name, value in numeric.items()
+        }
+        outs = [os.path.join(str(tmp_path), name) for name in ("plain", "numpy")]
+        cli.run_experiment(cfg, outs[0])
+        cli.run_experiment(scalars, outs[1])
+        for name in ("metrics.csv", "summary.json"):
+            blobs = []
+            for out in outs:
+                with open(os.path.join(out, name), "rb") as f:
+                    blobs.append(f.read())
+            assert blobs[0] == blobs[1]
+
     def test_summary_config_echo_round_trips(self, tmp_path):
         cfg = cli.parse_config_text(FAST.format(method="svote", seed=5))
         out = os.path.join(str(tmp_path), "run")

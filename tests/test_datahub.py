@@ -37,7 +37,7 @@ class TestGenSynthetic:
         w = learner.init_params(spec, 0)
         rng = np.random.default_rng(0)
         for _ in range(60):
-            w, _ = learner.local_train(w, data.features, data.labels, spec, hp, rng)
+            (w,), _ = learner.local_train(w[None], data.features, data.labels, spec, hp, [rng], [(0, len(data))])
         acc = (learner.predict_batch(w, data.features, spec) == data.labels).mean()
         assert acc >= 0.99
 

@@ -165,7 +165,7 @@ class TestDivergence:
         assert grad.dtype == DTYPE and np.isfinite(grad).all()
         # training on it neither stops nor warns (warnings are errors here)
         hp = HyperParams(lr=1e-3, local_epochs=1, batch_size=4)
-        trained, steps = learner.local_train(w, X, y, spec, hp, np.random.default_rng(0))
+        (trained,), (steps,) = learner.local_train(w[None], X, y, spec, hp, [np.random.default_rng(0)], [(0, len(y))])
         assert steps == 3 and trained.dtype == DTYPE and np.isfinite(trained).all()
 
     @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
@@ -175,7 +175,7 @@ class TestDivergence:
         hp = HyperParams(lr=1e300, local_epochs=2, batch_size=8)
         w = learner.init_params(spec, 3)
         with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
-            learner.local_train(w, X, y, spec, hp, np.random.default_rng(0))
+            learner.local_train(w[None], X, y, spec, hp, [np.random.default_rng(0)], [(0, len(y))])
 
 
 class TestViews:
@@ -324,8 +324,8 @@ class TestLocalTrain:
         X, y = _batch(spec, n=40, seed=2)
         hp = HyperParams(lr=0.1, local_epochs=2, batch_size=16)
         w0 = learner.init_params(spec, 4)
-        w1, s1 = learner.local_train(w0.copy(), X, y, spec, hp, np.random.default_rng(77))
-        w2, s2 = learner.local_train(w0.copy(), X, y, spec, hp, np.random.default_rng(77))
+        (w1,), (s1,) = learner.local_train(w0.copy()[None], X, y, spec, hp, [np.random.default_rng(77)], [(0, 40)])
+        (w2,), (s2,) = learner.local_train(w0.copy()[None], X, y, spec, hp, [np.random.default_rng(77)], [(0, 40)])
         np.testing.assert_array_equal(w1, w2)
         assert s1 == s2 == 2 * 3  # 2 epochs x ceil(40/16) batches
 
@@ -333,8 +333,8 @@ class TestLocalTrain:
         spec = ModelSpec(learner.SOFTMAX, 6, 3)
         X, y = _batch(spec, n=10, seed=2)
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=8)
-        _, steps = learner.local_train(
-            learner.init_params(spec, 4), X, y, spec, hp, np.random.default_rng(1)
+        _, (steps,) = learner.local_train(
+            learner.init_params(spec, 4)[None], X, y, spec, hp, [np.random.default_rng(1)], [(0, 10)]
         )
         assert steps == 2
 
@@ -351,6 +351,13 @@ class TestLocalTrain:
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=4)
         with pytest.raises(ConfigError, match="label outside"):
             learner.local_train(models, X, y, spec, hp, rngs, [(0, 10), (10, 20), (20, 30)])
+
+    def test_a_flat_model_is_config_error(self):
+        spec = ModelSpec(learner.SOFTMAX, 6, 3)
+        X, y = _batch(spec, n=10, seed=2)
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=8)
+        with pytest.raises(ConfigError, match="k x P"):
+            learner.local_train(learner.init_params(spec, 4), X, y, spec, hp, [np.random.default_rng(1)], [(0, 10)])
 
     def test_hyperparams_validated(self):
         with pytest.raises(ConfigError):
@@ -420,9 +427,13 @@ class TestBuffers:
                 idx = order[start : start + hp.batch_size]
                 _, g = learner.loss_and_grad(w, X[idx], y[idx], spec)
                 w = w - hp.lr * fresh(g, w)
-        rule = {"plain": {}, "fedprox": {"prox": True}, "scaffold": {"variates": (local_c, global_c)}}[method]
+        rule = {
+            "plain": {}, "fedprox": {"prox": True}, "scaffold": {"variates": (local_c[None], global_c[None])}
+        }[method]
         w_in = w0.copy()
-        trained, steps = learner.local_train(w_in, X, y, spec, hp, np.random.default_rng(3), **rule)
+        (trained,), (steps,) = learner.local_train(
+            w_in[None], X, y, spec, hp, [np.random.default_rng(3)], [(0, 40)], **rule
+        )
         np.testing.assert_array_equal(trained, w)
         np.testing.assert_array_equal(w_in, w0)
         assert steps == 6 and not np.shares_memory(trained, w_in)
@@ -436,7 +447,9 @@ class TestBuffers:
         X = X.astype(DTYPE)
         w = learner.init_params(spec, 2)
         hp = HyperParams(lr=0.1, local_epochs=1, batch_size=32)
-        peak = peak_traced_bytes(lambda: learner.local_train(w, X, y, spec, hp, np.random.default_rng(0)))
+        peak = peak_traced_bytes(
+            lambda: learner.local_train(w[None], X, y, spec, hp, [np.random.default_rng(0)], [(0, 320)])
+        )
         assert peak < 3 * spec.param_count * DTYPE.itemsize
 
     def test_transforms_write_into_the_given_buffer(self):

@@ -65,6 +65,55 @@ def test_lockstep_round_is_bit_equal_to_the_per_client_trainer(case):
         assert variates.tobytes() == want[1].tobytes()
 
 
+@st.composite
+def _plan_case(draw):
+    B = draw(st.integers(1, 8))
+    # empty shards, shards below one batch, exact multiples of it and ragged ones
+    size = st.one_of(st.integers(0, 3 * B), st.integers(0, 3).map(lambda m: m * B))
+    return tuple(draw(st.lists(size, min_size=1, max_size=8))), B, draw(st.integers(1, 3))
+
+
+@given(_plan_case())
+@settings(max_examples=300, deadline=None)
+def test_lockstep_plan_reads_each_shard_once_per_epoch_in_maximal_runs(case):
+    lens, B, epochs = case
+    order, counts, begins, shift, batch, steps = learner._lockstep(lens, B, epochs)
+    k = len(lens)
+    assert order == tuple(sorted(range(k), key=lambda i: -lens[i]))  # a stable sort, largest first
+    assert counts == tuple(epochs * -(-n // B) for n in lens)
+    assert begins.tolist() == [0, *np.cumsum([lens[i] for i in order]).tolist()]
+    assert shift.shape == batch.shape == (len(steps), k) and len(steps) == max(counts)
+    assert not (begins.flags.writeable or shift.flags.writeable or batch.flags.writeable)
+    cursor = [None] * k  # each model's next row of its block, None before its first epoch
+    trained = [0] * k
+    prev_live = k
+    for s, (live, draws, runs) in enumerate(steps):
+        sizes = batch[s].tolist()
+        assert live <= prev_live and all(sizes[:live]) and not any(sizes[live:])
+        prev_live = live
+        # the runs split [0, live) into maximal segments of one batch size
+        assert [a for a, _, _ in runs] == [0, *(b for _, b, _ in runs[:-1])] and runs[-1][1] == live
+        assert all(sizes[a:b] == [size] * (b - a) for a, b, size in runs)
+        assert all(left[2] != right[2] for left, right in zip(runs, runs[1:]))
+        rows = np.repeat(shift[s], batch[s]) + np.arange(sum(sizes))
+        r0 = 0
+        for i in range(k):
+            end = begins[i + 1]
+            # a model draws exactly when it starts an epoch: first, or with its block read out
+            assert (i in draws) == (i < live and cursor[i] in (None, end))
+            if i in draws:
+                cursor[i] = begins[i]
+            if i < live:
+                assert sizes[i] == min(B, end - cursor[i])  # full batches but the last of an epoch
+                assert rows[r0 : r0 + sizes[i]].tolist() == list(range(cursor[i], cursor[i] + sizes[i]))
+                cursor[i] += sizes[i]
+                trained[i] += 1
+            r0 += sizes[i]
+    for i in range(k):
+        assert trained[i] == counts[order[i]] and cursor[i] in (None, begins[i + 1])
+        assert (cursor[i] is None) == (lens[order[i]] == 0)
+
+
 def _svote_with_skips():
     # a vote floor above every vote count: clients train only on the escalating Bernoulli draw
     return SVoteConfig(total_rounds=10, t_init=2, n_diverge=1, tau=0.5, v_min=6)
@@ -85,8 +134,9 @@ def test_kernel_rows_are_the_samples_trained(method):
         return kernel(X, y, W, b, gW, gb, runs)
 
     def counted(*args):
-        steps.append(len(schedule(*args)))
-        return schedule(*args)
+        plan = schedule(*args)
+        steps.append(len(plan[-1]))
+        return plan
 
     with mock.patch.object(kernels, "softmax_loss_grad", recorded), mock.patch.object(learner, "_lockstep", counted):
         if method == protocol.SVOTE:
@@ -115,10 +165,11 @@ def test_dense_100_shaped_group_holds_its_batch_and_a_few_model_buffers():
     # holds each model's epoch permutation (one index per training row), one
     # step's gathered batches (k B d floats), the group's weights, copied
     # into one k x P matrix in training order, and its gradient (2 k P
-    # floats), two int64 (steps x k) matrices that locate each step's
-    # batches, and the step's batch-sized temporaries: logits and their
+    # floats), the pass's plan, whose two int64 (steps x k) matrices locate
+    # each step's batches and stay cached with it (`learner._lockstep`),
+    # and the step's batch-sized temporaries: logits and their
     # transposed copy (2 k B c floats) and int64 label and label-offset
-    # vectors. Those measure 9.2 k P floats here, and the bound allows
+    # vectors. Those measure 8.7 k P floats here, and the bound allows
     # 10 k P; one more copy of the batch would be 5 k P more.
     k, d, c, B = 100, 16, 6, 32
     spec = ModelSpec(SOFTMAX, d, c)
