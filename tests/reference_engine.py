@@ -4,8 +4,10 @@ A message names one sender and a tuple of receivers; the ledger books it
 once per receiver into plain-int lists, the bus delivers it into per-client
 inboxes in sender order, and every client of a share phase reads its
 arrivals, selects peers from a dict of similarities and casts its own vote
-message. `_run` is the round engine built on them. Training, similarity,
-the vote gate, aggregation, prediction and scoring are the package's own
+message. `_run` is the round engine built on them. Similarity is a frozen
+copy of the package's blocked float64 Gram form, so a change to
+`svote.protocol.cosine_similarity` shows up as a mismatch. Training, the
+vote gate, aggregation, prediction and scoring are the package's own
 (`svote.protocol`), and prediction is looked up on that module on every
 call, so `conftest.evaluated_models` records the models this engine
 evaluates too.
@@ -35,12 +37,14 @@ from svote.protocol import (
     SVoteConfig,
     _aggregate_rows,
     _train,
-    cosine_similarity,
     vote_gate,
 )
 from svote.seeding import derive_rng, derive_seed
 
 _SELECT_EPS = 1e-12
+
+# model-matrix columns cast to float64 at a time while the Gram matrix is summed
+_GRAM_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,29 @@ def broadcast(bus: MessageBus, sender: int, kind: MessageKind, params: int) -> i
     neighbors = bus.topo.neighbors(sender)
     bus.send(RoundMessage(sender, neighbors, kind, message_byte_size(params)))
     return len(neighbors)
+
+
+def cosine_similarity(models: np.ndarray) -> np.ndarray:
+    """Cosine of every pair of rows of one n x P matrix, from one float64 Gram matrix summed over column blocks.
+
+    A zero-norm row ranks at -1 against every row.
+    """
+    if models.ndim != 2:
+        raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
+    p = models.shape[1]
+    block = models[:, :_GRAM_COLUMNS].astype(np.float64)  # reused for every later block
+    gram = block @ block.T
+    for start in range(_GRAM_COLUMNS, p, _GRAM_COLUMNS):
+        part = block[:, : p - start]  # the last block may be narrower
+        part[...] = models[:, start : start + _GRAM_COLUMNS]
+        gram += part @ part.T
+    norms = np.sqrt(np.diag(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+    zero = norms == 0.0
+    sims[zero, :] = -1.0
+    sims[:, zero] = -1.0
+    return sims
 
 
 def select_peers(local: int, sims: dict[int, float], tau: float) -> set[int]:
