@@ -186,6 +186,10 @@ class ExperimentConfig:
         names = [f.name for f in fields(protocol.SVoteConfig) if f.name != "total_rounds"]
         return protocol.SVoteConfig(total_rounds=self.rounds, **{name: getattr(self, name) for name in names})
 
+    def energy_coeffs(self) -> metrics.EnergyCoeffs:
+        """The energy coefficients of this config's energy.* keys."""
+        return metrics.EnergyCoeffs(self.c_train, self.c_agg, self.c_comm)
+
 
 _KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
@@ -287,10 +291,8 @@ def build_shards(cfg: ExperimentConfig, data: datahub.LabeledDataset):
     )
 
 
-def build_problem(
-    cfg: ExperimentConfig,
-) -> tuple[netsim.Topology, list[tuple[datahub.LabeledDataset, datahub.LabeledDataset]], learner.ModelSpec]:
-    """The topology, the clients' (train, test) shards and the model spec: all the engine reads.
+def build_problem(cfg: ExperimentConfig) -> tuple[netsim.Topology, datahub.Shards, learner.ModelSpec]:
+    """The topology, the federation's Shards and the model spec: all the engine reads.
 
     The dataset is cut into shards here and not returned: the shards hold a
     copy of every row, so it is freed before the first round and the rounds
@@ -341,7 +343,7 @@ def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[
 
 
 def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
-    coeffs = metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm)
+    coeffs = cfg.energy_coeffs()
     f1_mean, f1_std, per_client = metrics.federation_summary(result)
     # each energy total adds the records one at a time, in metrics.csv's order:
     # a pairwise or compensated sum could round to another float
@@ -387,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     call wrote.
     """
     result = execute(cfg)
-    lines = _csv_lines(result, metrics.EnergyCoeffs(cfg.c_train, cfg.c_agg, cfg.c_comm))
+    lines = _csv_lines(result, cfg.energy_coeffs())
     summary = build_summary(cfg, result)
     texts = {
         "metrics.csv": "\n".join(lines) + "\n",

@@ -51,32 +51,36 @@ class LabeledDataset:
         return self
 
 
-class Shards(list):
-    """Every client's (train, test) pair, in client order, and the train rows they are cut from.
+class Shards:
+    """A federation's data: every client's train rows in one client-major dataset and its test rows in another.
 
-    `train` holds every client's train rows in one client-major dataset;
-    client c's train shard is its rows bounds[c]:bounds[c + 1].
+    Client c's rows are train_bounds[c]:train_bounds[c + 1] of `train` and
+    the same range of test_bounds in `test`; each bounds array must run from
+    0 to its dataset's length without descending. `shards[c]` makes client
+    c's (train, test) pair as views of them; a negative c counts from the end.
     """
 
-    def __init__(self, pairs, train: LabeledDataset, bounds: np.ndarray):
-        super().__init__(pairs)
-        self.train, self.bounds = train, bounds
+    def __init__(self, train: LabeledDataset, test: LabeledDataset, train_bounds, test_bounds):
+        self.train, self.test = train, test
+        self.train_bounds, self.test_bounds = np.asarray(train_bounds), np.asarray(test_bounds)
+        if self.train_bounds.shape != self.test_bounds.shape or self.train_bounds.ndim != 1:
+            raise ConfigError("train and test bounds must be two offset lists of one length (n + 1)")
+        for name, bounds, data in (("train", self.train_bounds, train), ("test", self.test_bounds, test)):
+            if not bounds.size or bounds[0] != 0 or bounds[-1] != len(data) or (np.diff(bounds) < 0).any():
+                raise ConfigError(f"{name} bounds must ascend from 0 to the {name} set's {len(data)} rows")
+
+    def __len__(self) -> int:
+        return self.train_bounds.size - 1
+
+    def __getitem__(self, c: int) -> tuple[LabeledDataset, LabeledDataset]:
+        c = range(len(self))[c]  # a negative c counts from the end; past either end raises IndexError
+        return _rows(self.train, self.train_bounds, c), _rows(self.test, self.test_bounds, c)
 
 
-def client_major_train(shards) -> tuple[LabeledDataset, np.ndarray]:
-    """The train rows of shards as one client-major dataset, and each client's row bounds (n + 1 offsets).
-
-    Shards from `split_train_test` hand over the matrix they are cut from;
-    any other sequence of (train, test) pairs has its train parts copied
-    into one.
-    """
-    if isinstance(shards, Shards):
-        return shards.train, shards.bounds
-    parts = [train for train, _ in shards]
-    bounds = np.concatenate(([0], np.cumsum([len(part) for part in parts])))
-    features = np.concatenate([part.features for part in parts])
-    labels = np.concatenate([part.labels for part in parts])
-    return LabeledDataset.of_checked(features, labels, parts[0].num_classes), bounds
+def _rows(data: LabeledDataset, bounds: np.ndarray, c: int) -> LabeledDataset:
+    """Client c's rows of a client-major dataset, as views."""
+    start, end = bounds[c], bounds[c + 1]
+    return LabeledDataset.of_checked(data.features[start:end], data.labels[start:end], data.num_classes)
 
 
 def gen_synthetic(
@@ -253,9 +257,8 @@ def split_train_test(
     keep plan[c]'s order.
 
     All train rows are gathered from `data` at once into one client-major
-    matrix and all test rows into another; client c's (train, test) pair is a
-    row range of each. The Shards returned also hold the train matrix and
-    each client's row bounds in it, which lockstep training gathers from.
+    dataset and all test rows into another; the Shards returned hold the two
+    and each client's row bounds in them, and no per-client dataset is made.
     """
     if not 0 < test_fraction < 1:
         raise ConfigError("test_fraction must be in (0, 1)")
@@ -302,18 +305,14 @@ def split_train_test(
     client_test[client_test == 0] = 1  # the fallback sample
     train_rows, test_rows = rows[~is_test], rows[is_test]
     del rows, is_test
-    _, test = _gathered(data, test_rows, client_test)
+    test = _gathered(data, test_rows)
     del test_rows
-    train, parts = _gathered(data, train_rows, sizes - client_test)
-    return Shards(zip(parts, test), train, np.concatenate(([0], np.cumsum(sizes - client_test))))
+    train = _gathered(data, train_rows)
+    train_bounds = np.concatenate(([0], np.cumsum(sizes - client_test)))
+    return Shards(train, test, train_bounds, np.concatenate(([0], np.cumsum(client_test))))
 
 
-def _gathered(data: LabeledDataset, rows: np.ndarray, sizes: np.ndarray):
-    """data's rows gathered into one fresh dataset, and its consecutive row ranges of the given sizes."""
+def _gathered(data: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
+    """data's rows gathered into one fresh dataset."""
     features, labels = np.take(data.features, rows, axis=0), np.take(data.labels, rows)
-    whole = LabeledDataset.of_checked(features, labels, data.num_classes)
-    ends = np.cumsum(sizes).tolist()
-    return whole, [
-        LabeledDataset.of_checked(features[end - n : end], labels[end - n : end], data.num_classes)
-        for end, n in zip(ends, sizes.tolist())
-    ]
+    return LabeledDataset.of_checked(features, labels, data.num_classes)

@@ -11,9 +11,9 @@ Client cid's model is row cid of one n x P matrix, its SCAFFOLD variates are
 rows of two more, its selection is row cid of an n x n mask, and its votes
 and escalation p are entries of per-client lists. Every client that trains
 in a round trains in lockstep with the others (`learner.local_train`), in
-groups of at most _STACK_FLOATS parameters, on row ranges of the one
-client-major train matrix the shards are cut from. A share phase sends each
-message kind as one sender x receiver message (`netsim`).
+groups of at most _STACK_FLOATS parameters, on row ranges of the shards' one
+client-major train set. A share phase sends each message kind as one sender
+x receiver message (`netsim`).
 
 The voting protocol runs `SVoteConfig.phases()` and the baselines an
 all-FEDERATED table; with all-permissive settings (tau -> -inf, fixed vote
@@ -24,7 +24,6 @@ plain federated averaging exactly.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datahub import client_major_train
+from .datahub import Shards
 from .errors import ConfigError, ProtocolError
 from .kernels import DTYPE
 from .learner import (
@@ -167,9 +166,10 @@ def cosine_similarity(models: np.ndarray) -> np.ndarray:
     each cast to float64 into one reused n x _GRAM_COLUMNS buffer, so the
     similarities resolve far below the selection rule's slack without a
     float64 copy of the whole matrix. A matrix no wider than one block is
-    cast whole and multiplied once. A zero-norm row ranks at -1 against
-    every row: the engine floors models whose similarity is undefined below
-    everything.
+    cast whole and multiplied once. The Gram matrix is divided and clipped
+    in place, so no other n x n float64 matrix outlives the norms' outer
+    product. A zero-norm row ranks at -1 against every row: the engine
+    floors models whose similarity is undefined below everything.
     """
     if models.ndim != 2:
         raise ProtocolError("pairwise cosine similarity needs an n x P matrix")
@@ -182,11 +182,12 @@ def cosine_similarity(models: np.ndarray) -> np.ndarray:
         gram += part @ part.T
     norms = np.sqrt(np.diag(gram))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+        np.divide(gram, np.outer(norms, norms), out=gram)
+    np.clip(gram, -1.0, 1.0, out=gram)
     zero = norms == 0.0
-    sims[zero, :] = -1.0
-    sims[:, zero] = -1.0
-    return sims
+    gram[zero, :] = -1.0
+    gram[:, zero] = -1.0
+    return gram
 
 
 def select_peers(sims: np.ndarray, candidates: np.ndarray, tau: float) -> np.ndarray:
@@ -343,24 +344,21 @@ def _run(
     model_spec: ModelSpec,
     hp: HyperParams,
     topo: Topology,
-    shards,
+    shards: Shards,
     seed: int,
 ) -> RunResult:
     """One round per entry of phases, training and sharing as method does; cfg holds the vote settings.
 
-    shards[cid] is client cid's (train, test) pair.
+    Client cid trains on its row range of shards.train and is scored on its
+    row range of shards.test; all clients' predictions fill one client-major
+    array, scored against shards.test's labels in one macro_f1 call a round.
     """
     rounds = len(phases)
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
-    train, bounds = client_major_train(shards)
-    samples_per_pass = np.diff(bounds) * hp.local_epochs
-    bounds = bounds.tolist()
-    # every client's test predictions, client-major, scored in one macro_f1 call per round
-    tests = [test for _, test in shards]
-    test_bounds = [0, *itertools.accumulate(len(test) for test in tests)]
-    test_labels = np.concatenate([test.labels for test in tests])
+    samples_per_pass = np.diff(shards.train_bounds) * hp.local_epochs
+    bounds, test_bounds = shards.train_bounds.tolist(), shards.test_bounds.tolist()
     preds = np.empty(test_bounds[-1], dtype=np.intp)
     shape = (2, n, model_spec.param_count)
     variates = np.zeros(shape, dtype=DTYPE) if method == SCAFFOLD else None  # local, global
@@ -393,7 +391,7 @@ def _run(
 
         # every client has its own train and gate streams, so gating all first changes nothing
         trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]
-        _train(trainers, models, variates, train, bounds, train_rngs, model_spec, hp, method)
+        _train(trainers, models, variates, shards.train, bounds, train_rngs, model_spec, hp, method)
         samples[row, trainers] = samples_per_pass[trainers]
         action_values[row] = [action.value for action in actions]
 
@@ -403,9 +401,9 @@ def _run(
         voted = cfg.votes_in(phase)
 
         sent[row], received[row] = bus.ledger.take_round()
-        for cid in range(n):
-            preds[test_bounds[cid] : test_bounds[cid + 1]] = predict_batch(models[cid], tests[cid].features, model_spec)
-        f1[row] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
+        for cid, (start, end) in enumerate(zip(test_bounds, test_bounds[1:])):
+            preds[start:end] = predict_batch(models[cid], shards.test.features[start:end], model_spec)
+        f1[row] = macro_f1(preds, shards.test.labels, model_spec.num_classes, test_bounds)
 
     digest = hashlib.sha256(f"{models.dtype.str}{models.shape}".encode())
     digest.update(models)  # the matrix's own buffer, not a bytes copy
@@ -431,7 +429,7 @@ def run_svote(
     model_spec: ModelSpec,
     hp: HyperParams,
     topo: Topology,
-    shards,
+    shards: Shards,
     seed: int,
 ) -> RunResult:
     """The voting protocol over the cfg.total_rounds synchronous rounds of cfg.phases()."""
@@ -443,7 +441,7 @@ def run_baseline(
     model_spec: ModelSpec,
     hp: HyperParams,
     topo: Topology,
-    shards,
+    shards: Shards,
     seed: int,
     rounds: int = SVoteConfig.total_rounds,
 ) -> RunResult:

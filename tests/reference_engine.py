@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from svote import protocol
-from svote.datahub import client_major_train
 from svote.errors import ProtocolError
 from svote.kernels import DTYPE
 from svote.learner import init_params
@@ -208,7 +207,7 @@ def _run(method, cfg: SVoteConfig, rounds: int, model_spec, hp, topo: Topology, 
     n = topo.num_clients
     if len(shards) != n:
         raise ProtocolError(f"got {len(shards)} shards for {n} clients")
-    train, bounds = client_major_train(shards)
+    train, bounds = shards.train, shards.train_bounds
     samples_per_pass = np.diff(bounds) * hp.local_epochs
     bounds = bounds.tolist()
     tests = [test for _, test in shards]

@@ -514,9 +514,47 @@ class TestSplitTrainTest:
                 assert part.num_classes == num_classes
                 assert not np.shares_memory(part.features, data.features)
                 assert not np.shares_memory(part.labels, data.labels)
-        for side in (0, 1):  # train, then test
-            _assert_row_ranges_of_one_matrix([pair[side].features for pair in got])
-            _assert_row_ranges_of_one_matrix([pair[side].labels for pair in got])
+        for side, whole, bounds in ((0, got.train, got.train_bounds), (1, got.test, got.test_bounds)):
+            parts = [pair[side] for pair in got]
+            _assert_row_ranges_of_one_matrix([part.features for part in parts])
+            _assert_row_ranges_of_one_matrix([part.labels for part in parts])
+            # the pairs are views of the Shards' own two datasets, cut at its bounds
+            assert parts[0].features.base is whole.features and parts[0].labels.base is whole.labels
+            np.testing.assert_array_equal(bounds, np.cumsum([0] + [len(part) for part in parts]))
+
+    def test_shards_index_like_a_list_of_pairs(self):
+        data = datahub.gen_synthetic(2, 4, 30, 0.5, seed=2)
+        shards = datahub.split_train_test(data, np.array_split(np.arange(len(data)), 3), 0.2, [1, 2, 3])
+        pairs = list(shards)
+        assert len(shards) == len(pairs) == 3
+        for got, want in zip(shards[-1], pairs[2]):
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)
+        train, test = shards[1]
+        np.testing.assert_array_equal(train.labels, shards.train.labels[shards.train_bounds[1] : shards.train_bounds[2]])
+        np.testing.assert_array_equal(test.labels, shards.test.labels[shards.test_bounds[1] : shards.test_bounds[2]])
+        for c in (3, -4):
+            with pytest.raises(IndexError):
+                shards[c]
+
+    @pytest.mark.parametrize(
+        "train_bounds, test_bounds",
+        [
+            ([0, 4, 10], [0, 4]),  # lengths differ
+            ([], []),  # no offsets at all
+            ([1, 4, 10], [0, 2, 4]),  # train starts past 0
+            ([0, 6, 4, 10], [0, 1, 2, 4]),  # train descends
+            ([0, 4, 10], [0, 3, 2]),  # test descends and ends short
+            ([0, 4, 9], [0, 2, 4]),  # train ends short of its 10 rows
+            ([0, 4, 10], [0, 2, 5]),  # test ends past its 4 rows
+        ],
+    )
+    def test_shards_reject_bounds_that_do_not_cut_their_datasets(self, train_bounds, test_bounds):
+        train = datahub.LabeledDataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 2)
+        test = datahub.LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64), 2)
+        assert len(datahub.Shards(train, test, [0, 4, 10], [0, 2, 4])) == 2
+        with pytest.raises(ConfigError, match="bounds"):
+            datahub.Shards(train, test, train_bounds, test_bounds)
 
     def test_plan_and_seeds_must_match(self):
         data = datahub.gen_synthetic(2, 4, 10, 0.5, seed=2)

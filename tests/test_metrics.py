@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_problem
-from svote import cli, metrics, netsim, protocol
+from svote import cli, datahub, metrics, netsim, protocol
 from svote.errors import ConfigError, MetricError
 from svote.learner import HyperParams
 from svote.metrics import EnergyCoeffs, macro_f1
@@ -280,9 +280,9 @@ class TestEnergy:
 
 class TestWorkUnits:
     def test_symmetric_baseline_counts_equal(self):
-        # equal shards: hand the same shard to every client
-        data, shards, topo, spec = small_problem(num_clients=4)
-        same = [shards[0]] * 4
+        # equal shards: every client splits the same 80 samples with the same seed
+        data, _, topo, spec = small_problem(num_clients=4)
+        same = datahub.split_train_test(data, [np.arange(80)] * 4, 0.2, [7] * 4)
         from svote.netsim import full_topology
 
         res = protocol.run_baseline("fedavg", spec, HyperParams(lr=0.1), full_topology(4), same, 5, rounds=4)

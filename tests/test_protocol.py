@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_engine
 from conftest import adjacency_of, booked_rounds, evaluated_models, peak_traced_bytes, small_problem, traffic_totals
-from svote import cli, learner, metrics, netsim, protocol
+from svote import cli, datahub, learner, metrics, netsim, protocol
 from svote.errors import ConfigError, ProtocolError
 from svote.kernels import DTYPE
 from svote.learner import MLP, HyperParams, ModelSpec
@@ -210,6 +210,17 @@ class TestCosineSimilarity:
         # temporaries with their array headers; a float64 copy of the whole
         # matrix is n x P floats, 25 times the block
         assert peak < (n * _GRAM_COLUMNS + 32 * n * n) * 8
+        assert out[0].shape == (n, n)
+
+    def test_gram_matrix_is_divided_and_clipped_in_place(self):
+        n = 1000
+        models = np.random.default_rng(9).uniform(-0.05, 0.05, size=(n, 102)).astype(DTYPE)
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(cosine_similarity(models)))
+        # the Gram matrix, the norms' outer product and the n x 102 float64
+        # cast: 2.1 n x n float64 matrices, where a quotient and a clipped
+        # copy beside them would be 3.1
+        assert peak < 2.5 * n * n * 8
         assert out[0].shape == (n, n)
 
     def test_matrix_form_floors_zero_norm_rows(self):
@@ -860,11 +871,11 @@ class TestEngines:
         assert payload(sca) == 2 * payload(fed)
 
     def test_two_identical_clients_stay_in_sync_under_fedavg(self):
-        data, shards, topo, spec = small_problem(num_clients=6)
-        shard = shards[0]
+        data, _, topo, spec = small_problem(num_clients=6)
+        same = datahub.split_train_test(data, [np.arange(80)] * 2, 0.2, [7] * 2)
         topo2 = netsim.full_topology(2)
         with evaluated_models() as models:
-            run_baseline("fedavg", spec, HyperParams(lr=0.1), topo2, [shard, shard], 13, rounds=5)
+            run_baseline("fedavg", spec, HyperParams(lr=0.1), topo2, same, 13, rounds=5)
         assert len(models) == 5 * 2
         for rnd in range(5):
             np.testing.assert_array_equal(models[2 * rnd], models[2 * rnd + 1])
@@ -882,7 +893,7 @@ class TestEngines:
     def test_zero_norm_arrival_ranks_at_floor(self, monkeypatch):
         data, shards, topo, spec = small_problem()
         zero_client = 2
-        zero_start = shards.bounds[zero_client]  # the first of its rows in the client-major train set
+        zero_start = shards.train_bounds[zero_client]  # the first of its rows in the client-major train set
         real_train, real_select = protocol.local_train, protocol.select_peers
 
         def train(w, X, y, spec, hp, rngs, ranges, **rule):
@@ -1007,11 +1018,12 @@ class TestEngines:
 
     def test_two_client_federation_always_trains(self):
         # degree 1 <= 2: the gate never blocks, selection has a single candidate
-        data, shards, _, spec = small_problem(num_clients=6)
+        data, _, _, spec = small_problem(num_clients=6)
+        shards = datahub.split_train_test(data, np.array_split(np.arange(len(data)), 2), 0.2, [1, 2])
         topo = netsim.full_topology(2)
         hp = HyperParams(lr=0.2, local_epochs=1, batch_size=16)
         cfg = SVoteConfig(total_rounds=8, t_init=2, n_diverge=1)
-        res = run_svote(cfg, spec, hp, topo, shards[:2], 5)
+        res = run_svote(cfg, spec, hp, topo, shards, 5)
         assert (res.actions == Action.TRAIN_LOCAL.value).all()
         gated = res.models_aggregated[cfg.selection_round :]
         assert gated.size and (gated == 2).all()
@@ -1031,9 +1043,10 @@ class TestEngines:
             run_baseline("adam", spec, HyperParams(), topo, shards, 1)
 
     def test_shard_count_must_match_clients(self):
-        data, shards, topo, spec = small_problem()
+        data, _, topo, spec = small_problem()
+        shards = datahub.split_train_test(data, np.array_split(np.arange(len(data)), 5), 0.2, [1, 2, 3, 4, 5])
         with pytest.raises(ProtocolError):
-            run_baseline("fedavg", spec, HyperParams(), topo, shards[:-1], 1)
+            run_baseline("fedavg", spec, HyperParams(), topo, shards, 1)
 
 
 class _ListedTopology(netsim.Topology):
