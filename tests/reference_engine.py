@@ -6,8 +6,10 @@ inboxes in sender order, and every client of a share phase reads its
 arrivals, selects peers from a dict of similarities and casts its own vote
 message. `_run` is the round engine built on them. Similarity is a frozen
 copy of the package's blocked float64 Gram form, so a change to
-`svote.protocol.cosine_similarity` shows up as a mismatch. Training, the
-vote gate, aggregation, prediction and scoring are the package's own
+`svote.protocol.cosine_similarity` shows up as a mismatch. The vote gate is
+a frozen copy of the package's per-client gate: it returns a string-valued
+`Action` and climbs p up a float ladder in a list of per-client entries.
+Training, aggregation, prediction and scoring are the package's own
 (`svote.protocol`), and prediction is looked up on that module on every
 call, so `conftest.evaluated_models` records the models this engine
 evaluates too.
@@ -18,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -30,13 +34,10 @@ from svote.metrics import RunResult, macro_f1
 from svote.netsim import MessageKind, Topology, message_byte_size
 from svote.protocol import (
     _STACK_FLOATS,
-    P_ESCALATION_START,
     SCAFFOLD,
-    Action,
     SVoteConfig,
     _aggregate_rows,
     _train,
-    vote_gate,
 )
 from svote.seeding import derive_rng, derive_seed
 
@@ -44,6 +45,15 @@ _SELECT_EPS = 1e-12
 
 # model-matrix columns cast to float64 at a time while the Gram matrix is summed
 _GRAM_COLUMNS = 2048
+
+P_ESCALATION_START = 0.1
+P_ESCALATION_STEP = 0.1
+
+
+class Action(Enum):
+    TRAIN_LOCAL = "train_local"
+    TRAIN_RANDOM = "train_random"
+    SKIP = "skip"
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,25 @@ def cast_votes(bus: MessageBus, local: int, selected: set[int]) -> int:
     if selected:
         bus.send(RoundMessage(local, tuple(sorted(selected)), MessageKind.VOTE, message_byte_size(0)))
     return len(selected)
+
+
+def vote_gate(
+    cid: int, votes: Sequence[int], p_escalation: list[float], v_min: int, neighbor_count: int, rng: np.random.Generator
+) -> Action:
+    """Conditional-training decision of client cid; updates p_escalation[cid].
+
+    Enough votes (or a <= 2-neighbor position) trains unconditionally;
+    otherwise a Bernoulli(p) draw triggers spontaneous training, and failure
+    skips the round and escalates p by 0.1 up to 1.0. Any training resets p.
+    """
+    if votes[cid] >= v_min or neighbor_count <= 2:
+        p_escalation[cid] = P_ESCALATION_START
+        return Action.TRAIN_LOCAL
+    if rng.random() < p_escalation[cid]:
+        p_escalation[cid] = P_ESCALATION_START
+        return Action.TRAIN_RANDOM
+    p_escalation[cid] = min(round(p_escalation[cid] + P_ESCALATION_STEP, 10), 1.0)
+    return Action.SKIP
 
 
 def _share_and_aggregate(

@@ -1050,10 +1050,13 @@ class TestEngines:
 
 
 class _ListedTopology(netsim.Topology):
-    """A topology that lists each client's neighbors, as the frozen per-message engine reads them."""
+    """A topology that lists each client's neighbors and degree, as the frozen per-message engine reads them."""
 
     def neighbors(self, client):
         return tuple(np.flatnonzero(self.adjacency[client]).tolist())
+
+    def degree(self, client):
+        return len(self.neighbors(client))
 
 
 class TestReferenceEngine:
