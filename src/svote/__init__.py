@@ -40,6 +40,7 @@ from .netsim import (
     full_topology,
 )
 from .protocol import (
+    ACTION_NAMES,
     BASELINES,
     FEDAVG,
     FEDPROX,

@@ -332,7 +332,7 @@ def fedavg_equivalent_bytes(topo: netsim.Topology, rounds: int, param_count: int
 
 def _csv_lines(result: metrics.RunResult, coeffs: metrics.EnergyCoeffs) -> list[str]:
     n = result.topology.num_clients
-    columns = (result.f1, result.bytes_sent, result.bytes_received, result.actions)
+    columns = (result.f1, result.bytes_sent, result.bytes_received, np.array(protocol.ACTION_NAMES, object)[result.actions])
     columns += (*metrics.energy(result, coeffs), result.work_units)
     # record i of the round-major columns is round i // n + 1, client i % n
     records = enumerate(zip(*(column.ravel().tolist() for column in columns)))
@@ -351,6 +351,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
     units = result.work_units.sum(axis=0).tolist()
     equiv = fedavg_equivalent_bytes(result.topology, result.rounds, result.param_count)
     total_sent = int(result.bytes_sent.sum())
+    action_counts = np.bincount(result.actions.ravel(), minlength=len(protocol.ACTION_NAMES)).tolist()
     return {
         "config": dict(config_items(cfg)),
         "method": result.method,
@@ -373,7 +374,7 @@ def build_summary(cfg: ExperimentConfig, result: metrics.RunResult) -> dict:
         },
         "work_units_per_client": units,
         "work_units_total": sum(units),
-        "actions": {a.value: int(np.count_nonzero(result.actions == a.value)) for a in protocol.Action},
+        "actions": dict(zip(protocol.ACTION_NAMES, action_counts)),
         "fedavg_equivalent_bytes": equiv,
         "byte_reduction_pct": 100.0 * (equiv - total_sent) / equiv if equiv else 0.0,
         "final_models_sha256": result.final_models_sha256,

@@ -4,7 +4,7 @@ A run's per-round quantities are rounds x n columns of its RunResult: row
 r - 1 holds round r and column c client c, so reading a column in C order
 visits the records round-major, clients in id order, as metrics.csv lists
 them. Work units, a counted-work proxy for elapsed time, are
-samples_trained + models_aggregated.
+samples_trained + models_aggregated; actions are int8 Action codes.
 
 Energy is a declared linear model, not a measurement: c_train per
 (sample x epoch) trained, c_agg per parameter entering an aggregation,
@@ -31,7 +31,7 @@ class RunResult:
     f1: np.ndarray  # float64 macro-F1 of each client's model on its own test split
     bytes_sent: np.ndarray  # int64; with bytes_received the only per-round byte counts
     bytes_received: np.ndarray  # int64
-    actions: np.ndarray  # object: each client's Action value, e.g. "skip"
+    actions: np.ndarray  # int8 Action codes; protocol.ACTION_NAMES[code] is the name metrics.csv prints
     samples_trained: np.ndarray  # int64 samples x epochs trained (0 when the client sat out)
     models_aggregated: np.ndarray  # int64 models entering the mean, own included; 0 if no aggregation
     bytes_by_kind: dict[MessageKind, int]  # run total per message kind, every kind present

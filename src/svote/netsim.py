@@ -59,8 +59,9 @@ class Topology:
     copies it and checks that it is square, symmetric and has a zero diagonal
     (no self-loops), raising `ConfigError` otherwise. Connectivity is not
     checked here: `erdos_renyi` redraws until its graph is connected, and
-    `full_topology` is connected by construction. Degrees are the matrix's
-    row counts, as plain ints. Two topologies are equal when their matrices are.
+    `full_topology` is connected by construction. `degrees`, the matrix's row
+    counts, is a read-only int array. Two topologies are equal when their
+    matrices are.
     """
 
     adjacency: np.ndarray
@@ -75,16 +76,14 @@ class Topology:
             raise ConfigError(f"self-loop at client {int(adjacency.diagonal().argmax())}")
         if cells != adjacency.T.tobytes():
             raise ConfigError("adjacency is not symmetric")
-        adjacency.flags.writeable = False
+        degrees = np.count_nonzero(adjacency, axis=1)
+        adjacency.flags.writeable = degrees.flags.writeable = False
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "_degrees", tuple(np.count_nonzero(adjacency, axis=1).tolist()))
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def num_clients(self) -> int:
         return len(self.adjacency)
-
-    def degree(self, client: int) -> int:
-        return self._degrees[client]
 
     def __eq__(self, other):
         if not isinstance(other, Topology):

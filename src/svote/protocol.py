@@ -8,12 +8,13 @@ the model each pass starts from) and what is shared (SCAFFOLD adds its
 control variate).
 
 Client cid's model is row cid of one n x P matrix, its SCAFFOLD variates are
-rows of two more, its selection is row cid of an n x n mask, and its votes
-and escalation p are entries of per-client lists. Every client that trains
-in a round trains in lockstep with the others (`learner.local_train`), in
-groups of at most _STACK_FLOATS parameters, on row ranges of the shards' one
-client-major train set. A share phase sends each message kind as one sender
-x receiver message (`netsim`).
+rows of two more, its selection is row cid of an n x n mask, and its votes,
+vote floor, degree, escalation level and int8 Action code are entry cid of
+per-client arrays, so one vote_gate call decides a GATED round. Every client
+that trains in a round trains in lockstep with the others
+(`learner.local_train`), in groups of at most _STACK_FLOATS parameters, on
+row ranges of the shards' one client-major train set. A share phase sends
+each message kind as one sender x receiver message (`netsim`).
 
 The voting protocol runs `SVoteConfig.phases()` and the baselines an
 all-FEDERATED table; with all-permissive settings (tau -> -inf, fixed vote
@@ -27,7 +28,7 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -53,9 +54,6 @@ SCAFFOLD = "scaffold"
 
 BASELINES = (FEDAVG, FEDPROX, SCAFFOLD)
 
-P_ESCALATION_START = 0.1
-P_ESCALATION_STEP = 0.1
-
 # slack for the inclusive >= of the selection rule: identical similarities must
 # all clear a threshold equal to their own mean despite round-off. The slack is
 # far below float32's resolution (about 6e-8 near 1), so it holds only because
@@ -71,10 +69,15 @@ _GRAM_COLUMNS = 2048
 _STACK_FLOATS = 1 << 14
 
 
-class Action(Enum):
-    TRAIN_LOCAL = "train_local"
-    TRAIN_RANDOM = "train_random"
-    SKIP = "skip"
+class Action(IntEnum):
+    """A client's choice in a round, held as an int8 code; ACTION_NAMES[code] is its name in the artifacts."""
+
+    TRAIN_LOCAL = 0
+    TRAIN_RANDOM = 1
+    SKIP = 2
+
+
+ACTION_NAMES = tuple(action.name.lower() for action in Action)  # "train_local", "train_random", "skip"
 
 
 class Phase(Enum):
@@ -120,7 +123,8 @@ class SVoteConfig:
         """Whether a round of this phase selects peers and casts votes."""
         return phase is Phase.SELECT or (phase is Phase.GATED and self.refresh_selection)
 
-    def v_min_for(self, degree: int) -> int:
+    def v_min_for(self, degree):
+        """The vote floor of a client of this degree, or of each client of an array of degrees."""
         return (degree + 1) // 2 if self.v_min == "half" else self.v_min
 
 
@@ -220,23 +224,21 @@ def cast_votes(bus: MessageBus, selection: np.ndarray):
     bus.send(selection, MessageKind.VOTE, message_byte_size(0))
 
 
-def vote_gate(
-    cid: int, votes: Sequence[int], p_escalation: list[float], v_min: int, neighbor_count: int, rng: np.random.Generator
-) -> Action:
-    """Conditional-training decision of client cid; updates p_escalation[cid].
+def vote_gate(votes, floors, degrees, levels: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Every client's conditional-training action, as int8 Action codes; updates the int8 levels in place.
 
-    Enough votes (or a <= 2-neighbor position) trains unconditionally;
-    otherwise a Bernoulli(p) draw triggers spontaneous training, and failure
-    skips the round and escalates p by 0.1 up to 1.0. Any training resets p.
+    Client c trains unconditionally (TRAIN_LOCAL) with votes[c] >= floors[c]
+    or degrees[c] <= 2. Every other client, in id order, draws
+    rngs[c].random(): below its escalation p = levels[c] / 10 it trains
+    spontaneously (TRAIN_RANDOM), else it skips the round and its level rises
+    by one, up to 10 (p = 1.0). Any training resets the level to 1.
     """
-    if votes[cid] >= v_min or neighbor_count <= 2:
-        p_escalation[cid] = P_ESCALATION_START
-        return Action.TRAIN_LOCAL
-    if rng.random() < p_escalation[cid]:
-        p_escalation[cid] = P_ESCALATION_START
-        return Action.TRAIN_RANDOM
-    p_escalation[cid] = min(round(p_escalation[cid] + P_ESCALATION_STEP, 10), 1.0)
-    return Action.SKIP
+    codes = np.where((votes >= floors) | (degrees <= 2), Action.TRAIN_LOCAL, Action.SKIP).astype(np.int8)
+    for cid in np.flatnonzero(codes == Action.SKIP).tolist():
+        if rngs[cid].random() < levels[cid] / 10:
+            codes[cid] = Action.TRAIN_RANDOM
+    levels[...] = np.where(codes == Action.SKIP, np.minimum(levels + 1, 10), 1)
+    return codes
 
 
 # ------------------------------------------------------------ engine plumbing
@@ -294,14 +296,15 @@ def _aggregate_rows(matrix: np.ndarray, rows: list[int], stack: np.ndarray, out:
 
 
 def _share_and_aggregate(
-    bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, phase: Phase, actions: list[Action]
+    bus: MessageBus, models, mixed, variates, selected, cfg: SVoteConfig, phase: Phase, actions: np.ndarray
 ) -> np.ndarray:
     """Share phase and aggregation of one round of the given phase; returns each client's aggregated-model count.
 
     Clients broadcast MODEL_UPDATE, or with suppress_nontrainer_updates on a
-    header-only NO_UPDATE when their action is SKIP; client c's arrivals are
-    column c of the delivered MODEL_UPDATE routes, and the update from p is
-    row p of models (SCAFFOLD's also row p of the local variates). A
+    header-only NO_UPDATE when their entry of the round's Action codes is
+    SKIP; client c's arrivals are column c of the delivered MODEL_UPDATE
+    routes, and the update from p is row p of models (SCAFFOLD's also row p
+    of the local variates). A
     FEDERATED round averages every arrival. A SELECT round, and a GATED round
     when refresh_selection is on, selects peers from one cosine matrix of
     models and votes for them; other GATED rounds keep the n x n mask
@@ -312,7 +315,7 @@ def _share_and_aggregate(
     larger one row by row; both add the rows in the same order.
     """
     n, p = models.shape
-    updating = np.fromiter((a is not Action.SKIP or not cfg.suppress_nontrainer_updates for a in actions), bool, n)
+    updating = (actions != Action.SKIP) | (not cfg.suppress_nontrainer_updates)
     broadcast(bus, updating, MessageKind.MODEL_UPDATE, p if variates is None else 2 * p)
     if not updating.all():
         broadcast(bus, ~updating, MessageKind.NO_UPDATE, 0)
@@ -367,36 +370,32 @@ def _run(
     for cid in range(n):
         models[cid] = init_params(model_spec, derive_seed(seed, "init", cid))
     selected = np.zeros((n, n), dtype=bool)  # row c: the peers client c selected
-    votes = [0] * n
-    degrees = [topo.degree(cid) for cid in range(n)]
-    floors = [cfg.v_min_for(degree) for degree in degrees]
-    p_escalation = [P_ESCALATION_START] * n
+    votes = np.zeros(n, dtype=np.int64)  # the votes each client received in the latest voting round
+    floors = np.broadcast_to(cfg.v_min_for(topo.degrees), n)
+    levels = np.ones(n, dtype=np.int8)  # each client's escalation p, times 10
     train_rngs = [derive_rng(seed, "train", cid) for cid in range(n)]
     gate_rngs = [derive_rng(seed, "gate", cid) for cid in range(n)]
     bus = MessageBus(topo)
     # the result's rounds x n columns; each round writes its row
     f1 = np.empty((rounds, n))
     sent, received, samples, aggregated = np.zeros((4, rounds, n), dtype=np.int64)
-    action_values = np.empty((rounds, n), dtype=object)
+    actions = np.full((rounds, n), Action.TRAIN_LOCAL, dtype=np.int8)
 
     voted = False  # whether the previous round cast votes
     for row, phase in enumerate(phases):
-        actions = [Action.TRAIN_LOCAL] * n
         if phase is Phase.GATED:
             # the latest votes decide who trains: the previous round's, else the tally read before them
             if voted:
-                votes = bus.take_inbox()[MessageKind.VOTE].sum(axis=0).tolist()  # the votes each client received
-            for cid in range(n):
-                actions[cid] = vote_gate(cid, votes, p_escalation, floors[cid], degrees[cid], gate_rngs[cid])
+                votes = bus.take_inbox()[MessageKind.VOTE].sum(axis=0)
+            actions[row] = vote_gate(votes, floors, topo.degrees, levels, gate_rngs)
 
         # every client has its own train and gate streams, so gating all first changes nothing
-        trainers = [cid for cid in range(n) if actions[cid] is not Action.SKIP]
+        trainers = np.flatnonzero(actions[row] != Action.SKIP).tolist()
         _train(trainers, models, variates, shards.train, bounds, train_rngs, model_spec, hp, method)
         samples[row, trainers] = samples_per_pass[trainers]
-        action_values[row] = [action.value for action in actions]
 
         if phase is not Phase.LOCAL:
-            aggregated[row] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, phase, actions)
+            aggregated[row] = _share_and_aggregate(bus, models, mixed, variates, selected, cfg, phase, actions[row])
             models, mixed = mixed, models
         voted = cfg.votes_in(phase)
 
@@ -414,7 +413,7 @@ def _run(
         f1=f1,
         bytes_sent=sent,
         bytes_received=received,
-        actions=action_values,
+        actions=actions,
         samples_trained=samples,
         models_aggregated=aggregated,
         bytes_by_kind={k: bus.ledger.kind_bytes.get(k, 0) for k in MessageKind},

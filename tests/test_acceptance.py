@@ -21,7 +21,7 @@ from conftest import evaluated_models, traffic_totals
 from svote import cli, metrics, netsim, protocol
 from svote.learner import HyperParams
 from svote.netsim import MessageKind
-from svote.protocol import P_ESCALATION_START, Action, SVoteConfig, vote_gate
+from svote.protocol import Action, SVoteConfig, vote_gate
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -152,12 +152,12 @@ def test_criterion_6_p_escalation_sequence():
         def random(self):
             return 1.0
 
-    p_escalation = [P_ESCALATION_START]
-    observed = [p_escalation[0]]
+    levels = np.ones(1, dtype=np.int8)  # one client's escalation p, times 10
+    observed = [levels[0] / 10]
     for _ in range(12):
-        action = vote_gate(0, [0], p_escalation, v_min=5, neighbor_count=9, rng=ForcedFailure())
-        assert action is Action.SKIP
-        observed.append(p_escalation[0])
+        codes = vote_gate(np.array([0]), np.array([5]), np.array([9]), levels, [ForcedFailure()])
+        assert codes.tolist() == [Action.SKIP]
+        observed.append(levels[0] / 10)
     expected = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.0, 1.0]
     assert observed == pytest.approx(expected, abs=1e-9)
     print("\nACCEPTANCE 6 (p-escalation 0.1..1.0 then capped): PASS")

@@ -10,6 +10,7 @@ from svote import cli, datahub, metrics, netsim, protocol
 from svote.errors import ConfigError, MetricError
 from svote.learner import HyperParams
 from svote.metrics import EnergyCoeffs, macro_f1
+from svote.protocol import Action
 
 
 def _macro_f1_per_class_loop(predictions, truth, num_classes):
@@ -163,7 +164,8 @@ class TestMacroF1:
         assert before == pytest.approx(after, abs=1e-12)
 
 
-def _result(per_client_f1, rounds=3, samples_trained=50, models_aggregated=4, actions="train_local", param_count=10):
+def _result(per_client_f1, rounds=3, samples_trained=50, models_aggregated=4, actions=Action.TRAIN_LOCAL,
+            param_count=10):
     """A hand-built run: every round's F1 is 0.1 but the last one's; column arguments are scalars or rounds x n."""
     n = len(per_client_f1)
     shape = (rounds, n)
@@ -177,7 +179,7 @@ def _result(per_client_f1, rounds=3, samples_trained=50, models_aggregated=4, ac
         f1=f1,
         bytes_sent=traffic,
         bytes_received=traffic.copy(),
-        actions=np.broadcast_to(np.asarray(actions, dtype=object), shape).copy(),
+        actions=np.broadcast_to(np.asarray(actions, dtype=np.int8), shape).copy(),
         samples_trained=np.broadcast_to(samples_trained, shape).copy(),
         models_aggregated=np.broadcast_to(models_aggregated, shape).copy(),
         bytes_by_kind={k: 0 for k in netsim.MessageKind},
@@ -259,7 +261,7 @@ class TestEnergy:
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = protocol.SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
         res = protocol.run_svote(cfg, spec, hp, topo, shards, 3)
-        skipped = res.actions == "skip"
+        skipped = res.actions == Action.SKIP
         assert skipped.any()
         e_train = metrics.energy(res, EnergyCoeffs())[0]
         assert not e_train[skipped].any()
@@ -293,7 +295,7 @@ class TestWorkUnits:
         # same shard size, same aggregation counts; client 1 skips rounds 2 and 4
         skipped = np.array([[False, rnd in (2, 4)] for rnd in range(1, 6)])
         res = _result([0.5, 0.5], rounds=5, samples_trained=np.where(skipped, 0, 100), models_aggregated=3,
-                      actions=np.where(skipped, "skip", "train_local"))
+                      actions=np.where(skipped, Action.SKIP, Action.TRAIN_LOCAL))
         units = _summary(res)["work_units_per_client"]
         assert units == [5 * 103, 3 * 103 + 2 * 3]
 

@@ -32,7 +32,7 @@ class TestFullTopology:
 
     def test_degrees(self):
         topo = netsim.full_topology(7)
-        assert all(topo.degree(i) == 6 for i in range(7))
+        assert topo.degrees.tolist() == [6] * 7
 
     def test_n1_rejected(self):
         with pytest.raises(ConfigError):
@@ -108,8 +108,7 @@ class TestErdosRenyi:
                     seen.add(peer)
                     stack.append(peer)
         assert len(seen) == 1000
-        degrees = [topo.degree(c) for c in range(1000)]
-        assert all(type(d) is int for d in degrees) and degrees == rows.sum(axis=1).tolist()
+        assert topo.degrees.tolist() == rows.sum(axis=1).tolist()
 
 
 class TestPinnedGraphs:
@@ -136,7 +135,7 @@ class TestPinnedGraphs:
         monkeypatch.setattr(netsim, "derive_seed", spy)
         topo = netsim.erdos_renyi(n, p, seed)
         assert _neighbor_lists(topo) == neighbors
-        assert [topo.degree(c) for c in range(n)] == [len(peers) for peers in neighbors]
+        assert topo.degrees.tolist() == [len(peers) for peers in neighbors]
         assert attempts == list(range(draws))
 
     def test_full_topology_neighbor_lists(self):
@@ -146,9 +145,12 @@ class TestPinnedGraphs:
         ]
 
     def test_degrees_are_plain_ints(self):
-        # they reach the ledger and summary.json, which serialise plain ints only
+        # an int array, one entry per client, that no caller can change under the topology
         topo = netsim.erdos_renyi(10, 0.5, 3)
-        assert all(type(topo.degree(c)) is int for c in range(10))
+        assert topo.degrees.dtype.kind == "i" and topo.degrees.shape == (10,)
+        np.testing.assert_array_equal(topo.degrees, topo.adjacency.sum(axis=1))
+        with pytest.raises(ValueError):
+            topo.degrees[0] = 0
         assert type(topo.num_clients) is int
 
 
@@ -162,7 +164,7 @@ class TestTopologyValue:
         adjacency = ~np.eye(3, dtype=bool)
         topo = Topology(adjacency)
         adjacency[0, 1] = adjacency[1, 0] = False
-        assert topo.adjacency[0].tolist() == [False, True, True] and topo.degree(1) == 2
+        assert topo.adjacency[0].tolist() == [False, True, True] and topo.degrees[1] == 2
 
     def test_equality_compares_adjacency(self):
         assert Topology(adjacency_of(3, {(0, 1), (1, 2), (0, 2)})) == netsim.full_topology(3)
@@ -194,13 +196,13 @@ class TestTopologyValue:
         for c in range(n):
             neighbors = np.flatnonzero(topo.adjacency[c]).tolist()
             assert neighbors == [j for j in range(n) if upper[c, j] or upper[j, c]]
-            assert topo.degree(c) == len(neighbors)
+            assert topo.degrees[c] == len(neighbors)
         assert topo.num_clients == n
 
     def test_connectivity_is_not_checked(self):
         # only erdos_renyi guarantees a connected graph
         topo = Topology(adjacency_of(3, {(0, 1)}))
-        assert not topo.adjacency[2].any() and topo.degree(2) == 0
+        assert not topo.adjacency[2].any() and topo.degrees[2] == 0
 
 
 class TestMessages:

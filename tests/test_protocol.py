@@ -18,7 +18,7 @@ from svote.learner import MLP, HyperParams, ModelSpec
 from svote.netsim import MessageBus, MessageKind, TrafficLedger
 from svote.protocol import (
     _GRAM_COLUMNS,
-    P_ESCALATION_START,
+    ACTION_NAMES,
     Action,
     Phase,
     SVoteConfig,
@@ -405,57 +405,97 @@ class TestCastVotes:
         assert _votes_received(bus) == [10] + [0] * 10
 
 
-class TestVoteGate:
-    """Client 1 of three, between two clients whose entries the gate must leave alone."""
+def _gate(votes, floor, degree, levels, rng):
+    """One client's action from one vote_gate call: votes, floor and degree are its entries, levels its 1-array."""
+    codes = vote_gate(np.array([votes]), np.array([floor]), np.array([degree]), levels, [rng])
+    assert codes.dtype == np.int8 and codes.shape == (1,)
+    return Action(codes[0])
 
-    def _lists(self, votes=0, p=P_ESCALATION_START):
-        return [7, votes, 7], [0.5, p, 0.5]
+
+def _gate_cases(n):
+    """n clients' rounds of votes, vote floors, degrees (0-6, so some have at most 2), levels and rng seeds."""
+
+    def per_client(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    rounds = st.lists(per_client(st.integers(0, 6)), min_size=1, max_size=4)
+    return st.tuples(rounds, per_client(st.integers(0, 6)), per_client(st.integers(0, 6)),
+                     per_client(st.integers(1, 10)), per_client(st.integers(0, 2**32 - 1)))
+
+
+class TestVoteGate:
+    """One client's gate decisions; its escalation p is levels[0] / 10."""
+
+    def _levels(self, p=0.1):
+        return np.array([round(10 * p)], dtype=np.int8)
 
     def test_enough_votes_trains(self):
-        votes, ps = self._lists(votes=3)
-        assert vote_gate(1, votes, ps, v_min=2, neighbor_count=9, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
+        assert _gate(3, floor=2, degree=9, levels=self._levels(), rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
 
     def test_two_neighbors_always_train(self):
-        votes, ps = self._lists(votes=0)
-        assert vote_gate(1, votes, ps, v_min=5, neighbor_count=2, rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
+        assert _gate(0, floor=5, degree=2, levels=self._levels(), rng=_ForcedRng(1.0)) is Action.TRAIN_LOCAL
 
     def test_forced_failures_escalate(self):
-        votes, ps = self._lists()
+        levels = self._levels()
         seq = []
         for _ in range(3):
-            assert vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0)) is Action.SKIP
-            seq.append(ps[1])
+            assert _gate(0, 5, 5, levels, _ForcedRng(1.0)) is Action.SKIP
+            seq.append(levels[0] / 10)
         assert seq == pytest.approx([0.2, 0.3, 0.4], abs=1e-9)
-        assert (votes, ps[0], ps[2]) == ([7, 0, 7], 0.5, 0.5)
+        assert levels.dtype == np.int8
 
     def test_p_sequence_caps_at_one(self):
-        votes, ps = self._lists()
+        levels = self._levels()
         seq = []
         for _ in range(12):
-            vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
-            seq.append(ps[1])
+            _gate(0, 5, 5, levels, _ForcedRng(1.0))
+            seq.append(levels[0] / 10)
         assert seq[:9] == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], abs=1e-9)
         assert seq[9:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
 
     def test_success_draw_trains_randomly_and_resets_p(self):
-        votes, ps = self._lists(p=0.7)
-        assert vote_gate(1, votes, ps, 5, 5, _ForcedRng(0.0)) is Action.TRAIN_RANDOM
-        assert ps[1] == pytest.approx(0.1)
+        levels = self._levels(p=0.7)
+        assert _gate(0, 5, 5, levels, _ForcedRng(0.0)) is Action.TRAIN_RANDOM
+        assert levels[0] / 10 == pytest.approx(0.1)
 
     def test_training_via_votes_resets_p(self):
-        votes, ps = self._lists(votes=9, p=0.8)
-        vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
-        assert ps[1] == pytest.approx(0.1)
-        assert (votes, ps[0], ps[2]) == ([7, 9, 7], 0.5, 0.5)
+        levels = self._levels(p=0.8)
+        votes = np.array([9])
+        vote_gate(votes, np.array([5]), np.array([5]), levels, [_ForcedRng(1.0)])
+        assert levels[0] / 10 == pytest.approx(0.1)
+        assert votes.tolist() == [9]
 
     def test_p_never_decreases_while_skipping(self):
-        votes, ps = self._lists()
-        last = ps[1]
+        levels = self._levels()
+        last = levels[0] / 10
         for _ in range(20):
-            vote_gate(1, votes, ps, 5, 5, _ForcedRng(1.0))
-            assert ps[1] >= last - 1e-12
-            assert ps[1] <= 1.0
-            last = ps[1]
+            _gate(0, 5, 5, levels, _ForcedRng(1.0))
+            assert levels[0] / 10 >= last - 1e-12
+            assert levels[0] / 10 <= 1.0
+            last = levels[0] / 10
+
+    @given(st.integers(1, 8).flatmap(_gate_cases))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_frozen_per_client_gate(self, drawn):
+        # rounds of votes against fixed floors and degrees, from any starting levels, each client on its own stream;
+        # the frozen gate's p starts at the level's rung of its own float ladder, climbed by forced failures
+        rounds, floors, degrees, levels, seeds = drawn
+        n = len(levels)
+        p_escalation = [reference_engine.P_ESCALATION_START] * n
+        for cid, level in enumerate(levels):
+            for _ in range(level - 1):
+                reference_engine.vote_gate(cid, [0] * n, p_escalation, 1, 3, _ForcedRng(1.0))
+        levels = np.array(levels, dtype=np.int8)
+        assert (levels / 10).tobytes() == np.array(p_escalation).tobytes()
+        rngs, frozen_rngs = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
+        for votes in rounds:
+            codes = vote_gate(np.array(votes), np.array(floors), np.array(degrees), levels, rngs)
+            frozen = [reference_engine.vote_gate(cid, votes, p_escalation, floors[cid], degrees[cid], rng)
+                      for cid, rng in enumerate(frozen_rngs)]
+            assert codes.dtype == np.int8 and levels.dtype == np.int8
+            assert [ACTION_NAMES[code] for code in codes] == [action.value for action in frozen]
+            assert (levels / 10).tobytes() == np.array(p_escalation).tobytes()
+        assert [rng.bit_generator.state for rng in rngs] == [rng.bit_generator.state for rng in frozen_rngs]
 
 
 class TestEngineMemory:
@@ -600,28 +640,21 @@ def round_kind_bytes():
 
 
 def _recorded_svote_run(cfg, topo, seed, epochs):
-    """run_svote with the vote, gate and broadcast calls recorded.
+    """run_svote with the vote and broadcast calls recorded.
 
     Returns the result, the model spec, every selection voted for by
-    (round, client), every gate call as (client, votes received, v_min,
-    degree, action) in call order, the MODEL_UPDATE senders of each round,
-    and the samples x epochs of one local pass of each client.
+    (round, client), the MODEL_UPDATE senders of each round, and the
+    samples x epochs of one local pass of each client.
     """
     _, shards, _, spec = small_problem(seed=seed, num_clients=topo.num_clients)
     selections = {}
-    gates = []
     updates = defaultdict(set)
-    real_cast, real_gate, real_broadcast = protocol.cast_votes, protocol.vote_gate, protocol.broadcast
+    real_cast, real_broadcast = protocol.cast_votes, protocol.broadcast
 
     def cast(bus, selection):
         for cid, row in enumerate(selection):
             selections[(round_of(bus.ledger), cid)] = set(np.flatnonzero(row).tolist())
         return real_cast(bus, selection)
-
-    def gate(cid, votes, p_escalation, v_min_, degree, rng):
-        action = real_gate(cid, votes, p_escalation, v_min_, degree, rng)
-        gates.append((cid, votes[cid], v_min_, degree, action))
-        return action
 
     def broadcast(bus, senders, kind, params):
         if kind is MessageKind.MODEL_UPDATE:
@@ -631,11 +664,10 @@ def _recorded_svote_run(cfg, topo, seed, epochs):
     with (
         booked_rounds() as round_of,
         mock.patch.object(protocol, "cast_votes", cast),
-        mock.patch.object(protocol, "vote_gate", gate),
         mock.patch.object(protocol, "broadcast", broadcast),
     ):
         res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=epochs, batch_size=16), topo, shards, seed)
-    return res, spec, selections, gates, updates, [train.labels.shape[0] * epochs for train, _ in shards]
+    return res, spec, selections, updates, [train.labels.shape[0] * epochs for train, _ in shards]
 
 
 def _columns(res):
@@ -643,8 +675,17 @@ def _columns(res):
     return (res.f1, res.bytes_sent, res.bytes_received, res.actions, res.samples_trained, res.models_aggregated)
 
 
-def _degrees(topo):
-    return np.array([topo.degree(cid) for cid in range(topo.num_clients)])
+def _assert_gated_actions(res, cfg, votes_of):
+    """Every round up to the selection round trains locally; a gated round's client trains locally exactly when
+    its votes in the selections votes_of(round) reach its floor, or it has at most 2 neighbors."""
+    topo = res.topology
+    n = topo.num_clients
+    assert (res.actions[: cfg.selection_round] == Action.TRAIN_LOCAL).all()
+    for rnd in range(cfg.selection_round + 1, cfg.total_rounds + 1):
+        selections = votes_of(rnd)
+        votes = np.array([sum(cid in selections[voter] for voter in range(n)) for cid in range(n)])
+        trains_local = res.actions[rnd - 1] == Action.TRAIN_LOCAL
+        np.testing.assert_array_equal(trains_local, (votes >= cfg.v_min_for(topo.degrees)) | (topo.degrees <= 2))
 
 
 def _assert_work_units(res, per_pass):
@@ -667,7 +708,7 @@ class TestEngines:
         res = run_baseline(kind, spec, hp, topo, shards, seed, rounds=rounds)
         payload_vectors = 2 if kind == protocol.SCAFFOLD else 1
         size = netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * payload_vectors * spec.param_count
-        degrees = _degrees(topo)
+        degrees = topo.degrees
         assert all(column.shape == (rounds, topo.num_clients) for column in _columns(res))
         assert (res.actions == Action.TRAIN_LOCAL.value).all()
         assert (res.models_aggregated == degrees + 1).all()
@@ -684,30 +725,22 @@ class TestEngines:
         n = topo.num_clients
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
                           tau=tau, v_min=v_min, suppress_nontrainer_updates=suppress)
-        res, spec, selections, gates, _, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
+        res, spec, selections, _, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
         _assert_work_units(res, per_pass)
 
         update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
-        # one gate call per client per gated round, in client order
-        assert [g[0] for g in gates] == list(range(n)) * gated
-        for k, (cid, votes, v_min_, degree, action) in enumerate(gates):
-            rnd = cfg.selection_round + 1 + k // n
-            assert votes == sum(cid in selections[(rnd - 1, voter)] for voter in range(n))
-            assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
-            assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
-        gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
-        degrees = _degrees(topo)
+        # a gated round reads the votes cast in the round before it
+        _assert_gated_actions(res, cfg, lambda rnd: [selections[(rnd - 1, voter)] for voter in range(n)])
+        degrees = topo.degrees
         for rnd, sent, received, actions, aggregated in zip(
             range(1, cfg.total_rounds + 1), res.bytes_sent, res.bytes_received, res.actions, res.models_aggregated
         ):
             if rnd <= cfg.t_init:
-                assert (actions == Action.TRAIN_LOCAL.value).all()
                 assert (sent == degrees * update).all() and (aggregated == degrees + 1).all()
             elif rnd < cfg.selection_round:
                 assert not sent.any() and not received.any() and not aggregated.any()
             else:
                 for cid in range(n):
-                    assert actions[cid] == gate_actions.get((rnd, cid), Action.TRAIN_LOCAL.value)
                     selected = selections[(rnd, cid)]
                     assert aggregated[cid] == 1 + len(selected)
                     size = notice if suppress and actions[cid] == Action.SKIP.value else update
@@ -724,20 +757,15 @@ class TestEngines:
         cfg = SVoteConfig(total_rounds=t_init + n_diverge + 1 + gated, t_init=t_init, n_diverge=n_diverge,
                           tau=tau, v_min=v_min, refresh_selection=False,
                           suppress_nontrainer_updates=suppress)
-        res, spec, selections, gates, updates, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
+        res, spec, selections, updates, per_pass = _recorded_svote_run(cfg, topo, seed, epochs)
         _assert_work_units(res, per_pass)
 
         update, notice = netsim.message_byte_size(spec.param_count), netsim.message_byte_size(0)
         # votes are cast once, in the selection round, and the selections stay frozen
         assert {rnd for rnd, _ in selections} == {cfg.selection_round}
         frozen = {cid: selections[(cfg.selection_round, cid)] for cid in range(n)}
-        assert [g[0] for g in gates] == list(range(n)) * gated
-        for cid, votes, v_min_, degree, action in gates:
-            assert votes == sum(cid in frozen[voter] for voter in range(n))
-            assert degree == topo.degree(cid) and v_min_ == cfg.v_min_for(degree)
-            assert (action is Action.TRAIN_LOCAL) == (votes >= v_min_ or degree <= 2)
-        gate_actions = {(cfg.selection_round + 1 + k // n, g[0]): g[4].value for k, g in enumerate(gates)}
-        degrees = _degrees(topo)
+        _assert_gated_actions(res, cfg, lambda rnd: frozen)
+        degrees = topo.degrees
         for rnd, sent, received, actions, aggregated in zip(
             range(1, cfg.total_rounds + 1), res.bytes_sent, res.bytes_received, res.actions, res.models_aggregated
         ):
@@ -750,7 +778,6 @@ class TestEngines:
                 assert sent.tolist() == [degrees[cid] * update + notice * len(frozen[cid]) for cid in range(n)]
             else:
                 for cid in range(n):
-                    assert actions[cid] == gate_actions[(rnd, cid)]
                     assert aggregated[cid] == 1 + len(frozen[cid] & updates[rnd])
                     size = notice if suppress and actions[cid] == Action.SKIP.value else update
                     assert sent[cid] == degrees[cid] * size
@@ -950,7 +977,7 @@ class TestEngines:
         hp = HyperParams(lr=0.5, local_epochs=2, batch_size=16)
         cfg = SVoteConfig(total_rounds=14, t_init=3, n_diverge=1)
         res = run_svote(cfg, spec, hp, topo, shards, 3)
-        per_round_fedavg = sum(topo.degree(c) for c in range(topo.num_clients)) * (
+        per_round_fedavg = int(topo.degrees.sum()) * (
             netsim.HEADER_BYTES + netsim.BYTES_PER_PARAM * spec.param_count
         )
         trained = {
@@ -1097,7 +1124,11 @@ class TestReferenceEngine:
         assert len(got) == len(want) == rounds * n
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == DTYPE and a.tobytes() == b.tobytes()
-        for column, expected_column in zip(_columns(result), _columns(expected)):
+        # the engine's int8 codes, named as metrics.csv names them, against the oracle's string actions
+        assert result.actions.dtype == np.int8
+        columns = list(_columns(result))
+        columns[3] = np.asarray(ACTION_NAMES, dtype=object)[result.actions]
+        for column, expected_column in zip(columns, _columns(expected)):
             assert column.dtype == expected_column.dtype
             np.testing.assert_array_equal(column, expected_column)
         assert result.bytes_by_kind == expected.bytes_by_kind
