@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .kernels import DTYPE
+from .kernels import DTYPE, labels_outside
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -30,10 +30,14 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=DTYPE)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # the int64 cast would truncate 1.7 to 1, and warn on a NaN or a float past int64's range
+        if labels.dtype.kind not in "biu" and not ((np.trunc(labels) == labels) & (abs(labels) < 2.0**63)).all():
+            raise ConfigError("labels must be integers in int64's range")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ConfigError("features/labels shape mismatch")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        if labels_outside(self.labels, self.num_classes):
             raise ConfigError("label outside [0, num_classes)")
 
     def __len__(self) -> int:
@@ -55,9 +59,10 @@ class Shards:
     """A federation's data: every client's train rows in one client-major dataset and its test rows in another.
 
     Client c's rows are train_bounds[c]:train_bounds[c + 1] of `train` and
-    the same range of test_bounds in `test`; each bounds array must run from
-    0 to its dataset's length without descending. `shards[c]` makes client
-    c's (train, test) pair as views of them; a negative c counts from the end.
+    the same range of test_bounds in `test`; each bounds array must be of
+    integers that run from 0 to its dataset's length without descending.
+    `shards[c]` makes client c's (train, test) pair as views of them; a
+    negative c counts from the end.
     """
 
     def __init__(self, train: LabeledDataset, test: LabeledDataset, train_bounds, test_bounds):
@@ -66,8 +71,9 @@ class Shards:
         if self.train_bounds.shape != self.test_bounds.shape or self.train_bounds.ndim != 1:
             raise ConfigError("train and test bounds must be two offset lists of one length (n + 1)")
         for name, bounds, data in (("train", self.train_bounds, train), ("test", self.test_bounds, test)):
-            if not bounds.size or bounds[0] != 0 or bounds[-1] != len(data) or (np.diff(bounds) < 0).any():
-                raise ConfigError(f"{name} bounds must ascend from 0 to the {name} set's {len(data)} rows")
+            cuts = bounds.dtype.kind in "iu" and bounds.size and bounds[0] == 0 and bounds[-1] == len(data)
+            if not cuts or (np.diff(bounds) < 0).any():
+                raise ConfigError(f"{name} bounds must be integers from 0 to the {name} set's {len(data)} rows, never descending")
 
     def __len__(self) -> int:
         return self.train_bounds.size - 1

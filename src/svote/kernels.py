@@ -11,8 +11,10 @@ arrays. A float32 softmax rounds a label probability to 0 at a logit gap of
 about 104, where a float64 one holds out to about 745, so a non-finite loss
 is judged again in float64 from that model's own rows and weights, and a
 loss still non-finite then raises ProtocolError: a float32 model diverges
-only where a float64 softmax would. Labels must lie in [0, c): the label
-gather is not bounds-checked, so callers check their labels once per pass.
+only where a float64 softmax would. The re-judge takes the model's class
+scores from `logits`, the one forward pass of a model, which prediction
+runs too. Labels must lie in [0, c): the label gather is not bounds-checked,
+so callers check their labels once per pass with `labels_outside`.
 On desk-scale batches (32 x 6 logits) each numpy call costs more than its
 arithmetic, so reductions call the ufunc's `reduce` directly: `np.sum`,
 `ndarray.sum` and `ndarray.mean` run the same reduction behind 2-4 us of
@@ -98,10 +100,27 @@ def all_finite(losses) -> bool:
     return math.isfinite(sum(losses.tolist()))
 
 
-def _judged(losses, runs, y, logits):
+def labels_outside(y: np.ndarray, num_classes: int) -> bool:
+    """Whether a label of the int64 vector y lies outside [0, num_classes), where the label gather cannot read it.
+
+    Read as uint64, a negative label is above every class, so one max tells.
+    """
+    return y.size > 0 and np.maximum.reduce(y.view(np.uint64)) >= num_classes
+
+
+def logits(X, W, b, *output):
+    """One model's class scores of the rows of X: X W + b, or tanh(X W1 + b1) W2 + b2 given an MLP's W2, b2."""
+    z = X @ W + b
+    if output:
+        W2, b2 = output
+        z = np.tanh(z) @ W2 + b2
+    return z
+
+
+def _judged(losses, runs, X, y, params):
     """The losses, with each non-finite one judged again in float64 from its model's logits.
 
-    logits(i, rows) computes model i's logits on its rows of the step. A
+    params are the step's (k, rows, cols) parameters, in `logits`' order. A
     loss that is non-finite in float64 too raises ProtocolError.
     """
     losses = losses.astype(np.float64)
@@ -110,7 +129,7 @@ def _judged(losses, runs, y, logits):
         for i in range(a, b):
             rows = slice(r0, r0 + size)
             if not math.isfinite(losses[i]):
-                losses[i] = _float64_loss(logits(i, rows), y[rows])
+                losses[i] = _float64_loss(logits(X[rows], *(p[i] for p in params)), y[rows])
                 if not math.isfinite(losses[i]):
                     raise ProtocolError("non-finite loss: model diverged")
             r0 += size
@@ -169,7 +188,7 @@ def softmax_loss_grad(X, y, W, b, gW, gb, runs):
         zr += br
     losses = _losses_and_delta(_softmax_in_place(z), y, runs)
     if not all_finite(losses):
-        losses = _judged(losses, runs, y, lambda i, rows: X[rows] @ W[i] + b[i])
+        losses = _judged(losses, runs, X, y, (W, b))
     # z now holds dL/dz
     for Xr, zr, _, _, gWr, gbr in cuts:
         np.matmul(Xr.swapaxes(-1, -2), zr, out=gWr)
@@ -192,7 +211,7 @@ def mlp_loss_grad(X, y, W1, b1, W2, b2, gW1, gb1, gW2, gb2, runs):
         zr += b2r
     losses = _losses_and_delta(_softmax_in_place(z), y, runs)
     if not all_finite(losses):
-        losses = _judged(losses, runs, y, lambda i, rows: np.tanh(X[rows] @ W1[i] + b1[i]) @ W2[i] + b2[i])
+        losses = _judged(losses, runs, X, y, (W1, b1, W2, b2))
     # z now holds dL/dz
     for (Xr, zr, _, _, W2r, _, gW1r, gb1r, gW2r, gb2r), H in zip(cuts, hidden):
         np.matmul(H.swapaxes(-1, -2), zr, out=gW2r)

@@ -51,9 +51,7 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        if self.kind == SOFTMAX:
-            return (self.input_dim + 1) * self.num_classes
-        return (self.input_dim + 1) * self.hidden_dim + (self.hidden_dim + 1) * self.num_classes
+        return _layout(self)[-1][1]
 
 
 @dataclass(frozen=True)
@@ -102,57 +100,20 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=spec.param_count).astype(kernels.DTYPE)
 
 
-def _check_data(X: np.ndarray, y: np.ndarray, spec: ModelSpec):
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ConfigError(f"feature dim {X.shape} does not match input_dim {spec.input_dim}")
-    if X.shape[0] != y.shape[0]:
-        raise ConfigError("feature/label count mismatch")
+def loss_and_grad(w_views, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad_views, runs):
+    """Mean cross-entropy of each model of one lockstep step and its gradient; returns the step's losses.
 
-
-def _labels_outside(y: np.ndarray, num_classes: int) -> bool:
-    """Whether a label of the int64 vector y lies outside [0, num_classes).
-
-    Read as uint64, a negative label is above every class, so one max tells.
-    """
-    return y.size > 0 and np.maximum.reduce(y.view(np.uint64)) >= num_classes
-
-
-def loss_and_grad(w, X: np.ndarray, y: np.ndarray, spec: ModelSpec, grad=None, runs=None):
-    """Mean cross-entropy over the batch and its gradient w.r.t. w.
-
-    The arithmetic runs in w's dtype (the engine's is `kernels.DTYPE`); X is
-    cast to it. The gradient is written into `grad` when given (a vector of
-    w's length and dtype that does not overlap w) and returned; otherwise
-    into a new array. A label outside [0, num_classes) raises ConfigError. A
-    non-finite loss raises ProtocolError (from the kernel); a float32 label
-    probability that rounds to 0 (numpy warns of a divide by zero in log)
-    counts only if a float64 softmax of the same logits rounds it to 0 too
-    (see `kernels`).
-
-    `local_train` calls it once per lockstep step with the (k, rows, cols)
-    views of the group's weights and gradient as w and grad (tuples, see
-    `_views`), the step's batches, which it has checked and cast once per
-    pass, and the step's runs (see `kernels`); it then returns only the
-    losses of the step's models.
+    `local_train` calls it once per step with the (k, rows, cols) views of
+    the group's weights and gradient (see `_views`), the step's batches,
+    which it has checked and cast once per pass, and the step's runs (see
+    `kernels`); the gradients of the step's models are written through
+    grad_views. A non-finite loss raises ProtocolError (from the kernel); a
+    float32 label probability that rounds to 0 (numpy warns of a divide by
+    zero in log) counts only if a float64 softmax of the same logits rounds
+    it to 0 too (see `kernels`).
     """
     kernel = kernels.softmax_loss_grad if spec.kind == SOFTMAX else kernels.mlp_loss_grad
-    if isinstance(w, tuple):
-        return kernel(X, y, *w, *grad, runs)
-    if w.shape != (spec.param_count,):
-        raise ConfigError(f"parameter vector has length {w.shape}, spec wants {spec.param_count}")
-    _check_data(X, y, spec)
-    if X.shape[0] == 0:
-        raise ConfigError("empty batch")
-    X = np.ascontiguousarray(X, dtype=w.dtype)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    if _labels_outside(y, spec.num_classes):
-        raise ConfigError(f"label outside [0, {spec.num_classes})")
-    if grad is None:
-        grad = np.empty_like(w)
-    elif grad.shape != w.shape or grad.dtype != w.dtype:
-        raise ConfigError(f"gradient buffer {grad.shape} {grad.dtype} does not match the parameters")
-    losses = kernel(X, y, *_views(w[None], spec), *_views(grad[None], spec), ((0, 1, X.shape[0]),))
-    return float(losses[0]), grad
+    return kernel(X, y, *w_views, *grad_views, runs)
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -207,19 +168,9 @@ def scaffold_update_cv(
     return local_c
 
 
-def logits(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Class scores of each row of X, computed in w's dtype."""
-    X = np.asarray(X, dtype=w.dtype)
-    if spec.kind == SOFTMAX:
-        W, b = _views(w, spec)
-        return X @ W + b
-    W1, b1, W2, b2 = _views(w, spec)
-    return np.tanh(X @ W1 + b1) @ W2 + b2
-
-
 def predict_batch(w: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Argmax class score per row; ties broken toward the lowest class index."""
-    return np.argmax(logits(w, X, spec), axis=1)
+    """Argmax class score (`kernels.logits`, in w's dtype) per row; ties broken toward the lowest class index."""
+    return np.argmax(kernels.logits(np.asarray(X, dtype=w.dtype), *_views(w, spec)), axis=1)
 
 
 def _held(rows: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -322,7 +273,8 @@ def local_train(
     k, P = models.shape
     if P != spec.param_count:
         raise ConfigError(f"parameter vector has length {P}, spec wants {spec.param_count}")
-    _check_data(X, y, spec)
+    if X.ndim != 2 or X.shape != (y.shape[0], spec.input_dim):
+        raise ConfigError(f"features {X.shape} do not match {y.shape[0]} labels and input_dim {spec.input_dim}")
     if len(ranges) != k or len(rngs) != k:
         raise ConfigError(f"{k} models need {k} row ranges and {k} generators")
     starts, stops = zip(*ranges)
@@ -333,7 +285,7 @@ def local_train(
     X = np.ascontiguousarray(X, dtype=models.dtype)
     y = np.ascontiguousarray(y, dtype=np.int64)
     # one check of the labels from the first range to the last
-    if _labels_outside(y[min(starts) : max(stops)], spec.num_classes):
+    if kernels.labels_outside(y[min(starts) : max(stops)], spec.num_classes):
         raise ConfigError(f"label outside [0, {spec.num_classes})")
 
     order, counts, begins, shift, batch, schedule = _lockstep(

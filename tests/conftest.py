@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from reference_trainer import model_loss_and_grad
 from svote import datahub, learner, netsim, protocol
 from svote.seeding import derive_seed
 
@@ -39,8 +40,8 @@ def fd_gradient(w, X, y, spec, coords, eps=1e-5):
         wp[i] += eps
         wm = w.copy()
         wm[i] -= eps
-        lp, _ = learner.loss_and_grad(wp, X, y, spec)
-        lm, _ = learner.loss_and_grad(wm, X, y, spec)
+        lp, _ = model_loss_and_grad(wp, X, y, spec)
+        lm, _ = model_loss_and_grad(wm, X, y, spec)
         out[i] = (lp - lm) / (2 * eps)
     return out
 

@@ -1,14 +1,29 @@
 """The per-client trainer that lockstep training replaces, kept as the oracle it must match bit for bit.
 
-`local_train` trains one model on its own shard, one `loss_and_grad` call
-per minibatch; `train_round` runs it for each trainer in client order, with
-the FedProx and SCAFFOLD directions and the SCAFFOLD variate refresh the
-round engine applies.
+`local_train` trains one model on its own shard, one `model_loss_and_grad`
+call per minibatch; `train_round` runs it for each trainer in client order,
+with the FedProx and SCAFFOLD directions and the SCAFFOLD variate refresh
+the round engine applies.
 """
 
 import numpy as np
 
-from svote.learner import loss_and_grad, prox_grad, scaffold_grad, scaffold_update_cv, sgd_step
+from svote.learner import _views, loss_and_grad, prox_grad, scaffold_grad, scaffold_update_cv, sgd_step
+
+
+def model_loss_and_grad(w, X, y, spec, grad=None):
+    """One flat model's mean batch loss and its gradient, as a one-model lockstep step of `loss_and_grad`.
+
+    The arithmetic runs in w's dtype: X is cast to it and y to int64. The
+    gradient is written into grad (a vector of w's length and dtype) when
+    given, else into a new array; returns (loss as a float, gradient).
+    """
+    X = np.ascontiguousarray(X, dtype=w.dtype)
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    if grad is None:
+        grad = np.empty_like(w)
+    losses = loss_and_grad(_views(w[None], spec), X, y, spec, _views(grad[None], spec), ((0, 1, len(y)),))
+    return float(losses[0]), grad
 
 
 def local_train(w, X, y, spec, hp, rng, grad_transform=None):
@@ -28,7 +43,7 @@ def local_train(w, X, y, spec, hp, rng, grad_transform=None):
             order = rng.permutation(n)
             for start in range(0, n, hp.batch_size):
                 idx = order[start : start + hp.batch_size]
-                _, g = loss_and_grad(w, X[idx], y[idx], spec, grad)
+                _, g = model_loss_and_grad(w, X[idx], y[idx], spec, grad)
                 if grad_transform is not None:
                     g = grad_transform(g, w)
                 sgd_step(w, g, hp.lr)

@@ -14,6 +14,35 @@ from svote.errors import ConfigError, FormatError
 from svote.kernels import DTYPE
 
 
+# ------------------------------------------------------------------ datasets
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64, np.bool_])
+    @given(data=st.data())
+    def test_accepts_exactly_the_labels_that_are_integers_in_range(self, dtype, data):
+        # the kernels gather labels unchecked, and an int64 cast would
+        # truncate 1.7 to 1 and warn on a NaN or 1e30 (warnings are errors here)
+        num_classes = data.draw(st.integers(1, 5), label="num_classes")
+        values = {
+            np.bool_: st.booleans(),
+            np.uint8: st.integers(0, num_classes + 1),
+            np.float64: st.one_of(
+                st.integers(-4, 2 * num_classes + 2).map(lambda twice: twice / 2),  # whole and half labels
+                st.floats(-2, num_classes + 1),
+                st.sampled_from([np.nan, np.inf, -np.inf, 1e30, -1e30]),
+            ),
+        }.get(dtype, st.integers(-2, num_classes + 1))
+        labels = data.draw(st.lists(values, max_size=6), label="labels")
+        features = np.zeros((len(labels), 2))
+        if all(float(v).is_integer() and 0 <= v < num_classes for v in labels):
+            dataset = datahub.LabeledDataset(features, np.array(labels, dtype=dtype), num_classes)
+            assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [int(v) for v in labels]
+        else:
+            with pytest.raises(ConfigError):
+                datahub.LabeledDataset(features, np.array(labels, dtype=dtype), num_classes)
+
+
 # ------------------------------------------------------------ synthetic data
 
 
@@ -547,6 +576,8 @@ class TestSplitTrainTest:
             ([0, 4, 10], [0, 3, 2]),  # test descends and ends short
             ([0, 4, 9], [0, 2, 4]),  # train ends short of its 10 rows
             ([0, 4, 10], [0, 2, 5]),  # test ends past its 4 rows
+            ([0, 2.5, 10], [0, 1.0, 4]),  # not integers: a client's rows could not be cut
+            ([0, 4.0, 10.0], [0, 2, 4]),  # integral floats are not integers either
         ],
     )
     def test_shards_reject_bounds_that_do_not_cut_their_datasets(self, train_bounds, test_bounds):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradient, peak_traced_bytes
+from reference_trainer import model_loss_and_grad
 from svote import learner
 from svote.errors import ConfigError, ProtocolError
 from svote.kernels import DTYPE
@@ -55,13 +56,15 @@ class TestInitParams:
 
 
 class TestLossAndGrad:
+    """One model's loss and gradient, as a one-model lockstep step of `learner.loss_and_grad`."""
+
     @pytest.mark.parametrize(
         "spec",
         [ModelSpec(learner.SOFTMAX, 6, 5), ModelSpec(learner.MLP, 6, 5, hidden_dim=4)],
     )
     def test_uniform_prediction_loss_is_log_c(self, spec):
         X, y = _batch(spec)
-        loss, _ = learner.loss_and_grad(np.zeros(spec.param_count), X, y, spec)
+        loss, _ = model_loss_and_grad(np.zeros(spec.param_count), X, y, spec)
         assert loss == pytest.approx(np.log(spec.num_classes), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -73,7 +76,7 @@ class TestLossAndGrad:
         X = rng.normal(size=(12, spec.input_dim))
         y = rng.integers(0, spec.num_classes, size=12)
         w = rng.normal(scale=0.3, size=spec.param_count)
-        _, grad = learner.loss_and_grad(w, X, y, spec)
+        _, grad = model_loss_and_grad(w, X, y, spec)
         coords = rng.choice(spec.param_count, size=10, replace=False)
         fd = fd_gradient(w, X, y, spec, coords)
         for i, v in fd.items():
@@ -83,38 +86,10 @@ class TestLossAndGrad:
         spec = ModelSpec(learner.SOFTMAX, 5, 3)
         X, y = _batch(spec, n=9)
         w = np.random.default_rng(3).normal(size=spec.param_count)
-        l1, g1 = learner.loss_and_grad(w, X, y, spec)
-        l2, g2 = learner.loss_and_grad(w, np.vstack([X, X]), np.concatenate([y, y]), spec)
+        l1, g1 = model_loss_and_grad(w, X, y, spec)
+        l2, g2 = model_loss_and_grad(w, np.vstack([X, X]), np.concatenate([y, y]), spec)
         assert l1 == pytest.approx(l2, abs=1e-12)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
-
-    def test_dimension_mismatch_is_config_error(self):
-        spec = ModelSpec(learner.SOFTMAX, 5, 3)
-        X, y = _batch(spec)
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(np.zeros(spec.param_count), X[:, :3], y, spec)
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(np.zeros(4), X, y, spec)
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(np.zeros(spec.param_count), X[:0], y[:0], spec)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [ModelSpec(learner.SOFTMAX, 5, 3), ModelSpec(learner.MLP, 5, 3, hidden_dim=4)],
-    )
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_label_outside_the_classes_is_config_error(self, spec, bad):
-        # -1 would otherwise train class c-1 through negative indexing
-        X, y = _batch(spec)
-        y[4] = bad
-        with pytest.raises(ConfigError, match="label outside"):
-            learner.loss_and_grad(learner.init_params(spec, 1), X, y, spec)
-
-    def test_loss_is_a_python_float(self):
-        spec = ModelSpec(learner.MLP, 5, 3, hidden_dim=4)
-        X, y = _batch(spec)
-        loss, _ = learner.loss_and_grad(learner.init_params(spec, 1), X, y, spec)
-        assert type(loss) is float
 
 
 _DIVERGENCE_SPECS = [ModelSpec(learner.SOFTMAX, 5, 3), ModelSpec(learner.MLP, 5, 3, hidden_dim=4)]
@@ -134,7 +109,7 @@ class TestDivergence:
         w = learner.init_params(spec, 2)
         w[-1] = bad  # a bias of the output layer
         with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
-            learner.loss_and_grad(w, X, y, spec)
+            model_loss_and_grad(w, X, y, spec)
 
     @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
     def test_label_probability_driven_to_zero(self, spec):
@@ -147,7 +122,7 @@ class TestDivergence:
         b_out[:] = 1e4
         b_out[0] = -1e4
         with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="non-finite loss"):
-            learner.loss_and_grad(w, X, y, spec)
+            model_loss_and_grad(w, X, y, spec)
 
     @pytest.mark.parametrize("spec", _DIVERGENCE_SPECS)
     def test_float32_model_diverges_where_a_float64_model_would(self, spec):
@@ -160,7 +135,7 @@ class TestDivergence:
         b_out[:] = 100
         b_out[0] = -100
         with np.errstate(all="ignore"):
-            loss, grad = learner.loss_and_grad(w, X, y, spec)
+            loss, grad = model_loss_and_grad(w, X, y, spec)
         assert loss == pytest.approx(200 + np.log(spec.num_classes - 1))
         assert grad.dtype == DTYPE and np.isfinite(grad).all()
         # training on it neither stops nor warns (warnings are errors here)
@@ -352,6 +327,16 @@ class TestLocalTrain:
         with pytest.raises(ConfigError, match="label outside"):
             learner.local_train(models, X, y, spec, hp, rngs, [(0, 10), (10, 20), (20, 30)])
 
+    def test_dimension_mismatch_is_config_error(self):
+        spec = ModelSpec(learner.SOFTMAX, 5, 3)
+        X, y = _batch(spec)
+        hp = HyperParams(lr=0.1, local_epochs=1, batch_size=4)
+        w = learner.init_params(spec, 4)[None]
+        with pytest.raises(ConfigError, match="input_dim"):
+            learner.local_train(w, X[:, :3], y, spec, hp, [np.random.default_rng(1)], [(0, len(y))])
+        with pytest.raises(ConfigError, match="spec wants"):
+            learner.local_train(w[:, :4], X, y, spec, hp, [np.random.default_rng(1)], [(0, len(y))])
+
     def test_a_flat_model_is_config_error(self):
         spec = ModelSpec(learner.SOFTMAX, 6, 3)
         X, y = _batch(spec, n=10, seed=2)
@@ -383,26 +368,6 @@ WIDE_MLP = ModelSpec(learner.MLP, 784, 10, hidden_dim=64)
 class TestBuffers:
     """The buffer contract: kernels write into the caller's gradient, training copies w once."""
 
-    @pytest.mark.parametrize(
-        "spec", [ModelSpec(learner.SOFTMAX, 7, 4), ModelSpec(learner.MLP, 7, 4, hidden_dim=5)]
-    )
-    def test_loss_and_grad_fills_and_returns_the_buffer(self, spec):
-        # in the engine's dtype: the buffer must match w's
-        X, y = _batch(spec, n=11, seed=3)
-        w = np.random.default_rng(4).normal(scale=0.3, size=spec.param_count).astype(DTYPE)
-        loss, fresh = learner.loss_and_grad(w, X, y, spec)
-        buf = np.full(spec.param_count, np.nan, dtype=DTYPE)
-        loss_buf, out = learner.loss_and_grad(w, X, y, spec, buf)
-        assert out is buf
-        assert loss_buf == loss
-        np.testing.assert_array_equal(buf, fresh)
-
-    def test_mismatched_buffer_is_config_error(self):
-        spec = ModelSpec(learner.SOFTMAX, 5, 3)
-        X, y = _batch(spec)
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(np.zeros(spec.param_count), X, y, spec, np.empty(spec.param_count + 1))
-
     @pytest.mark.parametrize("method", ["plain", "fedprox", "scaffold"])
     def test_local_train_matches_the_out_of_place_step_and_leaves_w(self, method):
         # the reference recomputes every step with fresh arrays, in the
@@ -425,7 +390,7 @@ class TestBuffers:
             order = rng.permutation(40)
             for start in range(0, 40, hp.batch_size):
                 idx = order[start : start + hp.batch_size]
-                _, g = learner.loss_and_grad(w, X[idx], y[idx], spec)
+                _, g = model_loss_and_grad(w, X[idx], y[idx], spec)
                 w = w - hp.lr * fresh(g, w)
         rule = {
             "plain": {}, "fedprox": {"prox": True}, "scaffold": {"variates": (local_c[None], global_c[None])}

@@ -569,19 +569,6 @@ class TestDtypeContract:
         assert steps_seen and set(steps_seen) == {(DTYPE, DTYPE, DTYPE)}
         assert trained_dtypes == [DTYPE] * topo.num_clients
 
-    def test_gradient_buffer_of_another_dtype_rejected(self):
-        spec = ModelSpec(learner.SOFTMAX, 5, 3)
-        X = np.random.default_rng(2).normal(size=(4, 5))
-        y = np.array([0, 1, 2, 0])
-        w = learner.init_params(spec, 1)
-        assert w.dtype == DTYPE
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(w, X, y, spec, np.empty(spec.param_count, dtype=np.float64))
-        with pytest.raises(ConfigError):
-            learner.loss_and_grad(w.astype(np.float64), X, y, spec, np.empty(spec.param_count, dtype=DTYPE))
-        _, grad = learner.loss_and_grad(w, X, y, spec, np.empty(spec.param_count, dtype=DTYPE))
-        assert grad.dtype == DTYPE
-
 
 class TestSVoteConfig:
     def test_phase_budget_validated(self):
