@@ -32,7 +32,8 @@ class LabeledDataset:
         self.features = np.asarray(self.features, dtype=DTYPE)
         labels = np.asarray(self.labels)
         # the int64 cast would truncate 1.7 to 1, and warn on a NaN or a float past int64's range
-        if labels.dtype.kind not in "biu" and not ((np.trunc(labels) == labels) & (abs(labels) < 2.0**63)).all():
+        kind = labels.dtype.kind
+        if kind not in "biuf" or kind == "f" and not ((np.trunc(labels) == labels) & (abs(labels) < 2.0**63)).all():
             raise ConfigError("labels must be integers in int64's range")
         self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:

@@ -42,6 +42,14 @@ class TestLabeledDataset:
             with pytest.raises(ConfigError):
                 datahub.LabeledDataset(features, np.array(labels, dtype=dtype), num_classes)
 
+    @pytest.mark.parametrize(
+        "labels", [np.array(["a"]), np.array([1 + 0j]), np.array([1], dtype=object)], ids=["str", "complex", "object"]
+    )
+    def test_labels_that_are_not_bool_integer_or_float_are_config_error(self, labels):
+        # not numpy's TypeError from the integrality check, nor a complex label cast to 1
+        with pytest.raises(ConfigError, match="integers"):
+            datahub.LabeledDataset(np.zeros((1, 2)), labels, 2)
+
 
 # ------------------------------------------------------------ synthetic data
 
