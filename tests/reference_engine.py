@@ -18,7 +18,6 @@ evaluates too.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -239,9 +238,7 @@ def _run(method, cfg: SVoteConfig, rounds: int, model_spec, hp, topo: Topology, 
     train, bounds = shards.train, shards.train_bounds
     samples_per_pass = np.diff(bounds) * hp.local_epochs
     bounds = bounds.tolist()
-    tests = [test for _, test in shards]
-    test_bounds = [0, *itertools.accumulate(len(test) for test in tests)]
-    test_labels = np.concatenate([test.labels for test in tests])
+    test, test_bounds = shards.test, shards.test_bounds.tolist()
     preds = np.empty(test_bounds[-1], dtype=np.intp)
     shape = (2, n, model_spec.param_count)
     variates = np.zeros(shape, dtype=DTYPE) if method == SCAFFOLD else None  # local, global
@@ -280,9 +277,9 @@ def _run(method, cfg: SVoteConfig, rounds: int, model_spec, hp, topo: Topology, 
 
         sent[rnd - 1], received[rnd - 1] = ledger.take_round()
         for cid in range(n):
-            pred = protocol.predict_batch(models[cid], tests[cid].features, model_spec)
+            pred = protocol.predict_batch(models[cid], test.features[test_bounds[cid] : test_bounds[cid + 1]], model_spec)
             preds[test_bounds[cid] : test_bounds[cid + 1]] = pred
-        f1[rnd - 1] = macro_f1(preds, test_labels, model_spec.num_classes, test_bounds)
+        f1[rnd - 1] = macro_f1(preds, test.labels, model_spec.num_classes, test_bounds)
 
     digest = hashlib.sha256(f"{models.dtype.str}{models.shape}".encode())
     digest.update(models)
