@@ -4,7 +4,8 @@ Synthetic data is a seeded Gaussian mixture (one unit-sphere mean per class);
 IDX files cover the MNIST family. Partitioning draws, per class, client
 proportions from Dirichlet(alpha) once and splits indices with
 largest-remainder rounding, then moves samples from the largest clients to any
-client below the min_shard floor.
+client below the min_shard floor. A split federation is one Shards: two
+client-major datasets, train and test, and each client's row bounds in them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, is_count
 from .kernels import DTYPE, labels_outside
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -36,8 +37,10 @@ class LabeledDataset:
         if kind not in "biuf" or kind == "f" and not ((np.trunc(labels) == labels) & (abs(labels) < 2.0**63)).all():
             raise ConfigError("labels must be integers in int64's range")
         self.labels = labels.astype(np.int64, copy=False)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
-            raise ConfigError("features/labels shape mismatch")
+        if self.labels.ndim != 1 or self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
+            raise ConfigError("features/labels shape mismatch: need an n x input_dim matrix and n labels")
+        if not is_count(self.num_classes, 1):
+            raise ConfigError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if labels_outside(self.labels, self.num_classes):
             raise ConfigError("label outside [0, num_classes)")
 
@@ -48,13 +51,6 @@ class LabeledDataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def of_checked(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> "LabeledDataset":
-        """A dataset of arrays cut from one that passed the checks, built without re-running them."""
-        self = object.__new__(cls)
-        self.features, self.labels, self.num_classes = features, labels, num_classes
-        return self
-
 
 class Shards:
     """A federation's data: every client's train rows in one client-major dataset and its test rows in another.
@@ -62,8 +58,6 @@ class Shards:
     Client c's rows are train_bounds[c]:train_bounds[c + 1] of `train` and
     the same range of test_bounds in `test`; each bounds array must be of
     integers that run from 0 to its dataset's length without descending.
-    `shards[c]` makes client c's (train, test) pair as views of them; a
-    negative c counts from the end.
     """
 
     def __init__(self, train: LabeledDataset, test: LabeledDataset, train_bounds, test_bounds):
@@ -78,16 +72,6 @@ class Shards:
 
     def __len__(self) -> int:
         return self.train_bounds.size - 1
-
-    def __getitem__(self, c: int) -> tuple[LabeledDataset, LabeledDataset]:
-        c = range(len(self))[c]  # a negative c counts from the end; past either end raises IndexError
-        return _rows(self.train, self.train_bounds, c), _rows(self.test, self.test_bounds, c)
-
-
-def _rows(data: LabeledDataset, bounds: np.ndarray, c: int) -> LabeledDataset:
-    """Client c's rows of a client-major dataset, as views."""
-    start, end = bounds[c], bounds[c + 1]
-    return LabeledDataset.of_checked(data.features[start:end], data.labels[start:end], data.num_classes)
 
 
 def gen_synthetic(
@@ -322,4 +306,4 @@ def split_train_test(
 def _gathered(data: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
     """data's rows gathered into one fresh dataset."""
     features, labels = np.take(data.features, rows, axis=0), np.take(data.labels, rows)
-    return LabeledDataset.of_checked(features, labels, data.num_classes)
+    return LabeledDataset(features, labels, data.num_classes)

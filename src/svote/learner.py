@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError
+from .errors import ConfigError, is_count
 
 SOFTMAX = "softmax"
 MLP = "mlp"
@@ -44,10 +44,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in (SOFTMAX, MLP):
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise ConfigError("model needs input_dim >= 1 and num_classes >= 2")
-        if self.kind == MLP and self.hidden_dim < 1:
-            raise ConfigError("MLP needs hidden_dim >= 1")
+        if not (is_count(self.input_dim, 1) and is_count(self.num_classes, 2)):
+            raise ConfigError("model needs integers input_dim >= 1 and num_classes >= 2")
+        if not is_count(self.hidden_dim, 1 if self.kind == MLP else 0):
+            raise ConfigError("hidden_dim must be an integer, >= 1 for an MLP")
 
     @property
     def param_count(self) -> int:
@@ -64,8 +64,8 @@ class HyperParams:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError("lr must be finite and positive")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("local_epochs and batch_size must be >= 1")
+        if not (is_count(self.local_epochs, 1) and is_count(self.batch_size, 1)):
+            raise ConfigError("local_epochs and batch_size must be integers >= 1")
         if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
             raise ConfigError("prox_mu must be finite and non-negative")
 
@@ -73,7 +73,7 @@ class HyperParams:
 @functools.cache
 def _layout(spec: ModelSpec):
     """(start, stop, rows, cols) of each weight matrix and bias of one model, in flat-vector order; a bias is one row."""
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    d, c, h = int(spec.input_dim), int(spec.num_classes), int(spec.hidden_dim)  # a numpy count would wrap or leak its type
     shapes = ((d, c), (1, c)) if spec.kind == SOFTMAX else ((d, h), (1, h), (h, c), (1, c))
     layout, at = [], 0
     for rows, cols in shapes:
@@ -289,7 +289,7 @@ def local_train(
         raise ConfigError(f"label outside [0, {spec.num_classes})")
 
     order, counts, begins, shift, batch, schedule = _lockstep(
-        tuple(stop - start for start, stop in ranges), hp.batch_size, hp.local_epochs
+        tuple(stop - start for start, stop in ranges), int(hp.batch_size), int(hp.local_epochs)
     )
     # each model's permutation of its rows of X for its current epoch, model after model
     perm = np.empty(begins[-1], dtype=np.intp)

@@ -4,7 +4,9 @@ A run's per-round quantities are rounds x n columns of its RunResult: row
 r - 1 holds round r and column c client c, so reading a column in C order
 visits the records round-major, clients in id order, as metrics.csv lists
 them. Work units, a counted-work proxy for elapsed time, are
-samples_trained + models_aggregated; actions are int8 Action codes.
+samples_trained + models_aggregated; actions are int8 Action codes. A
+round's F1 row is one macro_f1 call over every client's segment of one
+client-major prediction array.
 
 Energy is a declared linear model, not a measurement: c_train per
 (sample x epoch) trained, c_agg per parameter entering an aggregation,
@@ -56,39 +58,34 @@ class EnergyCoeffs:
             raise ConfigError("energy coefficients must be finite and non-negative")
 
 
-def macro_f1(predictions, truth, num_classes: int, bounds=None) -> float | list[float]:
-    """Unweighted mean of per-class F1; with `bounds`, the list of it for every segment.
+def macro_f1(predictions, truth, num_classes: int, bounds) -> list[float]:
+    """Unweighted mean of per-class F1 of every segment, as a list.
 
-    Classes absent from both truth and predictions are skipped (non-IID test
-    shards routinely lack classes); a class that was predicted but never true
-    scores 0.
-
-    bounds, when given, are S + 1 ascending offsets from 0 to the sequences'
-    length: segment i is predictions[bounds[i]:bounds[i + 1]] against the
-    same slice of truth, and each of the S values is bit-equal to macro_f1 of
-    its segment alone. All segments are counted in one bincount. An empty
-    segment raises MetricError, as an empty sequence does.
+    bounds are S + 1 ascending offsets from 0 to the sequences' length:
+    segment i is predictions[bounds[i]:bounds[i + 1]] against the same slice
+    of truth, so [0, len(truth)] scores the sequences whole. Within a
+    segment, classes absent from both truth and predictions are skipped
+    (non-IID test shards routinely lack classes); a class that was predicted
+    but never true scores 0. Each of the S values is the same whatever the
+    other segments hold, and all are counted in one bincount. An empty
+    segment raises MetricError.
     """
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
-    if predictions.size == 0 or truth.size == 0:
-        raise MetricError("empty prediction or truth sequence")
     if predictions.shape != truth.shape:
         raise MetricError("predictions/truth length mismatch")
     side = num_classes + 1  # one more row and column for labels that name no class
     cells = _class_index(truth, num_classes)
     cells *= side
     cells += _class_index(predictions, num_classes)
-    segments = 1
-    if bounds is not None:
-        bounds = np.asarray(bounds)
-        lengths = np.diff(bounds)
-        segments = lengths.size
-        if not segments or bounds[0] != 0 or bounds[-1] != cells.size:
-            raise MetricError(f"segment bounds must run from 0 to {cells.size}")
-        if (lengths <= 0).any():
-            raise MetricError("empty prediction or truth segment")
-        cells += np.repeat(np.arange(0, segments * side * side, side * side), lengths)
+    bounds = np.asarray(bounds)
+    lengths = np.diff(bounds)
+    segments = lengths.size
+    if not segments or bounds[0] != 0 or bounds[-1] != cells.size:
+        raise MetricError(f"segment bounds must run from 0 to {cells.size}")
+    if (lengths <= 0).any():
+        raise MetricError("empty prediction or truth segment")
+    cells += np.repeat(np.arange(0, segments * side * side, side * side), lengths)
     confusion = np.bincount(cells, minlength=segments * side * side).reshape(segments, side, side)
     tp = confusion.diagonal(axis1=1, axis2=2)[:, :num_classes]
     # 2tp + fp + fn, with fp = pred_count - tp and fn = true_count - tp: positive
@@ -109,7 +106,7 @@ def macro_f1(predictions, truth, num_classes: int, bounds=None) -> float | list[
     for count in np.flatnonzero(np.bincount(classes)).tolist():
         rows = np.flatnonzero(classes == count)
         f1[rows] = np.add.reduce(scores[starts[rows, None] + np.arange(count)], axis=1) / count
-    return float(f1[0]) if bounds is None else f1.tolist()
+    return f1.tolist()
 
 
 def _class_index(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .datahub import Shards
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, is_count
 from .kernels import DTYPE
 from .learner import (
     HyperParams,
@@ -100,14 +100,13 @@ class SVoteConfig:
     suppress_nontrainer_updates: bool = True
 
     def __post_init__(self):
-        if self.t_init < 1 or self.n_diverge < 0:
-            raise ConfigError("need t_init >= 1 and n_diverge >= 0")
+        if not (is_count(self.total_rounds, 1) and is_count(self.t_init, 1) and is_count(self.n_diverge, 0)):
+            raise ConfigError("need integers total_rounds >= 1, t_init >= 1 and n_diverge >= 0")
         if self.t_init + self.n_diverge >= self.total_rounds:
             raise ConfigError("need t_init + n_diverge < total_rounds")
         if not math.isfinite(self.tau):
             raise ConfigError("tau must be finite")
-        count = isinstance(self.v_min, (int, np.integer)) and not isinstance(self.v_min, bool) and self.v_min >= 0
-        if not (count or self.v_min == "half"):
+        if not (is_count(self.v_min, 0) or self.v_min == "half"):
             raise ConfigError(f"v_min must be 'half' or a non-negative integer, got {self.v_min!r}")
 
     @property
@@ -131,12 +130,12 @@ class SVoteConfig:
 # --------------------------------------------------------------- operations
 
 
-def aggregate(models: Sequence[np.ndarray] | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise arithmetic mean, written into `out` when given, else into a new array of the models' dtype.
+def aggregate(models: Sequence[np.ndarray] | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Elementwise arithmetic mean of the models, written into `out`; returns out.
 
     models is a sequence of equal-length vectors or a k x P stack of them.
-    The models are summed in order into one output, which is then divided
-    once: the same float operations as a loop that adds one model at a time.
+    The models are summed in order into out, which is then divided once:
+    the same float operations as a loop that adds one model at a time.
     A C-contiguous stack of at least two columns, of the output's dtype, is
     summed in one axis-0 reduction, which adds its rows in order; its start
     value is -0.0, the additive identity that keeps a sum of negative zeros
@@ -147,8 +146,6 @@ def aggregate(models: Sequence[np.ndarray] | np.ndarray, out: np.ndarray | None 
     if not len(models):
         raise ProtocolError("cannot aggregate an empty model list")
     length = models[0].shape[0]
-    if out is None:
-        out = np.empty(length, dtype=models[0].dtype)
     stacked = isinstance(models, np.ndarray) and models.ndim == 2 and models.flags.c_contiguous
     if stacked and length > 1 and models.dtype == out.dtype:
         np.add.reduce(models, axis=0, out=out, initial=-0.0)
@@ -447,6 +444,6 @@ def run_baseline(
     """FedAvg / FedProx / SCAFFOLD: the engine with every round FEDERATED, which reads no vote setting."""
     if kind not in BASELINES:
         raise ConfigError(f"unknown baseline {kind!r}")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    if not is_count(rounds, 1):
+        raise ConfigError("rounds must be an integer >= 1")
     return _run(kind, SVoteConfig(), (Phase.FEDERATED,) * rounds, model_spec, hp, topo, shards, seed)

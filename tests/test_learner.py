@@ -36,6 +36,28 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec(learner.SOFTMAX, 4, 1)
 
+    @pytest.mark.parametrize("field", ["input_dim", "num_classes", "hidden_dim"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, np.float64(4)], ids=["4.0", "2.5", "True", "float64"])
+    def test_a_count_that_is_not_an_integer_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match="integer"):
+            ModelSpec(learner.MLP, **{"input_dim": 4, "num_classes": 3, "hidden_dim": 2, field: value})
+
+    def test_numpy_integer_counts_are_accepted_as_their_integers(self):
+        # uint8 products of 200 x 200 would wrap, and the layout cached for
+        # this spec is the one every equal spec of int counts reads
+        spec = ModelSpec(learner.MLP, np.uint8(200), np.int32(3), np.uint8(200))
+        assert type(spec.param_count) is int and spec.param_count == 201 * 200 + 201 * 3
+        assert ModelSpec(learner.MLP, 200, 3, 200).param_count == 40_803
+
+    def test_a_float_spec_cannot_poison_the_layout_cache(self):
+        # ModelSpec(SOFTMAX, 13.0, 7) equals and hashes as ModelSpec(SOFTMAX, 13, 7), so
+        # a layout cached for it would give the integer spec a float param_count
+        with pytest.raises(ConfigError, match="integer"):
+            ModelSpec(learner.SOFTMAX, 13.0, 7).param_count
+        spec = ModelSpec(learner.SOFTMAX, 13, 7)
+        assert type(spec.param_count) is int and spec.param_count == 98
+        assert learner.init_params(spec, 0).shape == (98,)
+
 
 class TestInitParams:
     def test_deterministic(self):
@@ -351,6 +373,33 @@ class TestLocalTrain:
             HyperParams(batch_size=0)
         with pytest.raises(ConfigError):
             HyperParams(prox_mu=-0.1)
+
+    @pytest.mark.parametrize("field", ["local_epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, np.float64(2)], ids=["2.0", "1.5", "True", "float64"])
+    def test_a_hyperparam_count_that_is_not_an_integer_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match="integers"):
+            HyperParams(**{field: value})
+
+    def test_a_count_equal_to_an_int_cannot_poison_the_plan_cache(self):
+        # batch size 2.0 equals and hashes as 2, so a plan of float offsets
+        # cached for it would serve every later batch-2 pass over these shards
+        spec = ModelSpec(learner.SOFTMAX, 3, 2)
+        X, y = _batch(spec, n=29, seed=3)
+        models = np.stack([learner.init_params(spec, seed) for seed in range(3)])
+
+        def train(batch_size):
+            hp = HyperParams(lr=0.1, local_epochs=2, batch_size=batch_size)
+            rngs = [np.random.default_rng(seed) for seed in range(3)]
+            return learner.local_train(models, X, y, spec, hp, rngs, [(0, 13), (13, 24), (24, 29)])
+
+        with pytest.raises(ConfigError, match="integers"):
+            train(2.0)
+        assert train(2)[1] == [14, 12, 6]
+        # np.uint64(2) is accepted and also hashes as 2, but numpy divides
+        # int64 by uint64 in float64: the plan must not be built from it
+        learner._lockstep.cache_clear()
+        assert train(np.uint64(2))[1] == [14, 12, 6]
+        assert train(2)[1] == [14, 12, 6]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_hyperparams_must_be_finite(self, value):

@@ -57,7 +57,7 @@ def test_lockstep_round_is_bit_equal_to_the_per_client_trainer(case):
     want_steps = train_round(trainers, *want, X, y, bounds, rngs(), spec, hp, method)
     # the cap admits per_group models of P parameters to a group
     with mock.patch.object(protocol, "_STACK_FLOATS", case["per_group"] * P):
-        train = LabeledDataset.of_checked(X, y, spec.num_classes)
+        train = LabeledDataset(X, y, spec.num_classes)
         steps = protocol._train(trainers, models, variates, train, bounds, rngs(), spec, hp, method)
     assert steps == want_steps
     assert models.tobytes() == want[0].tobytes()
@@ -124,8 +124,9 @@ def test_kernel_rows_are_the_samples_trained(method):
     """The kernels see each trained sample once per epoch, in unpadded blocks of one client's batch, once per step."""
     _, shards, topo, spec = small_problem(num_clients=6)
     hp = HyperParams(lr=0.1, local_epochs=2, batch_size=16)
-    owner = {row.tobytes(): cid for cid, (train, _) in enumerate(shards) for row in train.features}
-    assert len(owner) == sum(len(train) for train, _ in shards)  # every row tells its client
+    clients = np.repeat(np.arange(len(shards)), np.diff(shards.train_bounds))
+    owner = {row.tobytes(): cid for cid, row in zip(clients.tolist(), shards.train.features)}
+    assert len(owner) == len(shards.train)  # every row tells its client
     calls, steps = [], []
     kernel, schedule = kernels.softmax_loss_grad, learner._lockstep
 

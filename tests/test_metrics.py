@@ -33,33 +33,38 @@ def _macro_f1_per_class_loop(predictions, truth, num_classes):
     return float(np.mean(scores))
 
 
+def _whole(predictions, truth, num_classes):
+    """macro_f1 of the sequences as one segment."""
+    return macro_f1(predictions, truth, num_classes, [0, len(predictions)])[0]
+
+
 class TestMacroF1:
     def test_perfect(self):
-        assert macro_f1([0, 1, 2, 1], [0, 1, 2, 1], 3) == 1.0
+        assert _whole([0, 1, 2, 1], [0, 1, 2, 1], 3) == 1.0
 
     def test_half(self):
         # per class: precision = recall = 0.5
-        assert macro_f1([0, 1, 0, 1], [0, 0, 1, 1], 2) == pytest.approx(0.5, abs=1e-9)
+        assert _whole([0, 1, 0, 1], [0, 0, 1, 1], 2) == pytest.approx(0.5, abs=1e-9)
 
     def test_majority_collapse(self):
         # all predictions class 0 on balanced 2-class truth: (2/3 + 0) / 2
-        assert macro_f1([0, 0, 0, 0], [0, 0, 1, 1], 2) == pytest.approx(1 / 3, abs=1e-9)
+        assert _whole([0, 0, 0, 0], [0, 0, 1, 1], 2) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_class_absent_everywhere_skipped(self):
         # class 2 appears in neither truth nor predictions
-        assert macro_f1([0, 1], [0, 1], 3) == 1.0
+        assert _whole([0, 1], [0, 1], 3) == 1.0
 
     def test_spurious_prediction_scores_zero(self):
         # class 1 predicted but never true: contributes a zero to the mean
-        assert macro_f1([0, 1], [0, 0], 2) == pytest.approx((2 / 3) / 2, abs=1e-9)
+        assert _whole([0, 1], [0, 0], 2) == pytest.approx((2 / 3) / 2, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
-            macro_f1([], [], 2)
+            _whole([], [], 2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricError):
-            macro_f1([0, 1], [0], 2)
+            _whole([0, 1], [0], 2)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
     @settings(max_examples=50)
@@ -67,8 +72,8 @@ class TestMacroF1:
         rng = np.random.default_rng(len(truth))
         preds = rng.integers(0, 4, size=len(truth))
         perm = rng.permutation(len(truth))
-        before = macro_f1(preds, truth, 4)
-        after = macro_f1(preds[perm], np.asarray(truth)[perm], 4)
+        before = _whole(preds, truth, 4)
+        after = _whole(preds[perm], np.asarray(truth)[perm], 4)
         assert before == pytest.approx(after, abs=1e-12)
 
     @given(
@@ -93,9 +98,9 @@ class TestMacroF1:
             expected = _macro_f1_per_class_loop(preds, truth, k)
         except MetricError:
             with pytest.raises(MetricError):
-                macro_f1(preds, truth, k)
+                _whole(preds, truth, k)
             return
-        assert macro_f1(preds, truth, k) == expected
+        assert _whole(preds, truth, k) == expected
 
     @given(
         st.integers(2, 20),
@@ -125,7 +130,7 @@ class TestMacroF1:
                 with pytest.raises(MetricError):
                     macro_f1(preds, truth, k, bounds)
                 return
-            assert macro_f1(preds[start:stop], truth[start:stop], k) == expected[-1]
+            assert _whole(preds[start:stop], truth[start:stop], k) == expected[-1]
         assert macro_f1(preds, truth, k, bounds) == expected
 
     def test_segments_past_the_pairwise_block(self):
@@ -152,15 +157,15 @@ class TestMacroF1:
 
     def test_non_integral_float_labels_count_as_misses(self):
         preds, truth = np.array([0.0, 1.5, 1.0, 2.0]), np.array([0.0, 1.0, 1.5, 1.0])
-        assert macro_f1(preds, truth, 3) == _macro_f1_per_class_loop(preds, truth, 3)
+        assert _whole(preds, truth, 3) == _macro_f1_per_class_loop(preds, truth, 3)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(12)
         truth = rng.integers(0, 4, size=60)
         preds = rng.integers(0, 4, size=60)
         mapping = np.array([2, 0, 3, 1])
-        before = macro_f1(preds, truth, 4)
-        after = macro_f1(mapping[preds], mapping[truth], 4)
+        before = _whole(preds, truth, 4)
+        after = _whole(mapping[preds], mapping[truth], 4)
         assert before == pytest.approx(after, abs=1e-12)
 
 

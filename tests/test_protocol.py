@@ -42,33 +42,38 @@ class _ForcedRng:
         return self.value
 
 
+def _mean(models):
+    """aggregate into a new output of the first model's length and dtype."""
+    return aggregate(models, out=np.empty_like(models[0]))
+
+
 class TestAggregate:
     def test_mean(self):
-        out = aggregate([np.array([0.0, 3.0]), np.array([3.0, 0.0]), np.array([3.0, 3.0])])
+        out = _mean([np.array([0.0, 3.0]), np.array([3.0, 0.0]), np.array([3.0, 3.0])])
         np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_single_model_identity(self):
         w = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(aggregate([w]), w)
+        np.testing.assert_array_equal(_mean([w]), w)
 
     def test_idempotent_on_copies(self):
         w = np.array([0.25, 0.75])
-        np.testing.assert_allclose(aggregate([w, w.copy(), w.copy()]), w)
+        np.testing.assert_allclose(_mean([w, w.copy(), w.copy()]), w)
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate([])
+            aggregate([], out=np.empty(0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate([np.zeros(3), np.zeros(4)])
+            _mean([np.zeros(3), np.zeros(4)])
 
     def test_bit_equal_to_the_stacked_mean(self):
         rng = np.random.default_rng(21)
         models = list(rng.normal(size=(7, 1001)))
         expected = np.mean(np.stack(models), axis=0)
         before = [m.copy() for m in models]
-        out = aggregate(models)
+        out = _mean(models)
         np.testing.assert_array_equal(out, expected)
         for m, b in zip(models, before):
             np.testing.assert_array_equal(m, b)
@@ -76,7 +81,7 @@ class TestAggregate:
 
     def test_rows_of_a_matrix_are_a_model_sequence(self):
         models = np.random.default_rng(22).normal(size=(4, 50))
-        np.testing.assert_array_equal(aggregate(models), np.mean(models, axis=0))
+        np.testing.assert_array_equal(_mean(models), np.mean(models, axis=0))
 
     def test_out_row_receives_the_mean(self):
         rng = np.random.default_rng(23)
@@ -84,7 +89,7 @@ class TestAggregate:
         matrix = np.zeros((3, 301))
         out = aggregate([models[4], models[0], models[2]], out=matrix[1])
         assert np.shares_memory(out, matrix[1])
-        np.testing.assert_array_equal(matrix[1], aggregate([models[4], models[0], models[2]]))
+        np.testing.assert_array_equal(matrix[1], _mean([models[4], models[0], models[2]]))
         np.testing.assert_array_equal(matrix[[0, 2]], 0.0)
 
     @given(
@@ -107,7 +112,7 @@ class TestAggregate:
         stack = stack.astype(dtype)
         out = np.empty(p, dtype=dtype)
         assert aggregate(stack, out=out) is out
-        assert out.tobytes() == aggregate(list(stack)).tobytes()
+        assert out.tobytes() == _mean(list(stack)).tobytes()
 
     def test_a_one_column_stack_takes_the_row_loop(self):
         # an axis-0 reduction down a single column is summed pairwise, which
@@ -118,13 +123,13 @@ class TestAggregate:
         for row in column[1:]:
             ordered += row
         assert np.add.reduce(column, axis=0).tobytes() != ordered.tobytes()
-        assert aggregate(column).tobytes() == (ordered / 64).tobytes()
+        assert _mean(column).tobytes() == (ordered / 64).tobytes()
 
     def test_peak_memory_is_one_model_not_the_stack(self):
         k, length = 8, 50_000
         models = [np.full(length, float(i)) for i in range(k)]
         out = []
-        peak = peak_traced_bytes(lambda: out.append(aggregate(models)))
+        peak = peak_traced_bytes(lambda: out.append(_mean(models)))
         assert peak < 1.25 * length * 8  # the output, not a k x P stack
         np.testing.assert_array_equal(out[0], np.full(length, (k - 1) / 2))
 
@@ -528,7 +533,7 @@ class TestDtypeContract:
 
     def test_shards_models_and_variates(self):
         _, shards, topo, spec = small_problem()
-        assert all(part.features.dtype == DTYPE for pair in shards for part in pair)
+        assert shards.train.features.dtype == shards.test.features.dtype == DTYPE
         variates = []
         refresh = protocol.scaffold_update_cv
 
@@ -583,6 +588,22 @@ class TestSVoteConfig:
         for value in ("1", "0", -1, True, None, 1.0, "Half"):
             with pytest.raises(ConfigError, match="v_min"):
                 SVoteConfig(v_min=value)
+
+    @pytest.mark.parametrize("field", ["total_rounds", "t_init", "n_diverge"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True])
+    def test_a_count_that_is_not_an_integer_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match="integers"):
+            SVoteConfig(**{"total_rounds": 10, "t_init": 2, "n_diverge": 1, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = SVoteConfig(total_rounds=np.int64(10), t_init=np.int32(2), n_diverge=np.uint8(1), v_min=np.int64(2))
+        assert len(cfg.phases()) == 10 and cfg.selection_round == 4
+
+    @pytest.mark.parametrize("rounds", [2.0, 1.5, True])
+    def test_baseline_rounds_that_are_not_an_integer_are_config_error(self, rounds):
+        _, shards, topo, spec = small_problem()
+        with pytest.raises(ConfigError, match="integer"):
+            run_baseline(protocol.FEDAVG, spec, HyperParams(), topo, shards, 1, rounds=rounds)
 
 
 # ----------------------------------------------------------------- engines
@@ -654,7 +675,7 @@ def _recorded_svote_run(cfg, topo, seed, epochs):
         mock.patch.object(protocol, "broadcast", broadcast),
     ):
         res = run_svote(cfg, spec, HyperParams(lr=0.2, local_epochs=epochs, batch_size=16), topo, shards, seed)
-    return res, spec, selections, updates, [train.labels.shape[0] * epochs for train, _ in shards]
+    return res, spec, selections, updates, np.diff(shards.train_bounds) * epochs
 
 
 def _columns(res):
@@ -699,7 +720,7 @@ class TestEngines:
         assert all(column.shape == (rounds, topo.num_clients) for column in _columns(res))
         assert (res.actions == Action.TRAIN_LOCAL.value).all()
         assert (res.models_aggregated == degrees + 1).all()
-        assert (res.samples_trained == [train.labels.shape[0] * epochs for train, _ in shards]).all()
+        assert (res.samples_trained == np.diff(shards.train_bounds) * epochs).all()
         assert (res.bytes_sent == degrees * size).all()
         assert res.bytes_by_kind[MessageKind.VOTE] == 0
         assert res.bytes_by_kind[MessageKind.NO_UPDATE] == 0
@@ -808,7 +829,7 @@ class TestEngines:
         def run():
             stacked = []
 
-            def recorded(models, out=None):
+            def recorded(models, out):
                 stacked.append(isinstance(models, np.ndarray))
                 return aggregate(models, out=out)
 
